@@ -85,13 +85,7 @@ def mmd_linear_statistic(X, Y, kappa: float) -> float:
     summand is k(x,x') + k(y,y') - k(x,y') - k(x',y). Unbiased for squared MMD
     and may be negative. Both samples are truncated to the shorter even length.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    n = min(len(X), len(Y))
-    n -= n % 2
-    if n < 2:
-        raise ValueError("need at least 2 rows per sample")
-    X, Y = X[:n], Y[:n]
+    X, Y, _ = _truncate_even(X, Y)
     x1, x2 = X[0::2], X[1::2]
     y1, y2 = Y[0::2], Y[1::2]
     h = (
@@ -118,16 +112,17 @@ def _shuffle_permutations(n: int, shuffles: int, seed: int):
     return [rng.permutation(n) for _ in range(shuffles)]
 
 
+def _shuffled_mean(X, Y, kappa: float, perms) -> float:
+    # mean of the linear statistic over the shuffles, one bandwidth
+    return float(np.mean([mmd_linear_statistic(X[p], Y[p], kappa) for p in perms]))
+
+
 def mmd_linear_shuffled(X, Y, kappa: float, shuffles: int = 10, seed: int = 0) -> float:
     """Mean of the linear statistic over random shuffles. One permutation per
     shuffle reorders both samples jointly, so identical samples give exactly
     zero on every shuffle. Deterministic per seed."""
     X, Y, n = _truncate_even(X, Y)
-    values = [
-        mmd_linear_statistic(X[p], Y[p], kappa)
-        for p in _shuffle_permutations(n, shuffles, seed)
-    ]
-    return float(np.mean(values))
+    return _shuffled_mean(X, Y, kappa, _shuffle_permutations(n, shuffles, seed))
 
 
 def mmd_estimate(X, Y, cfg: MmdConfig) -> float:
@@ -142,8 +137,7 @@ def mmd_estimate(X, Y, cfg: MmdConfig) -> float:
     perms = _shuffle_permutations(n, cfg.shuffles, cfg.seed)
     best = 0.0
     for kappa in cfg.bandwidths:
-        val = float(np.mean([mmd_linear_statistic(X[p], Y[p], kappa) for p in perms]))
-        best = max(best, val)
+        best = max(best, _shuffled_mean(X, Y, kappa, perms))
     return math.sqrt(best)
 
 

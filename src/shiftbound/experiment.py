@@ -11,13 +11,12 @@ import csv
 import io
 import json
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bounds import BOUND_NAMES, BoundInputs, ParamGrid, grid_search
 from .divergences import MmdConfig, median_heuristic_bandwidths, mmd_estimate
 from .nn import CheckpointSchedule, MlpArchitecture, TrainConfig
-from .risks import RiskEstimates, estimate_risks, gibbs_risk, lambda_rho_oracle
+from .risks import RiskEstimates, estimate_risks
 from .seeding import derive_seed
 from .stochastic import kl_isotropic, learn_prior_posterior, sample_posterior
 from .tasks import TaskInstance, build_synthetic_task, load_task, spec_from_json
@@ -41,6 +40,22 @@ CSV_COLUMNS = [
     "oracle_target_gibbs_risk",
     "oracle_used",
 ]
+
+
+# JSON location of each config field that is not a top-level key of its own
+# name; ``alpha`` may be a scalar or a list
+_JSON_PATHS = {
+    "alphas": ("alpha",),
+    "hidden": ("arch", "hidden"),
+    "activation": ("arch", "activation"),
+    "mmd_bandwidths": ("mmd", "bandwidths"),
+    "mmd_bandwidth_scales": ("mmd", "bandwidth_scales"),
+    "mmd_shuffles": ("mmd", "shuffles"),
+    **{
+        name: ("train", name)
+        for name in ("learning_rate", "momentum", "batch_size", "prior_epochs", "posterior_epochs")
+    },
+}
 
 
 @dataclass
@@ -90,32 +105,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
-        arch = doc.get("arch", {})
-        train = doc.get("train", {})
-        mmd = doc.get("mmd", {})
-        alphas = doc.get("alpha", 0.3)
-        return cls(
-            task=doc["task"],
-            hidden=tuple(arch.get("hidden", (16, 16))),
-            activation=arch.get("activation", "relu"),
-            alphas=alphas if isinstance(alphas, list) else [alphas],
-            sigma=doc.get("sigma", 0.03),
-            delta=doc.get("delta", 0.05),
-            posterior_pairs=doc.get("posterior_pairs", 5),
-            bounds=tuple(doc.get("bounds", ("mcallester", "iw", "mmd"))),
-            oracle_mode=doc.get("oracle_mode", False),
-            grids=doc.get("grids", {}),
-            mmd_bandwidths=tuple(mmd["bandwidths"]) if "bandwidths" in mmd else None,
-            mmd_bandwidth_scales=tuple(mmd.get("bandwidth_scales", (0.25, 0.5, 1.0, 2.0, 4.0))),
-            mmd_shuffles=mmd.get("shuffles", 10),
-            learning_rate=train.get("learning_rate", 3e-3),
-            momentum=train.get("momentum", 0.95),
-            batch_size=train.get("batch_size", 128),
-            prior_epochs=train.get("prior_epochs", 1),
-            posterior_epochs=train.get("posterior_epochs", 5),
-            seeds=tuple(doc.get("seeds", (0, 1, 2, 3, 4))),
-            base_dir=base_dir,
-        )
+        """Config from its JSON layout (see ``_JSON_PATHS``); absent keys keep
+        the dataclass defaults and JSON lists become tuples."""
+        kwargs = {"base_dir": base_dir}
+        for f in fields(cls):
+            *sections, key = _JSON_PATHS.get(f.name, (f.name,))
+            node = doc
+            for section in sections:
+                node = node.get(section, {})
+            if key in node and f.name != "base_dir":
+                value = node[key]
+                kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+        return cls(**kwargs)
 
     def resolve_task(self) -> TaskInstance:
         kind = self.task.get("type")
@@ -137,7 +138,6 @@ class ReportRow:
     kl: float
     mmd: float
     oracle_target_gibbs_risk: float | None
-    wall_time_s: float
 
 
 @dataclass
@@ -192,21 +192,15 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
 
     rows = []
     for ck_idx, (frac, posterior) in enumerate(pair.posterior_checkpoints):
-        t0 = time.perf_counter()
         draws = sample_posterior(posterior, cfg.posterior_pairs, derive_seed(seed, 4, a_idx, ck_idx))
         est = estimate_risks(
             arch, draws, eval_set, target_x,
             target_oracle=task.target_labeled_oracle, oracle=cfg.oracle_mode,
         )
         kl = kl_isotropic(posterior, pair.prior)
-        oracle_risk = None
-        if task.target_labeled_oracle is not None:
-            oracle_risk = gibbs_risk(arch, draws, task.target_labeled_oracle)[0]
         lam = None
         if cfg.oracle_mode:
-            lam = lambda_rho_oracle(
-                arch, draws, eval_set, task.target_labeled_oracle, oracle=True
-            )
+            lam = abs(est.joint_error_target - est.joint_error_source)
         inputs = BoundInputs(
             m_source=len(eval_set),
             n_target=len(target_x),
@@ -230,8 +224,7 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
                 estimates=est,
                 kl=kl,
                 mmd=mmd_val,
-                oracle_target_gibbs_risk=oracle_risk,
-                wall_time_s=time.perf_counter() - t0,
+                oracle_target_gibbs_risk=est.oracle_target_gibbs_risk,
             )
         )
     return rows
@@ -304,7 +297,7 @@ def _json_doc(report: RunReport) -> dict:
 def emit(report: RunReport, format: str, path) -> None:
     """Write the report. Formats: csv (one line per bound per checkpoint,
     fixed column set) or json. Identical reports produce byte-identical
-    files; wall times are deliberately not emitted."""
+    files."""
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

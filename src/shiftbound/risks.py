@@ -2,9 +2,14 @@
 importance-weighted risk, pairwise disagreement and joint error, and the
 oracle quantity |joint_error_target - joint_error_source|.
 
-Pairwise quantities average over the P consecutive draw pairs of a
-PosteriorSampleSet; Gibbs risks average over all 2P draws. Reduction order
-is draw-major, then row.
+Every estimator is a reduction of one prediction matrix per (draw set,
+sample): ``_predictions`` runs one forward pass per draw and returns the
+(2P, n) matrix of hard labels, and it is the only caller of ``forward``
+here. Gibbs risks reduce each draw's row over the sample, then average over
+all 2P draws; pairwise quantities reduce the rows of each consecutive draw
+pair (2i, 2i+1) over the sample, then average over the P pairs. Means and
+Monte-Carlo standard deviations over draws or pairs come from
+``_mean_and_mc_std``.
 """
 
 import math
@@ -25,7 +30,9 @@ class OracleAccessError(RuntimeError):
 class RiskEstimates:
     """Estimator values consumed by the bounds, with Monte-Carlo standard
     deviations per field in ``mc_std``. ``joint_error_target`` is populated
-    only under oracle access."""
+    only under oracle access. ``oracle_target_gibbs_risk`` is the Gibbs risk
+    on the labeled target when one is given: an evaluation-only value that no
+    bound reads, and without an ``mc_std`` entry."""
 
     gibbs_risk: float
     disagreement_source: float
@@ -33,6 +40,7 @@ class RiskEstimates:
     joint_error_source: float
     gibbs_weighted_risk: float | None = None
     joint_error_target: float | None = None
+    oracle_target_gibbs_risk: float | None = None
     mc_std: dict = field(default_factory=dict)
 
 
@@ -44,75 +52,63 @@ def _mean_and_mc_std(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
 
 
-def empirical_risk(arch: MlpArchitecture, w, data: LabeledSample) -> float:
-    """Fraction of rows where the hard prediction differs from the label."""
+def _predictions(arch: MlpArchitecture, draws, data) -> np.ndarray:
+    """(len(draws), n) hard labels: row k is draw k evaluated on the sample."""
     if len(data) == 0:
         raise ValueError("data must be non-empty")
-    errors = predict(forward(arch, w, data.features)) != data.labels
-    return float(np.mean(errors))
+    return np.array([predict(forward(arch, w, data.features)) for w in draws])
+
+
+def _row_means(indicators: np.ndarray, weights=None) -> np.ndarray:
+    """Mean over the sample of each row, optionally weighted per column."""
+    return np.mean(indicators if weights is None else weights * indicators, axis=1)
+
+
+def _disagreement_per_pair(preds: np.ndarray) -> np.ndarray:
+    return _row_means(preds[0::2] != preds[1::2])
+
+
+def _joint_error_per_pair(errors: np.ndarray) -> np.ndarray:
+    return _row_means(errors[0::2] & errors[1::2])
+
+
+def empirical_risk(arch: MlpArchitecture, w, data: LabeledSample) -> float:
+    """Fraction of rows where the hard prediction differs from the label."""
+    return float(_row_means(_predictions(arch, [w], data) != data.labels)[0])
 
 
 def weighted_empirical_risk(arch: MlpArchitecture, w, data: LabeledSample) -> float:
     """Mean of weight * error-indicator over the sample; needs attached weights."""
-    if len(data) == 0:
-        raise ValueError("data must be non-empty")
     if data.weights is None:
         raise ValueError("data has no importance weights attached")
-    errors = predict(forward(arch, w, data.features)) != data.labels
-    return float(np.mean(data.weights * errors))
-
-
-def _per_draw_risks(arch, samples: PosteriorSampleSet, data: LabeledSample, weighted: bool) -> np.ndarray:
-    fn = weighted_empirical_risk if weighted else empirical_risk
-    return np.array([fn(arch, w, data) for w in samples.draws])
+    errors = _predictions(arch, [w], data) != data.labels
+    return float(_row_means(errors, data.weights)[0])
 
 
 def gibbs_risk(arch: MlpArchitecture, samples: PosteriorSampleSet, data: LabeledSample):
     """Mean empirical risk over all posterior draws; returns (estimate, mc_std)."""
-    if samples.num_draws < 2:
-        raise ValueError("need at least 2 draws")
-    return _mean_and_mc_std(_per_draw_risks(arch, samples, data, weighted=False))
+    return _mean_and_mc_std(_row_means(_predictions(arch, samples.draws, data) != data.labels))
 
 
 def gibbs_weighted_risk(arch: MlpArchitecture, samples: PosteriorSampleSet, data: LabeledSample):
     """Importance-weighted counterpart of :func:`gibbs_risk`."""
-    if samples.num_draws < 2:
-        raise ValueError("need at least 2 draws")
-    return _mean_and_mc_std(_per_draw_risks(arch, samples, data, weighted=True))
-
-
-def _pair_disagreements(arch, samples: PosteriorSampleSet, X: np.ndarray) -> np.ndarray:
-    values = []
-    for i in range(samples.num_pairs):
-        h = predict(forward(arch, samples.draws[2 * i], X))
-        h2 = predict(forward(arch, samples.draws[2 * i + 1], X))
-        values.append(float(np.mean(h != h2)))
-    return np.array(values)
-
-
-def _pair_joint_errors(arch, samples: PosteriorSampleSet, data: LabeledSample) -> np.ndarray:
-    values = []
-    for i in range(samples.num_pairs):
-        e1 = predict(forward(arch, samples.draws[2 * i], data.features)) != data.labels
-        e2 = predict(forward(arch, samples.draws[2 * i + 1], data.features)) != data.labels
-        values.append(float(np.mean(e1 & e2)))
-    return np.array(values)
+    if data.weights is None:
+        raise ValueError("data has no importance weights attached")
+    errors = _predictions(arch, samples.draws, data) != data.labels
+    return _mean_and_mc_std(_row_means(errors, data.weights))
 
 
 def expected_disagreement(arch: MlpArchitecture, samples: PosteriorSampleSet, data: UnlabeledSample) -> float:
     """How often the two classifiers of a pair label the same point differently,
     averaged over pairs."""
-    if len(data) == 0:
-        raise ValueError("data must be non-empty")
-    return float(_pair_disagreements(arch, samples, data.features).mean())
+    return float(_disagreement_per_pair(_predictions(arch, samples.draws, data)).mean())
 
 
 def expected_joint_error(arch: MlpArchitecture, samples: PosteriorSampleSet, data: LabeledSample) -> float:
     """How often both classifiers of a pair are wrong at the same point,
     averaged over pairs."""
-    if len(data) == 0:
-        raise ValueError("data must be non-empty")
-    return float(_pair_joint_errors(arch, samples, data).mean())
+    errors = _predictions(arch, samples.draws, data) != data.labels
+    return float(_joint_error_per_pair(errors).mean())
 
 
 def domain_disagreement(
@@ -158,42 +154,39 @@ def estimate_risks(
     target_oracle: LabeledSample | None = None,
     oracle: bool = False,
 ) -> RiskEstimates:
-    """Assemble every estimator the bounds consume from one posterior sample set."""
-    risks = _per_draw_risks(arch, samples, source_eval, weighted=False)
-    gibbs, gibbs_std = _mean_and_mc_std(risks)
-    dis_s = _pair_disagreements(arch, samples, source_eval.features)
-    dis_t = _pair_disagreements(arch, samples, target_x.features)
-    joint_s = _pair_joint_errors(arch, samples, source_eval)
-    ds, ds_std = _mean_and_mc_std(dis_s)
-    dt, dt_std = _mean_and_mc_std(dis_t)
-    js, js_std = _mean_and_mc_std(joint_s)
-    mc_std = {
-        "gibbs_risk": gibbs_std,
-        "disagreement_source": ds_std,
-        "disagreement_target": dt_std,
-        "joint_error_source": js_std,
+    """Assemble every estimator the bounds consume from one posterior sample
+    set, evaluating each draw once on ``source_eval`` and once on
+    ``target_x``. ``target_oracle`` must hold ``target_x``'s rows; its labels
+    give ``oracle_target_gibbs_risk`` and, only with ``oracle=True``,
+    ``joint_error_target``."""
+    if oracle and target_oracle is None:
+        raise OracleAccessError("oracle=True but no labeled target sample given")
+    # array_equal is False on a shape mismatch too
+    if target_oracle is not None and not np.array_equal(target_oracle.features, target_x.features):
+        raise ValueError("target_oracle must hold the same feature rows as target_x")
+
+    source_preds = _predictions(arch, samples.draws, source_eval)
+    target_preds = _predictions(arch, samples.draws, target_x)
+    source_errors = source_preds != source_eval.labels
+    per_draw_or_pair = {
+        "gibbs_risk": _row_means(source_errors),
+        "disagreement_source": _disagreement_per_pair(source_preds),
+        "disagreement_target": _disagreement_per_pair(target_preds),
+        "joint_error_source": _joint_error_per_pair(source_errors),
     }
-
-    weighted = None
     if source_eval.weights is not None:
-        wrisks = _per_draw_risks(arch, samples, source_eval, weighted=True)
-        weighted, w_std = _mean_and_mc_std(wrisks)
-        mc_std["gibbs_weighted_risk"] = w_std
+        per_draw_or_pair["gibbs_weighted_risk"] = _row_means(source_errors, source_eval.weights)
 
-    joint_t = None
-    if oracle:
-        if target_oracle is None:
-            raise OracleAccessError("oracle=True but no labeled target sample given")
-        jt, jt_std = _mean_and_mc_std(_pair_joint_errors(arch, samples, target_oracle))
-        joint_t = jt
-        mc_std["joint_error_target"] = jt_std
+    oracle_risk = None
+    if target_oracle is not None:
+        target_errors = target_preds != target_oracle.labels
+        oracle_risk = _mean_and_mc_std(_row_means(target_errors))[0]
+        if oracle:
+            per_draw_or_pair["joint_error_target"] = _joint_error_per_pair(target_errors)
 
+    stats = {name: _mean_and_mc_std(v) for name, v in per_draw_or_pair.items()}
     return RiskEstimates(
-        gibbs_risk=gibbs,
-        gibbs_weighted_risk=weighted,
-        disagreement_source=ds,
-        disagreement_target=dt,
-        joint_error_source=js,
-        joint_error_target=joint_t,
-        mc_std=mc_std,
+        **{name: mean for name, (mean, _) in stats.items()},
+        oracle_target_gibbs_risk=oracle_risk,
+        mc_std={name: std for name, (_, std) in stats.items()},
     )

@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -223,3 +223,11 @@ def test_weighted_bounds_need_weights():
     task.source.weights = None
     with pytest.raises(ValueError):
         run_experiment(small_config(), task=task)
+
+
+def test_config_from_json_dict_defaults_match_dataclass():
+    task = {"type": "synthetic", "spec": asdict(default_synthetic_spec(seed=1))}
+    loaded = ExperimentConfig.from_json_dict({"task": task})
+    direct = ExperimentConfig(task=task)
+    for f in fields(ExperimentConfig):
+        assert getattr(loaded, f.name) == getattr(direct, f.name), f.name

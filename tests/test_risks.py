@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import shiftbound.risks
 from shiftbound import (
+    BoundInputs,
     IsotropicGaussian,
     LabeledSample,
     MlpArchitecture,
@@ -15,6 +17,8 @@ from shiftbound import (
     expected_joint_error,
     forward,
     gibbs_risk,
+    gibbs_weighted_risk,
+    grid_search,
     lambda_rho_oracle,
     predict,
     sample_posterior,
@@ -259,6 +263,12 @@ def test_estimate_risks_assembly_and_ranges():
     assert est.gibbs_risk == gibbs_risk(arch, samples, source)[0]
     assert est.disagreement_target == expected_disagreement(arch, samples, target_x)
     assert est.joint_error_source == expected_joint_error(arch, samples, source)
+    assert est.gibbs_weighted_risk == gibbs_weighted_risk(arch, samples, source)[0]
+    assert est.joint_error_target == expected_joint_error(arch, samples, oracle)
+    assert est.oracle_target_gibbs_risk == gibbs_risk(arch, samples, oracle)[0]
+    assert abs(est.joint_error_target - est.joint_error_source) == lambda_rho_oracle(
+        arch, samples, source, oracle, oracle=True
+    )
 
     est_blind = estimate_risks(arch, samples, source, target_x)
     assert est_blind.joint_error_target is None
@@ -272,3 +282,64 @@ def test_estimate_risks_oracle_needs_labels():
     target_x = UnlabeledSample(features=rng.standard_normal((10, 2)))
     with pytest.raises(OracleAccessError):
         estimate_risks(arch, samples, source, target_x, oracle=True)
+
+
+def _estimate_risks_case(seed=10):
+    rng = np.random.default_rng(seed)
+    arch = MlpArchitecture((2, 5, 1))
+    samples = sample_posterior(IsotropicGaussian(rng.standard_normal(arch.num_params), 0.2), 4, 1)
+    source = LabeledSample(
+        features=rng.standard_normal((70, 2)),
+        labels=rng.integers(0, 2, 70),
+        weights=rng.uniform(0.5, 2.0, 70),
+    )
+    target_x = UnlabeledSample(features=rng.standard_normal((50, 2)) - 0.5)
+    oracle = LabeledSample(features=target_x.features, labels=rng.integers(0, 2, 50))
+    return arch, samples, source, target_x, oracle, rng
+
+
+def test_estimate_risks_evaluates_each_draw_once_per_sample(monkeypatch):
+    arch, samples, source, target_x, oracle, _ = _estimate_risks_case()
+    calls = []
+    original = shiftbound.risks.forward
+
+    def counting_forward(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(shiftbound.risks, "forward", counting_forward)
+    estimate_risks(arch, samples, source, target_x, target_oracle=oracle, oracle=True)
+    assert len(calls) == 2 * samples.num_draws
+
+
+def test_estimate_risks_rejects_mismatched_target_oracle():
+    arch, samples, source, target_x, oracle, _ = _estimate_risks_case()
+    shifted = LabeledSample(features=oracle.features + 1.0, labels=oracle.labels)
+    fewer = oracle.subset(np.arange(len(oracle) - 1))
+    for bad in (shifted, fewer):
+        for mode in (False, True):
+            with pytest.raises(ValueError):
+                estimate_risks(arch, samples, source, target_x, target_oracle=bad, oracle=mode)
+
+
+def test_estimate_risks_blind_mode_ignores_target_labels():
+    arch, samples, source, target_x, oracle, rng = _estimate_risks_case()
+    relabeled = LabeledSample(features=oracle.features, labels=rng.integers(0, 2, len(oracle)))
+    assert not np.array_equal(relabeled.labels, oracle.labels)
+    a = estimate_risks(arch, samples, source, target_x, target_oracle=oracle)
+    b = estimate_risks(arch, samples, source, target_x, target_oracle=relabeled)
+    assert a.joint_error_target is None and b.joint_error_target is None
+    for name in ("gibbs_risk", "gibbs_weighted_risk", "disagreement_source",
+                 "disagreement_target", "joint_error_source"):
+        assert getattr(a, name) == getattr(b, name)
+    assert a.mc_std == b.mc_std
+    assert "joint_error_target" not in a.mc_std
+
+    def bound_values(est):
+        inputs = BoundInputs(
+            m_source=len(source), n_target=len(target_x), kl=2.0, delta=0.05,
+            estimates=est, beta_inf=2.0, mmd_value=0.1,
+        )
+        return [grid_search(name, inputs).value for name in ("mcallester", "iw", "mmd", "mult")]
+
+    assert bound_values(a) == bound_values(b)
