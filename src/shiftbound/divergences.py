@@ -1,7 +1,8 @@
 """Domain-shift quantities: Gaussian-kernel MMD estimators (an O(n) paired
-linear statistic with shuffle averaging and a bandwidth sweep, plus the
-quadratic biased estimator used as an oracle) and exact importance weights
-for mixture-constructed tasks.
+linear statistic with shuffle averaging and a bandwidth sweep whose
+bandwidths share each shuffle's squared distances, plus the quadratic biased
+estimator used as an oracle) and exact importance weights for
+mixture-constructed tasks.
 """
 
 import csv
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .seeding import stream_rng
 
@@ -54,11 +55,6 @@ def _kernel_matrix(X: np.ndarray, Y: np.ndarray, kappa: float) -> np.ndarray:
     return np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * kappa**2))
 
 
-def _rows_kernel(A: np.ndarray, B: np.ndarray, kappa: float) -> np.ndarray:
-    # k(a_i, b_i) for paired rows, no n^2 blowup
-    return np.exp(-np.sum((A - B) ** 2, axis=1) / (2.0 * kappa**2))
-
-
 def mmd_quadratic_biased(X, Y, kappa: float) -> float:
     """Biased quadratic-time MMD estimate:
 
@@ -86,15 +82,7 @@ def mmd_linear_statistic(X, Y, kappa: float) -> float:
     and may be negative. Both samples are truncated to the shorter even length.
     """
     X, Y, _ = _truncate_even(X, Y)
-    x1, x2 = X[0::2], X[1::2]
-    y1, y2 = Y[0::2], Y[1::2]
-    h = (
-        _rows_kernel(x1, x2, kappa)
-        + _rows_kernel(y1, y2, kappa)
-        - _rows_kernel(x1, y2, kappa)
-        - _rows_kernel(x2, y1, kappa)
-    )
-    return float(h.mean())
+    return float(_linear_statistics(X, Y, (kappa,), [slice(None)])[0, 0])
 
 
 def _truncate_even(X, Y):
@@ -112,9 +100,19 @@ def _shuffle_permutations(n: int, shuffles: int, seed: int):
     return [rng.permutation(n) for _ in range(shuffles)]
 
 
-def _shuffled_mean(X, Y, kappa: float, perms) -> float:
-    # mean of the linear statistic over the shuffles, one bandwidth
-    return float(np.mean([mmd_linear_statistic(X[p], Y[p], kappa) for p in perms]))
+def _linear_statistics(X, Y, kappas, perms) -> np.ndarray:
+    """(len(kappas), len(perms)) linear statistics. Each joint reordering of
+    X and Y is gathered once and its four paired squared distances are shared
+    by every bandwidth."""
+    stats = np.empty((len(kappas), len(perms)))
+    for j, p in enumerate(perms):
+        Xp, Yp = X[p], Y[p]
+        x1, x2, y1, y2 = Xp[0::2], Xp[1::2], Yp[0::2], Yp[1::2]
+        sq = [np.sum((a - b) ** 2, axis=1) for a, b in ((x1, x2), (y1, y2), (x1, y2), (x2, y1))]
+        for i, kappa in enumerate(kappas):
+            k_xx, k_yy, k_xy, k_yx = (np.exp(-d / (2.0 * kappa**2)) for d in sq)
+            stats[i, j] = (k_xx + k_yy - k_xy - k_yx).mean()
+    return stats
 
 
 def mmd_linear_shuffled(X, Y, kappa: float, shuffles: int = 10, seed: int = 0) -> float:
@@ -122,7 +120,7 @@ def mmd_linear_shuffled(X, Y, kappa: float, shuffles: int = 10, seed: int = 0) -
     shuffle reorders both samples jointly, so identical samples give exactly
     zero on every shuffle. Deterministic per seed."""
     X, Y, n = _truncate_even(X, Y)
-    return _shuffled_mean(X, Y, kappa, _shuffle_permutations(n, shuffles, seed))
+    return float(_linear_statistics(X, Y, (kappa,), _shuffle_permutations(n, shuffles, seed))[0].mean())
 
 
 def mmd_estimate(X, Y, cfg: MmdConfig) -> float:
@@ -130,15 +128,13 @@ def mmd_estimate(X, Y, cfg: MmdConfig) -> float:
     statistic over the shuffles, clamp at zero, take the max over bandwidths,
     and return its square root (an MMD, not a squared MMD).
 
-    The same shuffles are reused across bandwidths, so enlarging the bandwidth
-    set can only increase the result.
+    The same shuffles, and the squared distances they pair up, are shared by
+    every bandwidth, so enlarging the bandwidth set can only increase the
+    result.
     """
     X, Y, n = _truncate_even(X, Y)
-    perms = _shuffle_permutations(n, cfg.shuffles, cfg.seed)
-    best = 0.0
-    for kappa in cfg.bandwidths:
-        best = max(best, _shuffled_mean(X, Y, kappa, perms))
-    return math.sqrt(best)
+    stats = _linear_statistics(X, Y, cfg.bandwidths, _shuffle_permutations(n, cfg.shuffles, cfg.seed))
+    return math.sqrt(max([0.0, *(float(row.mean()) for row in stats)]))
 
 
 def median_heuristic_bandwidths(X, Y, scales=(0.25, 0.5, 1.0, 2.0, 4.0), max_rows: int = 2048):
@@ -148,8 +144,7 @@ def median_heuristic_bandwidths(X, Y, scales=(0.25, 0.5, 1.0, 2.0, 4.0), max_row
     pool = np.vstack([np.atleast_2d(X), np.atleast_2d(Y)])
     if len(pool) > max_rows:
         pool = pool[:: len(pool) // max_rows + 1]
-    dists = cdist(pool, pool, "euclidean")
-    med = float(np.median(dists[np.triu_indices(len(pool), k=1)]))
+    med = float(np.median(pdist(pool, "euclidean")))
     if med <= 0:
         med = 1.0
     return tuple(sorted(med * s for s in scales))

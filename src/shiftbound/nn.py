@@ -121,24 +121,39 @@ def forward(arch: MlpArchitecture, w, x):
     """Logit(s) of the network at ``x``.
 
     Accepts a single feature vector (returns a float) or an (n, d) matrix
-    (returns an (n,) array). Pure; row results do not depend on batching.
+    (returns an (n,) array). A (k, num_params) weight stack returns (k,) or
+    (k, n) logits, equal to stacking per-draw calls: each draw runs alone
+    with the same matrix shapes. Pure. Batched rows agree with row-by-row
+    calls only up to rounding, since BLAS may reorder a row's sums.
     """
-    w = _check_weights(arch, w)
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim not in (1, 2) or w.shape[-1] != arch.num_params:
+        raise ValueError(
+            f"weights have shape {w.shape}, architecture needs {arch.num_params} per draw"
+        )
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    a = np.atleast_2d(x)
-    if a.shape[1] != arch.input_dim:
-        raise ValueError(f"input width {a.shape[1]} != architecture input {arch.input_dim}")
-    views = _layer_views(arch, w)
-    for (W, b) in views[:-1]:
-        a = a @ W + b
-        if arch.activation == "relu":
-            np.maximum(a, 0.0, out=a)
-        else:
-            np.tanh(a, out=a)
-    W, b = views[-1]
-    logits = (a @ W + b)[:, 0]
-    return float(logits[0]) if single else logits
+    a0 = np.atleast_2d(x)
+    if a0.shape[1] != arch.input_dim:
+        raise ValueError(f"input width {a0.shape[1]} != architecture input {arch.input_dim}")
+    draws = np.atleast_2d(w)
+    # one buffer per layer, reused by every draw
+    bufs = [np.empty((len(a0), width)) for width in arch.layer_widths[1:]]
+    logits = np.empty((len(draws), len(a0)))
+    for k, wk in enumerate(draws):
+        a = a0
+        for (W, b), buf in zip(_layer_views(arch, wk), bufs):
+            np.matmul(a, W, out=buf)
+            buf += b
+            if buf is not bufs[-1]:
+                if arch.activation == "relu":
+                    np.maximum(buf, 0.0, out=buf)
+                else:
+                    np.tanh(buf, out=buf)
+            a = buf
+        logits[k] = a[:, 0]
+    out = logits[:, 0] if single else logits
+    return out if w.ndim == 2 else (float(out[0]) if single else out[0])
 
 
 def predict(logit):

@@ -3,13 +3,13 @@ importance-weighted risk, pairwise disagreement and joint error, and the
 oracle quantity |joint_error_target - joint_error_source|.
 
 Every estimator is a reduction of one prediction matrix per (draw set,
-sample): ``_predictions`` runs one forward pass per draw and returns the
-(2P, n) matrix of hard labels, and it is the only caller of ``forward``
-here. Gibbs risks reduce each draw's row over the sample, then average over
-all 2P draws; pairwise quantities reduce the rows of each consecutive draw
-pair (2i, 2i+1) over the sample, then average over the P pairs. Means and
-Monte-Carlo standard deviations over draws or pairs come from
-``_mean_and_mc_std``.
+sample): ``_predictions`` evaluates all draws in one stacked ``forward``
+call and returns the (2P, n) matrix of hard labels; nothing else here calls
+``forward``. Gibbs risks reduce each draw's row over the sample, then
+average over all 2P draws; pairwise quantities reduce the rows of each
+consecutive draw pair (2i, 2i+1) over the sample, then average over the P
+pairs. Means and Monte-Carlo standard deviations over draws or pairs come
+from ``_mean_and_mc_std``.
 """
 
 import math
@@ -56,7 +56,7 @@ def _predictions(arch: MlpArchitecture, draws, data) -> np.ndarray:
     """(len(draws), n) hard labels: row k is draw k evaluated on the sample."""
     if len(data) == 0:
         raise ValueError("data must be non-empty")
-    return np.array([predict(forward(arch, w, data.features)) for w in draws])
+    return predict(forward(arch, draws, data.features))
 
 
 def _row_means(indicators: np.ndarray, weights=None) -> np.ndarray:

@@ -11,6 +11,7 @@ from shiftbound import (
     OverlapError,
     beta_infinity,
     gaussian_kernel,
+    median_heuristic_bandwidths,
     mixture_weights,
     mmd_estimate,
     mmd_linear_shuffled,
@@ -133,7 +134,7 @@ def test_mmd_linear_mean_matches_quadratic_oracle(shift):
     se = values.std(ddof=1) / math.sqrt(shuffles)
     oracle = _ustat_oracle(X, Y, kappa)
     assert abs(values.mean() - oracle) <= 4 * se
-    assert mmd_linear_shuffled(X, Y, kappa, shuffles, seed=3) == pytest.approx(values.mean())
+    assert mmd_linear_shuffled(X, Y, kappa, shuffles, seed=3) == values.mean()
     # the biased quadratic square differs from the off-diagonal value only by
     # diagonal contributions, at most 3/n in total
     assert abs(mmd_quadratic_biased(X, Y, kappa) ** 2 - oracle) <= 3.0 / n + 1e-12
@@ -153,6 +154,28 @@ def test_mmd_estimate_single_bandwidth_equals_shuffled():
     cfg = MmdConfig(bandwidths=(1.0,), shuffles=6, seed=2)
     lin = mmd_linear_shuffled(X, Y, 1.0, shuffles=6, seed=2)
     assert mmd_estimate(X, Y, cfg) == math.sqrt(max(lin, 0.0))
+
+
+def test_mmd_estimate_equals_max_over_bandwidths_of_shuffled():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((61, 3))
+    Y = rng.standard_normal((70, 3)) + 0.4
+    bandwidths = (0.3, 1.0, 2.5, 6.0)
+    cfg = MmdConfig(bandwidths=bandwidths, shuffles=7, seed=5)
+    best = max(mmd_linear_shuffled(X, Y, k, shuffles=7, seed=5) for k in bandwidths)
+    assert mmd_estimate(X, Y, cfg) == math.sqrt(max(0.0, best))
+
+
+def test_median_heuristic_matches_full_distance_matrix():
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((1500, 3))
+    Y = rng.standard_normal((1101, 3)) + 0.5
+    pool = np.vstack([X, Y])[::2]
+    assert len(pool) % 2 == 1 and len(pool) * 2 > 2048
+    dists = cdist(pool, pool, "euclidean")
+    med = float(np.median(dists[np.triu_indices(len(pool), k=1)]))
+    scales = (0.25, 0.5, 1.0, 2.0, 4.0)
+    assert median_heuristic_bandwidths(X, Y, scales) == tuple(med * s for s in scales)
 
 
 def test_mmd_estimate_monotone_under_added_bandwidths():

@@ -120,6 +120,27 @@ def test_forward_batch_matches_rowwise():
         assert batch[i] == pytest.approx(forward(arch, w, X[i]), rel=1e-12, abs=1e-14)
 
 
+@pytest.mark.parametrize("widths, activation", [((3, 5, 4, 1), "relu"), ((3, 5, 1), "tanh"), ((4, 1), "relu")])
+def test_forward_stack_equals_per_draw_calls(widths, activation):
+    arch = MlpArchitecture(widths, activation)
+    rng = np.random.default_rng(3)
+    draws = rng.standard_normal((4, arch.num_params))
+    for x in (rng.standard_normal((9, widths[0])), rng.standard_normal((1, widths[0])), rng.standard_normal(widths[0])):
+        got = forward(arch, draws, x)
+        want = np.array([forward(arch, w, x) for w in draws])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_forward_refuses_bad_weight_stack():
+    arch = MlpArchitecture((3, 2, 1))
+    x = np.zeros((4, 3))
+    with pytest.raises(ValueError):
+        forward(arch, np.zeros((2, 1, arch.num_params)), x)
+    with pytest.raises(ValueError):
+        forward(arch, np.zeros((2, arch.num_params + 1)), x)
+
+
 def test_forward_dim_mismatch():
     arch = MlpArchitecture((3, 1))
     with pytest.raises(ValueError):

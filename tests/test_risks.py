@@ -304,12 +304,13 @@ def test_estimate_risks_evaluates_each_draw_once_per_sample(monkeypatch):
     original = shiftbound.risks.forward
 
     def counting_forward(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.atleast_2d(args[1]).shape[0])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(shiftbound.risks, "forward", counting_forward)
     estimate_risks(arch, samples, source, target_x, target_oracle=oracle, oracle=True)
-    assert len(calls) == 2 * samples.num_draws
+    assert len(calls) == 2
+    assert sum(calls) == 2 * samples.num_draws
 
 
 def test_estimate_risks_rejects_mismatched_target_oracle():
