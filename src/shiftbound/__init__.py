@@ -39,6 +39,8 @@ from .experiment import (
     RunReport,
     emit,
     format_summary,
+    parse_report_csv,
+    report_records,
     report_summary,
     run_experiment,
 )

@@ -78,7 +78,6 @@ class BoundInputs:
     mmd_value: float | None = None
     kernel_bound: float = 1.0
     lambda_rho: float | None = None
-    overlap: bool = True
 
     def __post_init__(self):
         if self.m_source < 1 or self.n_target < 1:
@@ -175,8 +174,8 @@ def _iw_terms(inputs: BoundInputs, delta: float, gamma: float):
 def _mult_terms(inputs: BoundInputs, delta: float, a: float, b: float):
     _require(a > 0 and b > 0, "a and b must be positive")
     _require(inputs.beta_inf is not None, "mult bound needs beta_inf")
-    # the unseen-target-mass term is identically zero under declared overlap
-    _require(inputs.overlap, "mult bound requires the task to declare overlap")
+    # no unseen-target-mass term: every task builder refuses a task without
+    # overlap (OverlapError), so that term is identically zero
     beta = inputs.beta_inf
     a_c = convexity_constant(a)
     b_c = convexity_constant(b)

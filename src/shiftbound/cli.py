@@ -24,9 +24,9 @@ from .experiment import (
     emit,
     format_summary,
     parse_report_csv,
+    report_records,
     report_summary,
     run_experiment,
-    summary_from_csv_rows,
 )
 from .risks import RiskEstimates
 from .tasks import (
@@ -74,13 +74,12 @@ def _cmd_run(args) -> int:
         path = os.path.join(out_dir, f"{stem}.{fmt}")
         emit(report, fmt, path)
         print(f"wrote {path}")
-    print(format_summary(report_summary(report)))
+    print(format_summary(report_summary(report_records(report))))
     return 0
 
 
 def _cmd_summarize(args) -> int:
-    rows = summary_from_csv_rows(parse_report_csv(args.report))
-    print(format_summary(rows))
+    print(format_summary(report_summary(parse_report_csv(args.report))))
     return 0
 
 

@@ -11,7 +11,8 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 
 from .bounds import BOUND_NAMES, BoundInputs, ParamGrid, grid_search
 from .divergences import MmdConfig, median_heuristic_bandwidths, mmd_estimate
@@ -19,27 +20,37 @@ from .nn import CheckpointSchedule, MlpArchitecture, TrainConfig
 from .risks import RiskEstimates, estimate_risks
 from .seeding import derive_seed
 from .stochastic import kl_isotropic, learn_prior_posterior, sample_posterior
-from .tasks import TaskInstance, build_synthetic_task, load_task, spec_from_json
+from .tasks import TaskInstance, _data_rows, build_synthetic_task, load_task, spec_from_json
 
-CSV_COLUMNS = [
-    "seed",
-    "alpha",
-    "checkpoint_index",
-    "seen_fraction",
-    "bound_name",
-    "bound_value",
-    "param_json",
-    "delta_effective",
-    "gibbs_source_risk",
-    "gibbs_weighted_risk",
-    "disagreement_source",
-    "disagreement_target",
-    "joint_error_source",
-    "kl",
-    "mmd",
-    "oracle_target_gibbs_risk",
-    "oracle_used",
-]
+
+def _optional_float(text: str) -> float | None:
+    return float(text) if text else None
+
+
+# Every report column once, in CSV order: its name, the object its value is
+# read from ("row": the ReportRow, "estimates": its RiskEstimates, "bound":
+# one BoundResult), how it is read, and how its CSV text is parsed back. The
+# "row" columns are also the top-level fields of each JSON row.
+_REPORT_COLUMNS = (
+    ("seed", "row", attrgetter("seed"), int),
+    ("alpha", "row", attrgetter("alpha"), float),
+    ("checkpoint_index", "row", attrgetter("checkpoint_index"), int),
+    ("seen_fraction", "row", attrgetter("seen_fraction"), float),
+    ("bound_name", "bound", attrgetter("name"), str),
+    ("bound_value", "bound", attrgetter("value"), float),
+    ("param_json", "bound", lambda res: json.dumps(res.params, sort_keys=True), str),
+    ("delta_effective", "bound", attrgetter("delta_effective"), float),
+    ("gibbs_source_risk", "estimates", attrgetter("gibbs_risk"), float),
+    ("gibbs_weighted_risk", "estimates", attrgetter("gibbs_weighted_risk"), _optional_float),
+    ("disagreement_source", "estimates", attrgetter("disagreement_source"), float),
+    ("disagreement_target", "estimates", attrgetter("disagreement_target"), float),
+    ("joint_error_source", "estimates", attrgetter("joint_error_source"), float),
+    ("kl", "row", attrgetter("kl"), float),
+    ("mmd", "row", attrgetter("mmd"), float),
+    ("oracle_target_gibbs_risk", "row", attrgetter("estimates.oracle_target_gibbs_risk"), _optional_float),
+    ("oracle_used", "bound", attrgetter("oracle_used"), lambda text: text == "true"),
+)
+CSV_COLUMNS = [name for name, *_ in _REPORT_COLUMNS]
 
 
 # JSON location of each config field that is not a top-level key of its own
@@ -137,7 +148,6 @@ class ReportRow:
     estimates: RiskEstimates
     kl: float
     mmd: float
-    oracle_target_gibbs_risk: float | None
 
 
 @dataclass
@@ -211,7 +221,6 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
             mmd_value=mmd_val,
             kernel_bound=1.0,
             lambda_rho=lam,
-            overlap=task.overlap,
         )
         results = {name: grid_search(name, inputs, cfg.grids.get(name)) for name in cfg.bounds}
         rows.append(
@@ -224,7 +233,6 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
                 estimates=est,
                 kl=kl,
                 mmd=mmd_val,
-                oracle_target_gibbs_risk=est.oracle_target_gibbs_risk,
             )
         )
     return rows
@@ -240,54 +248,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_records(report: RunReport):
+def report_records(report: RunReport):
+    """One dict per (checkpoint row, bound), keyed by ``CSV_COLUMNS`` in
+    order, with typed values; rows in report order, bounds by name."""
     for row in report.rows:
-        est = row.estimates
         for name in sorted(row.bounds):
-            res = row.bounds[name]
-            yield [
-                _fmt(row.seed),
-                _fmt(row.alpha),
-                _fmt(row.checkpoint_index),
-                _fmt(row.seen_fraction),
-                name,
-                _fmt(res.value),
-                json.dumps(res.params, sort_keys=True),
-                _fmt(res.delta_effective),
-                _fmt(est.gibbs_risk),
-                _fmt(est.gibbs_weighted_risk),
-                _fmt(est.disagreement_source),
-                _fmt(est.disagreement_target),
-                _fmt(est.joint_error_source),
-                _fmt(row.kl),
-                _fmt(row.mmd),
-                _fmt(row.oracle_target_gibbs_risk),
-                _fmt(res.oracle_used),
-            ]
+            source = {"row": row, "estimates": row.estimates, "bound": row.bounds[name]}
+            yield {col: read(source[scope]) for col, scope, read, _ in _REPORT_COLUMNS}
 
 
 def _json_doc(report: RunReport) -> dict:
     rows = []
     for row in report.rows:
-        est = row.estimates
+        estimates = asdict(row.estimates)
+        del estimates["oracle_target_gibbs_risk"]  # evaluation-only, a row field
         rows.append(
             {
-                "seed": row.seed,
-                "alpha": row.alpha,
-                "checkpoint_index": row.checkpoint_index,
-                "seen_fraction": row.seen_fraction,
-                "kl": row.kl,
-                "mmd": row.mmd,
-                "oracle_target_gibbs_risk": row.oracle_target_gibbs_risk,
-                "estimates": {
-                    "gibbs_risk": est.gibbs_risk,
-                    "gibbs_weighted_risk": est.gibbs_weighted_risk,
-                    "disagreement_source": est.disagreement_source,
-                    "disagreement_target": est.disagreement_target,
-                    "joint_error_source": est.joint_error_source,
-                    "joint_error_target": est.joint_error_target,
-                    "mc_std": dict(sorted(est.mc_std.items())),
-                },
+                **{col: read(row) for col, scope, read, _ in _REPORT_COLUMNS if scope == "row"},
+                "estimates": estimates,
                 "bounds": [row.bounds[name].to_json_dict() for name in sorted(row.bounds)],
             }
         )
@@ -302,8 +280,8 @@ def emit(report: RunReport, format: str, path) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for record in _csv_records(report):
-            writer.writerow(record)
+        for record in report_records(report):
+            writer.writerow([_fmt(value) for value in record.values()])
         data = buf.getvalue()
     elif format == "json":
         data = json.dumps(_json_doc(report), sort_keys=True, indent=1) + "\n"
@@ -314,33 +292,16 @@ def emit(report: RunReport, format: str, path) -> None:
 
 
 def parse_report_csv(path) -> list:
-    """Rows of an emitted CSV as dicts with numeric fields restored."""
-    out = []
+    """The records of an emitted CSV, equal to the ``report_records`` it was
+    written from."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError("unexpected report columns")
-        for rec in reader:
-            out.append(
-                {
-                    **rec,
-                    "seed": int(rec["seed"]),
-                    "alpha": float(rec["alpha"]),
-                    "checkpoint_index": int(rec["checkpoint_index"]),
-                    "seen_fraction": float(rec["seen_fraction"]),
-                    "bound_value": float(rec["bound_value"]),
-                    "delta_effective": float(rec["delta_effective"]),
-                    "kl": float(rec["kl"]),
-                    "mmd": float(rec["mmd"]),
-                    "oracle_target_gibbs_risk": (
-                        float(rec["oracle_target_gibbs_risk"])
-                        if rec["oracle_target_gibbs_risk"]
-                        else None
-                    ),
-                    "oracle_used": rec["oracle_used"] == "true",
-                }
-            )
-    return out
+        reader = csv.reader(fh)
+        if next(reader, None) != CSV_COLUMNS:
+            raise ValueError(f"{path}: unexpected report columns")
+        return [
+            {col: parse(text) for (col, _, _, parse), text in zip(_REPORT_COLUMNS, row)}
+            for _, row in _data_rows(path, reader, len(CSV_COLUMNS))
+        ]
 
 
 @dataclass
@@ -354,47 +315,19 @@ class SummaryRow:
     best_oracle_risk: float | None
 
 
-def report_summary(report: RunReport) -> list:
-    """Per (seed, alpha, bound): the smallest bound over the training
-    trajectory, where it occurred, the oracle target risk there, and the best
-    oracle target risk any checkpoint achieved."""
-    if not report.rows:
-        raise ValueError("report is empty")
-    groups: dict = {}
-    for row in report.rows:
-        groups.setdefault((row.seed, row.alpha), []).append(row)
-    out = []
-    for (seed, alpha), rows in sorted(groups.items()):
-        oracle_risks = [r.oracle_target_gibbs_risk for r in rows]
-        best_oracle = (
-            min(v for v in oracle_risks if v is not None)
-            if any(v is not None for v in oracle_risks)
-            else None
-        )
-        for name in sorted(rows[0].bounds):
-            best = min(rows, key=lambda r: r.bounds[name].value)
-            out.append(
-                SummaryRow(
-                    seed=seed,
-                    alpha=alpha,
-                    bound=name,
-                    min_value=best.bounds[name].value,
-                    argmin_checkpoint=best.checkpoint_index,
-                    oracle_risk_at_argmin=best.oracle_target_gibbs_risk,
-                    best_oracle_risk=best_oracle,
-                )
-            )
-    return out
-
-
-def summary_from_csv_rows(records: list) -> list:
+def report_summary(records) -> list:
+    """Per (seed, alpha, bound) of the report records: the smallest bound
+    over the training trajectory, where it occurred, the oracle target risk
+    there, and the best oracle target risk any checkpoint achieved."""
     groups: dict = {}
     for rec in records:
         groups.setdefault((rec["seed"], rec["alpha"], rec["bound_name"]), []).append(rec)
+    if not groups:
+        raise ValueError("report is empty")
     out = []
     for (seed, alpha, name), recs in sorted(groups.items()):
         best = min(recs, key=lambda r: r["bound_value"])
-        oracle = [r["oracle_target_gibbs_risk"] for r in recs]
+        oracle = [r["oracle_target_gibbs_risk"] for r in recs if r["oracle_target_gibbs_risk"] is not None]
         out.append(
             SummaryRow(
                 seed=seed,
@@ -403,11 +336,7 @@ def summary_from_csv_rows(records: list) -> list:
                 min_value=best["bound_value"],
                 argmin_checkpoint=best["checkpoint_index"],
                 oracle_risk_at_argmin=best["oracle_target_gibbs_risk"],
-                best_oracle_risk=(
-                    min(v for v in oracle if v is not None)
-                    if any(v is not None for v in oracle)
-                    else None
-                ),
+                best_oracle_risk=min(oracle) if oracle else None,
             )
         )
     return out

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import logsumexp
 
-from .divergences import MixtureTaskSpec, OverlapError, mixture_counts, mixture_weights
+from .divergences import MixtureTaskSpec, OverlapError, beta_infinity, mixture_counts, mixture_weights
 from .samples import LabeledSample, UnlabeledSample
 from .seeding import stream_rng
 
@@ -95,7 +95,6 @@ class TaskInstance:
     spec: object
     beta_inf: float
     kind: str
-    overlap: bool = True
 
     def __post_init__(self):
         if self.source.weights is None:
@@ -218,7 +217,7 @@ def build_mixture_task(
         target_x=UnlabeledSample(features=oracle.features, origin=oracle.origin),
         target_labeled_oracle=oracle,
         spec=spec,
-        beta_inf=float(max(w for row in table for w in row)),
+        beta_inf=beta_infinity(spec),
         kind="mixture",
     )
 
@@ -293,6 +292,25 @@ def save_dataset(sample: LabeledSample, path) -> None:
             writer.writerow(row)
 
 
+def _data_rows(path, reader, width: int):
+    """(line number, row) for each row after the header, refusing a row
+    that does not have ``width`` fields."""
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        yield lineno, row
+
+
+def _finite_floats(path, lineno: int, fields, what: str) -> list:
+    try:
+        values = list(map(float, fields))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: bad {what} value ({exc})") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path}:{lineno}: non-finite {what} value")
+    return values
+
+
 def load_dataset(path, num_classes: int = 2) -> LabeledSample:
     """Parse a dataset CSV, rejecting malformed rows with their line number."""
     with open(path, newline="") as fh:
@@ -308,15 +326,8 @@ def load_dataset(path, num_classes: int = 2) -> LabeledSample:
         if feat_names != expected or header[label_pos] != "label":
             raise ValueError(f"{path}: header must be f0..f{{d-1}},label[,origin]")
         feats, labels, origins = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                x = [float(v) for v in row[:label_pos]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad feature value ({exc})") from None
-            if not all(math.isfinite(v) for v in x):
-                raise ValueError(f"{path}:{lineno}: non-finite feature value")
+        for lineno, row in _data_rows(path, reader, len(header)):
+            x = _finite_floats(path, lineno, row[:label_pos], "feature")
             try:
                 y = int(row[label_pos])
             except ValueError:
@@ -404,12 +415,13 @@ def load_task(dirpath) -> TaskInstance:
     files = manifest["files"]
     source = load_dataset(os.path.join(dirpath, files["source"]), num_classes=2)
     target = load_dataset(os.path.join(dirpath, files["target"]), num_classes=2)
-    with open(os.path.join(dirpath, files["weights"]), newline="") as fh:
+    weights_path = os.path.join(dirpath, files["weights"])
+    with open(weights_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["weight"]:
-            raise ValueError("weights.csv must have the single column 'weight'")
-        weights = np.array([float(row[0]) for row in reader])
+        if next(reader, None) != ["weight"]:
+            raise ValueError(f"{weights_path}: header must be the single column 'weight'")
+        rows = _data_rows(weights_path, reader, 1)
+        weights = np.array([_finite_floats(weights_path, n, row, "weight")[0] for n, row in rows])
     source = LabeledSample(
         features=source.features, labels=source.labels, origin=source.origin, weights=weights
     )

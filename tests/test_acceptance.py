@@ -38,6 +38,7 @@ from shiftbound import (
     mmd_quadratic_biased,
     mult_bound,
     one_sided_weight,
+    report_records,
     report_summary,
     run_experiment,
     sample_posterior,
@@ -339,7 +340,7 @@ def test_criterion_07_data_dependent_prior_tightening():
         seeds=(0, 1, 2, 3, 4),
     )
     report = run_experiment(cfg)
-    mins = {(r.seed, r.alpha, r.bound): r.min_value for r in report_summary(report)}
+    mins = {(r.seed, r.alpha, r.bound): r.min_value for r in report_summary(report_records(report))}
     iw_wins = sum(mins[(s, 0.3, "iw")] < mins[(s, 0.0, "iw")] for s in range(5))
     mmd_wins = sum(mins[(s, 0.3, "mmd")] < mins[(s, 0.0, "mmd")] for s in range(5))
     finals_vacuous = all(

@@ -341,11 +341,6 @@ def test_required_field_errors():
         mcallester_bound(make_inputs(), 0.0)
     with pytest.raises(ValueError):
         mult_bound(make_inputs(), -1.0, 1.0)
-    no_overlap = BoundInputs(
-        m_source=100, n_target=100, kl=1.0, delta=0.05, estimates=est, beta_inf=2.0, overlap=False
-    )
-    with pytest.raises(ValueError):
-        mult_bound(no_overlap, 1.0, 1.0)
 
 
 def test_grid_search_singleton():

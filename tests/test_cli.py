@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
+from shiftbound import RunReport, emit
 from shiftbound.cli import main
 from shiftbound.tasks import default_synthetic_spec, load_task
 
@@ -41,7 +42,18 @@ def test_make_task_run_summarize(tmp_path, capsys):
     assert (tmp_path / "out" / "run.json").exists()
 
     assert main(["summarize", str(report_csv)]) == 0
-    assert "iw" in capsys.readouterr().out
+    summarized = capsys.readouterr().out
+    assert "iw" in summarized
+    # summarize prints the very table run printed for the same report
+    table = [line for line in out.splitlines() if not line.startswith("wrote ")]
+    assert summarized.splitlines() == table
+
+
+def test_summarize_rejects_empty_report(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    emit(RunReport(rows=[]), "csv", path)
+    assert main(["summarize", str(path)]) != 0
+    assert "error: report is empty" in capsys.readouterr().err
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):

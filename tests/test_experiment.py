@@ -6,12 +6,11 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from shiftbound import ExperimentConfig, RunReport, emit, report_summary, run_experiment
+from shiftbound import ExperimentConfig, RunReport, emit, report_records, report_summary, run_experiment
 from shiftbound.experiment import (
     CSV_COLUMNS,
     format_summary,
     parse_report_csv,
-    summary_from_csv_rows,
 )
 from shiftbound.tasks import default_synthetic_spec
 
@@ -81,7 +80,7 @@ def test_bound_rows_use_eval_set_size(small_report):
 
 def test_oracle_target_risk_reported_but_not_used(small_report):
     for row in small_report.rows:
-        assert row.oracle_target_gibbs_risk is not None
+        assert row.estimates.oracle_target_gibbs_risk is not None
         for res in row.bounds.values():
             assert not res.oracle_used
 
@@ -99,7 +98,20 @@ def test_emit_csv_roundtrip(tmp_path, small_report):
             assert rec["kl"] == row.kl
             assert rec["seen_fraction"] == row.seen_fraction
             assert json.loads(rec["param_json"]) == res.params
-            assert rec["oracle_target_gibbs_risk"] == row.oracle_target_gibbs_risk
+            assert rec["oracle_target_gibbs_risk"] == row.estimates.oracle_target_gibbs_risk
+    # every column of every record round-trips with its type
+    assert records == list(report_records(small_report))
+    assert all(list(rec) == CSV_COLUMNS for rec in records)
+
+
+def test_parse_report_csv_refuses_short_row_with_line(tmp_path, small_report):
+    path = tmp_path / "report.csv"
+    emit(small_report, "csv", path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=":3: expected 17 fields, got 16"):
+        parse_report_csv(path)
 
 
 def test_emit_csv_columns_exact(tmp_path, small_report):
@@ -153,28 +165,28 @@ def test_report_byte_identical_reproducibility(tmp_path):
 
 
 def test_summary_single_group(small_report):
-    rows = report_summary(small_report)
+    rows = report_summary(report_records(small_report))
     assert {r.bound for r in rows} == {"mcallester", "iw", "mmd"}
     for r in rows:
         values = [row.bounds[r.bound].value for row in small_report.rows]
         assert r.min_value == min(values)
         assert r.argmin_checkpoint == int(np.argmin(values))
         assert r.best_oracle_risk == min(
-            row.oracle_target_gibbs_risk for row in small_report.rows
+            row.estimates.oracle_target_gibbs_risk for row in small_report.rows
         )
     assert "min_bound" in format_summary(rows)
 
 
 def test_summary_empty_report_rejected():
     with pytest.raises(ValueError):
-        report_summary(RunReport(rows=[]))
+        report_summary(report_records(RunReport(rows=[])))
 
 
 def test_summary_from_csv_matches_in_memory(tmp_path, small_report):
     path = tmp_path / "report.csv"
     emit(small_report, "csv", path)
-    expected = {(r.seed, r.alpha, r.bound): r for r in report_summary(small_report)}
-    for r in summary_from_csv_rows(parse_report_csv(path)):
+    expected = {(r.seed, r.alpha, r.bound): r for r in report_summary(report_records(small_report))}
+    for r in report_summary(parse_report_csv(path)):
         e = expected[(r.seed, r.alpha, r.bound)]
         assert r.min_value == e.min_value
         assert r.argmin_checkpoint == e.argmin_checkpoint

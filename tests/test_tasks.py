@@ -326,3 +326,22 @@ def test_mixture_task_directory_roundtrip(tmp_path):
     assert loaded.beta_inf == 11.0
     assert loaded.spec == spec
     assert np.array_equal(loaded.source.weights, task.source.weights)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("", "weights.csv:3: expected 1 fields, got 0"),
+        ("1.0,2.0", "weights.csv:3: expected 1 fields, got 2"),
+        ("abc", "weights.csv:3: bad weight value"),
+    ],
+)
+def test_task_weights_csv_malformed_row_refused_with_line(tmp_path, line, message):
+    task = build_synthetic_task(default_synthetic_spec(seed=3, n_source=60, n_target=40))
+    save_task(task, tmp_path / "task")
+    weights = tmp_path / "task" / "weights.csv"
+    lines = weights.read_text().splitlines()
+    lines[2] = line
+    weights.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_task(tmp_path / "task")
