@@ -20,7 +20,7 @@ from .nn import CheckpointSchedule, MlpArchitecture, TrainConfig
 from .risks import RiskEstimates, estimate_risks
 from .seeding import derive_seed
 from .stochastic import kl_isotropic, learn_prior_posterior, sample_posterior
-from .tasks import TaskInstance, _data_rows, build_synthetic_task, load_task, spec_from_json
+from .tasks import TaskInstance, build_synthetic_task, load_task, spec_from_json
 
 
 def _optional_float(text: str) -> float | None:
@@ -289,6 +289,15 @@ def emit(report: RunReport, format: str, path) -> None:
         raise ValueError("format must be 'csv' or 'json'")
     with open(path, "w", newline="") as fh:
         fh.write(data)
+
+
+def _data_rows(path, reader, width: int):
+    """(line number, row) for each row after the header, refusing a row
+    that does not have ``width`` fields."""
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        yield lineno, row
 
 
 def parse_report_csv(path) -> list:

@@ -72,3 +72,17 @@ def test_check_command(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_run_refuses_manifest_without_files(tmp_path, capsys):
+    spec = default_synthetic_spec(seed=4, n_source=40, n_target=30)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(asdict(spec)))
+    task_dir = tmp_path / "task"
+    assert main(["make-task", "synthetic", "--spec", str(spec_path), "--out", str(task_dir)]) == 0
+    manifest_path = task_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["files"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["run", str(write_config(tmp_path, task_dir))]) == 2
+    assert f"error: {manifest_path}: missing key 'files'" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+import shutil
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,7 @@ from shiftbound import (
     weighted_empirical_risk,
 )
 from shiftbound.divergences import mixture_weights
-from shiftbound.tasks import default_synthetic_spec, synthetic_beta_infinity
+from shiftbound.tasks import CHUNK, TaskInstance, default_synthetic_spec, synthetic_beta_infinity
 
 
 def make_pools(per_class_counts, num_classes, dim=3, seed=0):
@@ -345,3 +347,186 @@ def test_task_weights_csv_malformed_row_refused_with_line(tmp_path, line, messag
     weights.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         load_task(tmp_path / "task")
+
+
+def _small_task():
+    feats = np.array([[-0.0, 5e-324], [1e308, 0.1], [1 / 3, -2.5], [3.0, -1e-7]])
+    source = LabeledSample(
+        features=feats, labels=[0, 1, 1, 0], origin=[1, 0, 0, 1], weights=[0.0, 1 / 3, 2.5, 0.1]
+    )
+    target = LabeledSample(features=feats[::-1] * 0.5, labels=[1, 0, 1, 1])
+    return TaskInstance(
+        source=source,
+        target_x=target.unlabeled(),
+        target_labeled_oracle=target,
+        spec={"move_fraction": 0.25, "seed": 0},
+        beta_inf=2.5,
+        kind="one_sided",
+    )
+
+
+def test_save_task_writes_pinned_bytes(tmp_path):
+    # the bytes csv.writer wrote for these rows: repr floats, CRLF endings
+    save_task(_small_task(), tmp_path / "task")
+    files = {p.name: p.read_bytes() for p in (tmp_path / "task").iterdir()}
+    assert files == {
+        "source.csv": b"f0,f1,label,origin\r\n-0.0,5e-324,0,1\r\n1e+308,0.1,1,0\r\n"
+        b"0.3333333333333333,-2.5,1,0\r\n3.0,-1e-07,0,1\r\n",
+        "target.csv": b"f0,f1,label\r\n1.5,-5e-08,1\r\n0.16666666666666666,-1.25,0\r\n"
+        b"5e+307,0.05,1\r\n-0.0,0.0,1\r\n",
+        "weights.csv": b"weight\r\n0.0\r\n0.3333333333333333\r\n2.5\r\n0.1\r\n",
+        "manifest.json": b'{\n  "beta_inf": 2.5,\n  "files": {\n    "source": "source.csv",\n'
+        b'    "target": "target.csv",\n    "weights": "weights.csv"\n  },\n'
+        b'  "kind": "one_sided",\n  "spec": {\n    "move_fraction": 0.25,\n    "seed": 0\n  }\n}\n',
+    }
+    save_dataset(_small_task().source, tmp_path / "data.csv")
+    assert (tmp_path / "data.csv").read_bytes() == files["source.csv"]
+
+
+@pytest.mark.parametrize("with_origin", [True, False])
+def test_dataset_csv_roundtrip_across_chunks(tmp_path, with_origin):
+    n = 2 * CHUNK + 3
+    rng = np.random.default_rng(1)
+    sample = LabeledSample(
+        features=rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3)),
+        labels=rng.integers(0, 2, n),
+        origin=rng.integers(0, 2, n) if with_origin else None,
+    )
+    save_dataset(sample, tmp_path / "data.csv")
+    loaded = load_dataset(tmp_path / "data.csv")
+    assert np.array_equal(loaded.features, sample.features)
+    assert loaded.features.flags["C_CONTIGUOUS"]
+    assert np.array_equal(loaded.labels, sample.labels)
+    if with_origin:
+        assert np.array_equal(loaded.origin, sample.origin)
+    else:
+        assert loaded.origin is None
+
+
+# Refusals as `path<suffix>`, each the exact message the row-by-row parser
+# gave; the files hold more rows than one CHUNK, so a fault can sit on either
+# side of a chunk boundary.
+LAST_OF_FIRST_CHUNK = CHUNK + 1  # data rows start on line 2
+DATASET_FAULTS = [
+    ({3: "1.0,2.0,0"}, ":3: expected 4 fields, got 3"),
+    ({3: "1.0,2.0,0,1,5"}, ":3: expected 4 fields, got 5"),
+    ({3: ""}, ":3: expected 4 fields, got 0"),
+    ({3: "abc,2.0,0,1"}, ":3: bad feature value (could not convert string to float: 'abc')"),
+    ({3: "nan,2.0,0,1"}, ":3: non-finite feature value"),
+    ({3: "1.0,inf,0,1"}, ":3: non-finite feature value"),
+    ({3: "1e999,2.0,0,1"}, ":3: non-finite feature value"),
+    ({3: "1.0,2.0,1.0,1"}, ":3: bad label '1.0'"),
+    ({3: "1.0,2.0,x,1"}, ":3: bad label 'x'"),
+    ({3: "1.0,2.0,2,1"}, ":3: label 2 outside declared 2 classes"),
+    ({3: "1.0,2.0,-1,1"}, ":3: label -1 outside declared 2 classes"),
+    ({3: "1.0,2.0,99999999999999999999,1"}, ":3: label 99999999999999999999 outside declared 2 classes"),
+    ({3: "1.0,2.0,0,x"}, ":3: bad origin 'x'"),
+    ({3: "1.0,2.0,0,1.0"}, ":3: bad origin '1.0'"),
+    ({3: "1.0,2.0,0,2"}, ":3: origin must be 0 or 1"),
+    ({3: "1.0,2.0,0,99999999999999999999"}, ":3: origin must be 0 or 1"),
+    ({LAST_OF_FIRST_CHUNK: "nan,1,0,1"}, f":{LAST_OF_FIRST_CHUNK}: non-finite feature value"),
+    ({LAST_OF_FIRST_CHUNK + 1: "1,1,0,7"}, f":{LAST_OF_FIRST_CHUNK + 1}: origin must be 0 or 1"),
+    ({CHUNK + 10: "1,1"}, f":{CHUNK + 10}: expected 4 fields, got 2"),
+    ({3: "nan,1,0,1", 4: "1,1"}, ":3: non-finite feature value"),
+    ({3: "1,1", 4: "nan,1,0,1"}, ":3: expected 4 fields, got 2"),
+    ({3: "1,1,0,2", 6: "1,1,0,1,1"}, ":3: origin must be 0 or 1"),
+    ({CHUNK: "1,1,5,1", CHUNK + 15: "1,1"}, f":{CHUNK}: label 5 outside declared 2 classes"),
+]
+# A blank line and an extra field are in
+# test_task_weights_csv_malformed_row_refused_with_line.
+WEIGHTS_FAULTS = [
+    ({3: "abc"}, ":3: bad weight value (could not convert string to float: 'abc')"),
+    ({3: "nan"}, ":3: non-finite weight value"),
+    ({3: "-inf"}, ":3: non-finite weight value"),
+    ({LAST_OF_FIRST_CHUNK: "inf"}, f":{LAST_OF_FIRST_CHUNK}: non-finite weight value"),
+    (
+        {LAST_OF_FIRST_CHUNK + 1: "x"},
+        f":{LAST_OF_FIRST_CHUNK + 1}: bad weight value (could not convert string to float: 'x')",
+    ),
+    ({CHUNK + 10: "1,1"}, f":{CHUNK + 10}: expected 1 fields, got 2"),
+    ({3: "inf", 4: "1,1"}, ":3: non-finite weight value"),
+    ({3: "1,1", 4: "inf"}, ":3: expected 1 fields, got 2"),
+    (
+        {CHUNK: "abc", CHUNK + 15: ""},
+        f":{CHUNK}: bad weight value (could not convert string to float: 'abc')",
+    ),
+]
+FILE_FAULTS = {
+    "dataset": [
+        ("", ": empty file"),
+        ("f0,f1,label,origin\n", ": no data rows"),
+        ("x0,f1,label,origin\n0.5,1.5,0,1\n", ": header must be f0..f{d-1},label[,origin]"),
+    ],
+    "weights": [
+        ("", ": header must be the single column 'weight'"),
+        ("w\n0.5\n", ": header must be the single column 'weight'"),
+    ],
+}
+
+
+def _edit_lines(path, edits):
+    lines = path.read_text().splitlines()
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def chunked_task(tmp_path_factory):
+    """A task directory whose source holds more rows than one CHUNK."""
+    path = tmp_path_factory.mktemp("chunked") / "task"
+    spec = default_synthetic_spec(seed=3, n_source=CHUNK + 20, n_target=40)
+    save_task(build_synthetic_task(spec), path)
+    return path
+
+
+def _refusal(load, path):
+    with pytest.raises(ValueError) as info:
+        load()
+    return str(info.value).removeprefix(str(path))
+
+
+@pytest.mark.parametrize("edits, suffix", DATASET_FAULTS)
+def test_dataset_csv_refusal_names_first_faulty_line(tmp_path, edits, suffix):
+    path = tmp_path / "data.csv"
+    path.write_text("f0,f1,label,origin\n" + "0.5,1.5,0,1\n" * (CHUNK + 20))
+    _edit_lines(path, edits)
+    assert _refusal(lambda: load_dataset(path), path) == suffix
+
+
+@pytest.mark.parametrize("edits, suffix", WEIGHTS_FAULTS)
+def test_task_weights_csv_refusal_names_first_faulty_line(tmp_path, chunked_task, edits, suffix):
+    task = tmp_path / "task"
+    shutil.copytree(chunked_task, task)
+    _edit_lines(task / "weights.csv", edits)
+    assert _refusal(lambda: load_task(task), task / "weights.csv") == suffix
+
+
+@pytest.mark.parametrize(
+    "kind, text, suffix", [(kind, *case) for kind, cases in FILE_FAULTS.items() for case in cases]
+)
+def test_task_csv_whole_file_refusals(tmp_path, chunked_task, kind, text, suffix):
+    task = tmp_path / "task"
+    shutil.copytree(chunked_task, task)
+    path = task / ("source.csv" if kind == "dataset" else "weights.csv")
+    path.write_text(text)
+    assert _refusal(lambda: load_task(task), path) == suffix
+
+
+@pytest.mark.parametrize("num_weights", [0, CHUNK + 19, CHUNK + 21])
+def test_task_weights_count_must_match_source_rows(tmp_path, chunked_task, num_weights):
+    task = tmp_path / "task"
+    shutil.copytree(chunked_task, task)
+    (task / "weights.csv").write_text("weight\n" + "1.0\n" * num_weights)
+    message = f": {num_weights} weights for {CHUNK + 20} source rows"
+    assert _refusal(lambda: load_task(task), task / "weights.csv") == message
+
+
+@pytest.mark.parametrize("key", ["kind", "spec", "beta_inf", "files"])
+def test_task_manifest_missing_key_refused(tmp_path, chunked_task, key):
+    task = tmp_path / "task"
+    shutil.copytree(chunked_task, task)
+    manifest = json.loads((task / "manifest.json").read_text())
+    del manifest[key]
+    (task / "manifest.json").write_text(json.dumps(manifest))
+    assert _refusal(lambda: load_task(task), task / "manifest.json") == f": missing key {key!r}"
