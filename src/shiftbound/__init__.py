@@ -10,14 +10,9 @@ from .bounds import (
     BoundInputs,
     BoundResult,
     ParamGrid,
-    add_bound,
     convexity_constant,
     default_grid,
     grid_search,
-    iw_bound,
-    mcallester_bound,
-    mmd_bound,
-    mult_bound,
 )
 from .divergences import (
     MixtureTaskSpec,
@@ -32,7 +27,6 @@ from .divergences import (
     mmd_linear_statistic,
     mmd_quadratic_biased,
     one_sided_weight,
-    write_weight_table,
 )
 from .experiment import (
     ExperimentConfig,
@@ -59,15 +53,9 @@ from .nn import (
 from .risks import (
     OracleAccessError,
     RiskEstimates,
-    domain_disagreement,
-    empirical_risk,
     estimate_risks,
-    expected_disagreement,
-    expected_joint_error,
     gibbs_risk,
-    gibbs_weighted_risk,
     lambda_rho_oracle,
-    weighted_empirical_risk,
 )
 from .samples import LabeledSample, UnlabeledSample
 from .stochastic import (

@@ -19,7 +19,6 @@ information, never clipped away.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -114,9 +113,6 @@ class BoundResult:
             "terms": [{"label": lab, "value": val} for lab, val in self.terms],
             "oracle_used": self.oracle_used,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def convexity_constant(a: float) -> float:
@@ -247,26 +243,6 @@ def bound_terms(name: str, inputs: BoundInputs, delta: float, **params):
 
 def _value(terms) -> float:
     return sum(v for _, v in terms)
-
-
-def mcallester_bound(inputs: BoundInputs, gamma: float) -> float:
-    return _value(_mcallester_terms(inputs, inputs.delta, gamma))
-
-
-def iw_bound(inputs: BoundInputs, gamma: float) -> float:
-    return _value(_iw_terms(inputs, inputs.delta, gamma))
-
-
-def mult_bound(inputs: BoundInputs, a: float, b: float) -> float:
-    return _value(_mult_terms(inputs, inputs.delta, a, b))
-
-
-def add_bound(inputs: BoundInputs, omega: float, gamma: float) -> float:
-    return _value(_add_terms(inputs, inputs.delta, omega, gamma))
-
-
-def mmd_bound(inputs: BoundInputs, gamma: float) -> float:
-    return _value(_mmd_terms(inputs, inputs.delta, gamma))
 
 
 def grid_search(bound: str, inputs: BoundInputs, grid: ParamGrid | None = None) -> BoundResult:

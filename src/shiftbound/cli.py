@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .bounds import BoundInputs, grid_search, mcallester_bound
+from .bounds import BoundInputs, bound_terms, grid_search
 from .divergences import MixtureTaskSpec, beta_infinity
 from .experiment import (
     ExperimentConfig,
@@ -98,7 +98,7 @@ def _cmd_check(args) -> int:
         joint_error_source=0.0, gibbs_weighted_risk=0.1,
     )
     inputs = BoundInputs(m_source=10000, n_target=10000, kl=10.0, delta=0.05, estimates=est)
-    got = mcallester_bound(inputs, 0.5)
+    got = sum(v for _, v in bound_terms("mcallester", inputs, inputs.delta, gamma=0.5))
     want = 0.1 / 0.5 + (10.0 + math.log(1 / 0.05)) / (2 * 0.5 * 0.5 * 10000)
     ok &= _check("closed-form bound evaluation", abs(got - want) < 1e-12, f"{got:.6f}")
 

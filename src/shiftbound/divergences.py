@@ -5,7 +5,6 @@ estimator used as an oracle) and exact importance weights for
 mixture-constructed tasks.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,14 +245,3 @@ def one_sided_weight(move_fraction: float, num_source: int, num_target: int) -> 
         raise ValueError("counts must be positive")
     return (1.0 - move_fraction) / move_fraction * (num_source / num_target)
 
-
-def write_weight_table(spec: MixtureTaskSpec, path) -> None:
-    """CSV export: class, origin, source_count, target_count, weight."""
-    src, tgt = mixture_counts(spec)
-    table = mixture_weights(spec)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "origin", "source_count", "target_count", "weight"])
-        for c in range(spec.num_classes):
-            for o in range(2):
-                writer.writerow([c, o, src[c][o], tgt[c][o], repr(float(table[c][o]))])

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import attrgetter
 
 from .bounds import BOUND_NAMES, BoundInputs, ParamGrid, grid_search
@@ -177,13 +177,7 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
         epochs=cfg.prior_epochs,
         seed=derive_seed(seed, 1, a_idx),
     )
-    cfg_post = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        batch_size=cfg.batch_size,
-        epochs=cfg.posterior_epochs,
-        seed=derive_seed(seed, 2, a_idx),
-    )
+    cfg_post = replace(cfg_prior, epochs=cfg.posterior_epochs, seed=derive_seed(seed, 2, a_idx))
     pair = learn_prior_posterior(
         task.source, alpha, arch, cfg_prior, cfg_post, cfg.sigma,
         derive_seed(seed, 0, a_idx), CheckpointSchedule(),

@@ -1,5 +1,5 @@
 """Minimal feedforward binary classifier: flat weight vectors, backprop,
-and deterministic SGD-momentum training with checkpointing.
+and deterministic SGD-momentum training with in-memory checkpoints.
 
 Weight vectors are plain 1-D float64 arrays laid out layer by layer,
 weight matrix (fan_in x fan_out, row-major) followed by bias.
@@ -297,28 +297,3 @@ def train(
             snapshot(epoch, steps_per_epoch)
     return w, checkpoints
 
-
-def save_checkpoint(path, arch: MlpArchitecture, seen_fraction: float, w) -> None:
-    """Header line (widths, activation, seen_fraction) + little-endian float64 values."""
-    w = _check_weights(arch, w)
-    widths = ",".join(str(v) for v in arch.layer_widths)
-    header = f"widths={widths};activation={arch.activation};seen_fraction={seen_fraction!r}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns (arch, seen_fraction, weights)."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        raw = fh.read()
-    fields = dict(item.split("=", 1) for item in header.split(";"))
-    arch = MlpArchitecture(
-        tuple(int(v) for v in fields["widths"].split(",")), fields["activation"]
-    )
-    seen_fraction = float(fields["seen_fraction"])
-    w = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if w.shape != (arch.num_params,):
-        raise ValueError(f"checkpoint holds {w.size} values, expected {arch.num_params}")
-    return arch, seen_fraction, w

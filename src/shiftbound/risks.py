@@ -1,15 +1,17 @@
-"""Empirical estimators feeding the bounds: zero-one risk, Gibbs risk,
-importance-weighted risk, pairwise disagreement and joint error, and the
-oracle quantity |joint_error_target - joint_error_source|.
+"""Empirical estimators feeding the bounds. ``estimate_risks`` returns
+every one a checkpoint needs: the Gibbs risk and its importance-weighted
+counterpart on the source, pairwise disagreement on source and target, and
+joint error on the source (and, under oracle access, on the target).
 
-Every estimator is a reduction of one prediction matrix per (draw set,
+Every estimate is a reduction of one prediction matrix per (draw set,
 sample): ``_predictions`` evaluates all draws in one stacked ``forward``
 call and returns the (2P, n) matrix of hard labels; nothing else here calls
 ``forward``. Gibbs risks reduce each draw's row over the sample, then
 average over all 2P draws; pairwise quantities reduce the rows of each
 consecutive draw pair (2i, 2i+1) over the sample, then average over the P
 pairs. Means and Monte-Carlo standard deviations over draws or pairs come
-from ``_mean_and_mc_std``.
+from ``_mean_and_mc_std``. ``gibbs_risk`` and ``lambda_rho_oracle`` remain
+only as spans for the benchmark tracer.
 """
 
 import math
@@ -72,56 +74,12 @@ def _joint_error_per_pair(errors: np.ndarray) -> np.ndarray:
     return _row_means(errors[0::2] & errors[1::2])
 
 
-def empirical_risk(arch: MlpArchitecture, w, data: LabeledSample) -> float:
-    """Fraction of rows where the hard prediction differs from the label."""
-    return float(_row_means(_predictions(arch, [w], data) != data.labels)[0])
-
-
-def weighted_empirical_risk(arch: MlpArchitecture, w, data: LabeledSample) -> float:
-    """Mean of weight * error-indicator over the sample; needs attached weights."""
-    if data.weights is None:
-        raise ValueError("data has no importance weights attached")
-    errors = _predictions(arch, [w], data) != data.labels
-    return float(_row_means(errors, data.weights)[0])
-
-
 def gibbs_risk(arch: MlpArchitecture, samples: PosteriorSampleSet, data: LabeledSample):
-    """Mean empirical risk over all posterior draws; returns (estimate, mc_std)."""
+    """Mean empirical risk over all posterior draws; returns (estimate, mc_std).
+
+    Kept only for the benchmark tracer's spans, until the benchmark drops
+    them; runs get this value from :func:`estimate_risks`."""
     return _mean_and_mc_std(_row_means(_predictions(arch, samples.draws, data) != data.labels))
-
-
-def gibbs_weighted_risk(arch: MlpArchitecture, samples: PosteriorSampleSet, data: LabeledSample):
-    """Importance-weighted counterpart of :func:`gibbs_risk`."""
-    if data.weights is None:
-        raise ValueError("data has no importance weights attached")
-    errors = _predictions(arch, samples.draws, data) != data.labels
-    return _mean_and_mc_std(_row_means(errors, data.weights))
-
-
-def expected_disagreement(arch: MlpArchitecture, samples: PosteriorSampleSet, data: UnlabeledSample) -> float:
-    """How often the two classifiers of a pair label the same point differently,
-    averaged over pairs."""
-    return float(_disagreement_per_pair(_predictions(arch, samples.draws, data)).mean())
-
-
-def expected_joint_error(arch: MlpArchitecture, samples: PosteriorSampleSet, data: LabeledSample) -> float:
-    """How often both classifiers of a pair are wrong at the same point,
-    averaged over pairs."""
-    errors = _predictions(arch, samples.draws, data) != data.labels
-    return float(_joint_error_per_pair(errors).mean())
-
-
-def domain_disagreement(
-    arch: MlpArchitecture,
-    samples: PosteriorSampleSet,
-    source_x: UnlabeledSample,
-    target_x: UnlabeledSample,
-) -> float:
-    """|disagreement on target - disagreement on source|."""
-    return abs(
-        expected_disagreement(arch, samples, target_x)
-        - expected_disagreement(arch, samples, source_x)
-    )
 
 
 def lambda_rho_oracle(
@@ -134,15 +92,19 @@ def lambda_rho_oracle(
 ) -> float:
     """|joint error on target - joint error on source|, computable only with
     target labels. Refuses unless ``oracle=True`` so non-estimable quantities
-    cannot slip into reported bounds unnoticed."""
+    cannot slip into reported bounds unnoticed.
+
+    Kept only for the benchmark tracer's spans, until the benchmark drops
+    them; runs compute it from :func:`estimate_risks`."""
     if not oracle:
         raise OracleAccessError(
             "lambda_rho needs target labels; pass oracle=True to acknowledge"
         )
-    return abs(
-        expected_joint_error(arch, samples, target_labeled)
-        - expected_joint_error(arch, samples, source)
+    target_joint, source_joint = (
+        _joint_error_per_pair(_predictions(arch, samples.draws, data) != data.labels).mean()
+        for data in (target_labeled, source)
     )
+    return float(abs(target_joint - source_joint))
 
 
 def estimate_risks(

@@ -3,12 +3,11 @@ sampling, and the data-dependent prior/posterior learning procedure.
 """
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import CheckpointSchedule, MlpArchitecture, TrainConfig, init_weights, load_checkpoint, save_checkpoint, train
+from .nn import CheckpointSchedule, MlpArchitecture, TrainConfig, init_weights, train
 from .samples import LabeledSample
 from .seeding import stream_rng
 
@@ -158,38 +157,3 @@ def learn_prior_posterior(
         split_indices=prior_idx,
     )
 
-
-def save_pair(pair: PriorPosteriorPair, arch: MlpArchitecture, dirpath) -> None:
-    """Persist a pair as a directory: prior checkpoint, posterior checkpoints,
-    and the prior-split row indices (newline-delimited)."""
-    os.makedirs(dirpath, exist_ok=True)
-    save_checkpoint(os.path.join(dirpath, "prior.ckpt"), arch, 0.0, pair.prior.mean)
-    for i, (frac, g) in enumerate(pair.posterior_checkpoints):
-        save_checkpoint(os.path.join(dirpath, f"posterior_{i:03d}.ckpt"), arch, frac, g.mean)
-    with open(os.path.join(dirpath, "split_indices.txt"), "w") as fh:
-        for idx in pair.split_indices:
-            fh.write(f"{int(idx)}\n")
-
-
-def load_pair(dirpath, S: LabeledSample, sigma: float) -> PriorPosteriorPair:
-    """Rebuild a persisted pair against the sample it was learned from."""
-    _, _, w_prior = load_checkpoint(os.path.join(dirpath, "prior.ckpt"))
-    names = sorted(
-        n for n in os.listdir(dirpath) if n.startswith("posterior_") and n.endswith(".ckpt")
-    )
-    posteriors = []
-    for name in names:
-        _, frac, w = load_checkpoint(os.path.join(dirpath, name))
-        posteriors.append((frac, IsotropicGaussian(mean=w, sigma=sigma)))
-    with open(os.path.join(dirpath, "split_indices.txt")) as fh:
-        prior_idx = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
-    mask = np.ones(len(S), dtype=bool)
-    mask[prior_idx] = False
-    eval_idx = np.nonzero(mask)[0]
-    return PriorPosteriorPair(
-        prior=IsotropicGaussian(mean=w_prior, sigma=sigma),
-        posterior_checkpoints=posteriors,
-        eval_set=S.subset(eval_idx),
-        alpha=len(prior_idx) / len(S),
-        split_indices=prior_idx,
-    )

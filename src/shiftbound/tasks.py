@@ -375,11 +375,12 @@ def load_dataset(path, num_classes: int = 2) -> LabeledSample:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        has_origin = header[-1] == "origin"
+        # slices, not indexing: a blank first line gives an empty header
+        has_origin = header[-1:] == ["origin"]
         feat_names = header[:-2] if has_origin else header[:-1]
         label_pos = len(feat_names)
         expected = [f"f{i}" for i in range(len(feat_names))]
-        if feat_names != expected or header[label_pos] != "label":
+        if feat_names != expected or header[label_pos : label_pos + 1] != ["label"]:
             raise ValueError(f"{path}: header must be f0..f{{d-1}},label[,origin]")
 
         def parse(columns):
@@ -467,8 +468,10 @@ def save_task(task: TaskInstance, dirpath) -> None:
 
 def load_task(dirpath) -> TaskInstance:
     """Read back a directory written by ``save_task``, refusing a manifest
-    without one of its keys, a malformed CSV row (with its ``path:line``),
-    and a ``weights.csv`` whose row count differs from ``source.csv``'s."""
+    without one of its keys (``files.source`` and the other file names
+    included), a malformed CSV row or a negative weight (with its
+    ``path:line``), and a ``weights.csv`` whose row count differs from
+    ``source.csv``'s."""
     manifest_path = os.path.join(dirpath, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
@@ -476,20 +479,27 @@ def load_task(dirpath) -> TaskInstance:
         if key not in manifest:
             raise ValueError(f"{manifest_path}: missing key {key!r}")
     files = manifest["files"]
+    for key in ("source", "target", "weights"):
+        if key not in files:
+            raise ValueError(f"{manifest_path}: missing key 'files.{key}'")
     source = load_dataset(os.path.join(dirpath, files["source"]), num_classes=2)
     target = load_dataset(os.path.join(dirpath, files["target"]), num_classes=2)
     weights_path = os.path.join(dirpath, files["weights"])
+
+    def parse(columns):
+        block = _finite_block(columns, len(columns[0]))
+        return block if block is not None and (block >= 0).all() else None
+
+    def check_row(lineno, row):
+        _check_floats(weights_path, lineno, row, "weight")
+        if float(row[0]) < 0:
+            raise ValueError(f"{weights_path}:{lineno}: negative weight value")
+
     with open(weights_path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != ["weight"]:
             raise ValueError(f"{weights_path}: header must be the single column 'weight'")
-        chunks = _read_csv(
-            weights_path,
-            reader,
-            1,
-            lambda columns: _finite_block(columns, len(columns[0])),
-            lambda lineno, row: _check_floats(weights_path, lineno, row, "weight"),
-        )
+        chunks = _read_csv(weights_path, reader, 1, parse, check_row)
     num_weights = sum(map(len, chunks))
     if num_weights != len(source):
         raise ValueError(f"{weights_path}: {num_weights} weights for {len(source)} source rows")

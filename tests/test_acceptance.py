@@ -16,27 +16,23 @@ from scipy.spatial.distance import cdist
 from shiftbound import (
     BoundInputs,
     ExperimentConfig,
+    IsotropicGaussian,
     MlpArchitecture,
     MixtureTaskSpec,
     ParamGrid,
+    PosteriorSampleSet,
     RiskEstimates,
     TrainConfig,
-    add_bound,
     beta_infinity,
     bce_gradient,
     bce_loss,
     build_synthetic_task,
     estimate_risks,
-    gibbs_risk,
     grid_search,
-    iw_bound,
     kl_isotropic,
     learn_prior_posterior,
-    mcallester_bound,
-    mmd_bound,
     mmd_linear_statistic,
     mmd_quadratic_biased,
-    mult_bound,
     one_sided_weight,
     report_records,
     report_summary,
@@ -95,6 +91,11 @@ def _refs(v, gamma, a, b, omega, gpos):
     return mca, iw, mult, add, mmd
 
 
+def bound(name, inputs, **params):
+    """A bound's value at ``inputs.delta``: the sum of its terms."""
+    return sum(v for _, v in bound_terms(name, inputs, inputs.delta, **params))
+
+
 def _inputs(v):
     est = RiskEstimates(
         gibbs_risk=v["r"],
@@ -128,36 +129,36 @@ def test_criterion_01_formula_exactness():
         inputs = _inputs(v)
         refs = _refs(v, gamma, a, b, omega, gpos)
         got = (
-            mcallester_bound(inputs, gamma),
-            iw_bound(inputs, gamma),
-            mult_bound(inputs, a, b),
-            add_bound(inputs, omega, gpos),
-            mmd_bound(inputs, gamma),
+            bound("mcallester", inputs, gamma=gamma),
+            bound("iw", inputs, gamma=gamma),
+            bound("mult", inputs, a=a, b=b),
+            bound("add", inputs, omega=omega, gamma=gpos),
+            bound("mmd", inputs, gamma=gamma),
         )
         for g, r in zip(got, refs):
             worst = max(worst, abs(g - r) / max(abs(r), 1e-300))
     assert worst <= 1e-12
 
     # worked examples, frozen from straight-line evaluation of each formula
-    w1 = mcallester_bound(_inputs(dict(
+    w1 = bound("mcallester", _inputs(dict(
         r=0.1, rw=0.1, dis_s=0, dis_t=0, joint_s=0, kl=10.0, delta=0.05,
-        m=10000, n=10000, beta=11.0, mmd=0.0, K=1.0, lam=0.0)), 0.5)
+        m=10000, n=10000, beta=11.0, mmd=0.0, K=1.0, lam=0.0)), gamma=0.5)
     assert abs(w1 - 0.2025991464547108) <= 1e-6 and abs(w1 - 0.202599) <= 1e-6
-    w2 = iw_bound(_inputs(dict(
+    w2 = bound("iw", _inputs(dict(
         r=0.1, rw=0.1, dis_s=0, dis_t=0, joint_s=0, kl=10.0, delta=0.05,
-        m=10000, n=10000, beta=11.0, mmd=0.0, K=1.0, lam=0.0)), 0.5)
+        m=10000, n=10000, beta=11.0, mmd=0.0, K=1.0, lam=0.0)), gamma=0.5)
     assert abs(w2 - 0.2285906110018188) <= 1e-6 and abs(w2 - 0.228590) <= 1e-6
-    w3 = mult_bound(_inputs(dict(
+    w3 = bound("mult", _inputs(dict(
         r=0.0, rw=0.0, dis_s=0, dis_t=0.0, joint_s=0.0, kl=0.0, delta=0.05,
-        m=1000, n=1000, beta=1.0, mmd=0.0, K=1.0, lam=0.0)), 1.0, 1.0)
+        m=1000, n=1000, beta=1.0, mmd=0.0, K=1.0, lam=0.0)), a=1.0, b=1.0)
     assert abs(w3 - 0.011671442741714166) <= 1e-6 and abs(w3 - 0.011672) <= 1e-6
-    w4 = add_bound(_inputs(dict(
+    w4 = bound("add", _inputs(dict(
         r=0.0, rw=0.0, dis_s=0.0, dis_t=0.0, joint_s=0.0, kl=0.0, delta=0.05,
-        m=1000, n=1000, beta=1.0, mmd=0.0, K=1.0, lam=0.0)), 1.0, 1.0)
+        m=1000, n=1000, beta=1.0, mmd=0.0, K=1.0, lam=0.0)), omega=1.0, gamma=1.0)
     assert abs(w4 - 0.6724651639204102) <= 1e-6
-    w5 = mmd_bound(_inputs(dict(
+    w5 = bound("mmd", _inputs(dict(
         r=0.0, rw=0.0, dis_s=0.0, dis_t=0.0, joint_s=0.0, kl=0.0, delta=0.05,
-        m=10000, n=10000, beta=1.0, mmd=0.0, K=1.0, lam=0.0)), 0.5)
+        m=10000, n=10000, beta=1.0, mmd=0.0, K=1.0, lam=0.0)), gamma=0.5)
     assert abs(w5 - 0.0826043574788812) <= 1e-6
     elapsed = time.perf_counter() - t0
     _report(1, "formula exactness (1000 random inputs + worked examples)",
@@ -298,7 +299,9 @@ def _final_checkpoint_iw(seed):
     )
     final = pair.final_posterior
     draws = sample_posterior(final, pairs=5, seed=seed + 777)
-    est = estimate_risks(ARCH, draws, pair.eval_set, task.target_x)
+    est = estimate_risks(
+        ARCH, draws, pair.eval_set, task.target_x, target_oracle=task.target_labeled_oracle
+    )
     inputs = BoundInputs(
         m_source=len(pair.eval_set),
         n_target=len(task.target_x),
@@ -308,8 +311,7 @@ def _final_checkpoint_iw(seed):
         beta_inf=task.beta_inf,
     )
     result = grid_search("iw", inputs)
-    oracle_risk, _ = gibbs_risk(ARCH, draws, task.target_labeled_oracle)
-    return result.value, oracle_risk, task.beta_inf
+    return result.value, est.oracle_target_gibbs_risk, task.beta_inf
 
 
 def test_criterion_06_iw_bound_statistical_validity():
@@ -359,17 +361,22 @@ def test_criterion_07_data_dependent_prior_tightening():
 
 def test_criterion_08_importance_weighting_identity():
     t0 = time.perf_counter()
-    from shiftbound import empirical_risk, weighted_empirical_risk
-
     rng = np.random.default_rng(3)
     w = rng.standard_normal(ARCH.num_params)
+    # a pair of identical draws: its Gibbs risks are the risks of w itself
+    draws = PosteriorSampleSet(
+        draws=np.stack([w, w]), source_distribution=IsotropicGaussian(w, 1.0), seed=0
+    )
     weighted, target = [], []
     for rep in range(50):
         task = build_synthetic_task(
             default_synthetic_spec(seed=5000 + rep, n_source=2000, n_target=2000)
         )
-        weighted.append(weighted_empirical_risk(ARCH, w, task.source))
-        target.append(empirical_risk(ARCH, w, task.target_labeled_oracle))
+        est = estimate_risks(
+            ARCH, draws, task.source, task.target_x, target_oracle=task.target_labeled_oracle
+        )
+        weighted.append(est.gibbs_weighted_risk)
+        target.append(est.oracle_target_gibbs_risk)
     weighted, target = np.array(weighted), np.array(target)
     se = math.sqrt(weighted.var(ddof=1) / 50 + target.var(ddof=1) / 50)
     dev = abs(weighted.mean() - target.mean())

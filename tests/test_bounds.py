@@ -9,15 +9,11 @@ from shiftbound import (
     OracleAccessError,
     ParamGrid,
     RiskEstimates,
-    add_bound,
     convexity_constant,
     default_grid,
     grid_search,
-    iw_bound,
-    mcallester_bound,
-    mmd_bound,
-    mult_bound,
 )
+from shiftbound.bounds import bound_terms
 
 # ---------------------------------------------------------------------------
 # independent straight-line reference evaluations (kept deliberately separate
@@ -65,6 +61,11 @@ def ref_mmd(r, kl, delta, m, n, gamma, mmd, K):
         + mmd
         + 2 * math.sqrt(K / mm) * (2 + math.sqrt(math.log(4 / delta)))
     )
+
+
+def bound(name, inputs, **params):
+    """A bound's value at ``inputs.delta``: the sum of its terms."""
+    return sum(v for _, v in bound_terms(name, inputs, inputs.delta, **params))
 
 
 def make_inputs(
@@ -129,44 +130,42 @@ WORKED = {
 
 def test_worked_example_mcallester():
     inputs = make_inputs(r=0.1, kl=10.0, delta=0.05, m=10000)
-    assert mcallester_bound(inputs, 0.5) == pytest.approx(WORKED["mcallester"], abs=1e-6)
-    assert mcallester_bound(inputs, 0.5) == pytest.approx(0.202599, abs=1e-6)
+    assert bound("mcallester", inputs, gamma=0.5) == pytest.approx(WORKED["mcallester"], abs=1e-6)
+    assert bound("mcallester", inputs, gamma=0.5) == pytest.approx(0.202599, abs=1e-6)
 
 
 def test_worked_example_iw():
     inputs = make_inputs(rw=0.1, kl=10.0, delta=0.05, m=10000, beta=11.0)
-    assert iw_bound(inputs, 0.5) == pytest.approx(WORKED["iw"], abs=1e-6)
-    assert iw_bound(inputs, 0.5) == pytest.approx(0.228590, abs=1e-6)
+    assert bound("iw", inputs, gamma=0.5) == pytest.approx(WORKED["iw"], abs=1e-6)
+    assert bound("iw", inputs, gamma=0.5) == pytest.approx(0.228590, abs=1e-6)
 
 
 def test_worked_example_mult():
     inputs = make_inputs(dis_t=0.0, joint_s=0.0, kl=0.0, delta=0.05, m=1000, n=1000, beta=1.0)
-    assert mult_bound(inputs, 1.0, 1.0) == pytest.approx(WORKED["mult"], abs=1e-6)
-    assert mult_bound(inputs, 1.0, 1.0) == pytest.approx(0.011672, abs=1e-6)
+    assert bound("mult", inputs, a=1.0, b=1.0) == pytest.approx(WORKED["mult"], abs=1e-6)
+    assert bound("mult", inputs, a=1.0, b=1.0) == pytest.approx(0.011672, abs=1e-6)
 
 
 def test_worked_example_add():
     inputs = make_inputs(
         r=0.0, dis_s=0.0, dis_t=0.0, kl=0.0, delta=0.05, m=1000, n=1000, lam=0.0
     )
-    assert add_bound(inputs, 1.0, 1.0) == pytest.approx(WORKED["add"], abs=1e-6)
+    assert bound("add", inputs, omega=1.0, gamma=1.0) == pytest.approx(WORKED["add"], abs=1e-6)
 
 
 def test_worked_example_mmd():
     inputs = make_inputs(r=0.0, kl=0.0, delta=0.05, m=10000, n=10000, mmd=0.0, K=1.0)
-    assert mmd_bound(inputs, 0.5) == pytest.approx(WORKED["mmd"], abs=1e-6)
+    assert bound("mmd", inputs, gamma=0.5) == pytest.approx(WORKED["mmd"], abs=1e-6)
 
 
 def test_mcallester_limit_and_gamma_ordering():
     inputs = make_inputs(r=0.0, kl=0.0, delta=0.05, m=10**9)
-    assert mcallester_bound(inputs, 0.5) < 1e-8
-    assert mcallester_bound(inputs, 0.5) <= mcallester_bound(inputs, 0.25)
+    assert bound("mcallester", inputs, gamma=0.5) < 1e-8
+    assert bound("mcallester", inputs, gamma=0.5) <= bound("mcallester", inputs, gamma=0.25)
 
 
 def test_add_gamma_limit():
     # gamma -> 0+: the additive constant (g' - 1)/2 vanishes
-    from shiftbound.bounds import bound_terms
-
     inputs = make_inputs(r=0.0, dis_s=0.0, dis_t=0.0, kl=0.0, lam=0.0)
     constants = [
         dict(bound_terms("add", inputs, 0.05, omega=1.0, gamma=g))["constant"]
@@ -204,26 +203,26 @@ def test_formula_crosscheck_1000_random_inputs():
         b = float(10 ** rng.uniform(-3, 5))
         omega = float(10 ** rng.uniform(-3, 5))
         gpos = float(10 ** rng.uniform(-3, 5))
-        assert mcallester_bound(inputs, gamma) == pytest.approx(
+        assert bound("mcallester", inputs, gamma=gamma) == pytest.approx(
             ref_mcallester(v["r"], v["kl"], v["delta"], v["m"], gamma), rel=1e-12
         )
-        assert iw_bound(inputs, gamma) == pytest.approx(
+        assert bound("iw", inputs, gamma=gamma) == pytest.approx(
             ref_iw(v["rw"], v["kl"], v["delta"], v["m"], gamma, v["beta"]), rel=1e-12
         )
-        assert mult_bound(inputs, a, b) == pytest.approx(
+        assert bound("mult", inputs, a=a, b=b) == pytest.approx(
             ref_mult(
                 v["dis_t"], v["joint_s"], v["kl"], v["delta"], v["m"], v["n"], v["beta"], a, b
             ),
             rel=1e-12,
         )
-        assert add_bound(inputs, omega, gpos) == pytest.approx(
+        assert bound("add", inputs, omega=omega, gamma=gpos) == pytest.approx(
             ref_add(
                 v["r"], abs(v["dis_t"] - v["dis_s"]), v["lam"], v["kl"], v["delta"],
                 v["m"], v["n"], omega, gpos,
             ),
             rel=1e-12,
         )
-        assert mmd_bound(inputs, gamma) == pytest.approx(
+        assert bound("mmd", inputs, gamma=gamma) == pytest.approx(
             ref_mmd(v["r"], v["kl"], v["delta"], v["m"], v["n"], gamma, v["mmd"], v["K"]),
             rel=1e-12,
         )
@@ -237,7 +236,7 @@ def test_iw_reduces_to_mcallester_when_beta_one():
         v["rw"] = v["r"]
         inputs = make_inputs(**v)
         gamma = float(rng.uniform(0.01, 0.99))
-        assert iw_bound(inputs, gamma) == mcallester_bound(inputs, gamma)
+        assert bound("iw", inputs, gamma=gamma) == bound("mcallester", inputs, gamma=gamma)
 
 
 def test_mmd_reduces_to_mcallester_with_two_delta():
@@ -246,12 +245,10 @@ def test_mmd_reduces_to_mcallester_with_two_delta():
     inputs = make_inputs(r=v["r"], kl=v["kl"], delta=v["delta"], m=v["m"], n=v["n"], mmd=0.0, K=1e-300)
     gamma = 0.5
     want = v["r"] / gamma + (v["kl"] + math.log(2 / v["delta"])) / (2 * gamma * (1 - gamma) * v["m"])
-    assert mmd_bound(inputs, gamma) == pytest.approx(want, rel=1e-9)
+    assert bound("mmd", inputs, gamma=gamma) == pytest.approx(want, rel=1e-9)
 
 
 def test_beta_linearity_in_mult_risk_term():
-    from shiftbound.bounds import bound_terms
-
     base = make_inputs(joint_s=0.2, beta=3.0)
     doubled = make_inputs(joint_s=0.2, beta=6.0)
     t1 = dict(bound_terms("mult", base, 0.05, a=1.0, b=1.0))
@@ -262,13 +259,13 @@ def test_beta_linearity_in_mult_risk_term():
 def test_iw_monotone_in_beta():
     v1 = make_inputs(beta=2.0)
     v2 = make_inputs(beta=3.0)
-    assert iw_bound(v2, 0.5) > iw_bound(v1, 0.5)
+    assert bound("iw", v2, gamma=0.5) > bound("iw", v1, gamma=0.5)
 
 
 def test_mmd_term_additivity():
     a = make_inputs(mmd=0.0)
     b = make_inputs(mmd=0.3)
-    assert mmd_bound(b, 0.5) - mmd_bound(a, 0.5) == pytest.approx(0.3, abs=1e-12)
+    assert bound("mmd", b, gamma=0.5) - bound("mmd", a, gamma=0.5) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_delta_monotonicity():
@@ -277,24 +274,23 @@ def test_delta_monotonicity():
         v = random_valid_inputs(rng)
         lo = dict(v, delta=0.01)
         hi = dict(v, delta=0.2)
-        assert mcallester_bound(make_inputs(**hi), 0.5) < mcallester_bound(make_inputs(**lo), 0.5)
-        assert iw_bound(make_inputs(**hi), 0.5) < iw_bound(make_inputs(**lo), 0.5)
-        assert mult_bound(make_inputs(**hi), 1.0, 1.0) < mult_bound(make_inputs(**lo), 1.0, 1.0)
-        assert add_bound(make_inputs(**hi), 1.0, 1.0) < add_bound(make_inputs(**lo), 1.0, 1.0)
-        assert mmd_bound(make_inputs(**hi), 0.5) < mmd_bound(make_inputs(**lo), 0.5)
+        for name, params in (
+            ("mcallester", {"gamma": 0.5}),
+            ("iw", {"gamma": 0.5}),
+            ("mult", {"a": 1.0, "b": 1.0}),
+            ("add", {"omega": 1.0, "gamma": 1.0}),
+            ("mmd", {"gamma": 0.5}),
+        ):
+            assert bound(name, make_inputs(**hi), **params) < bound(name, make_inputs(**lo), **params)
 
 
 def test_kl_term_scales_inversely_with_m():
-    from shiftbound.bounds import bound_terms
-
     small = dict(bound_terms("mcallester", make_inputs(m=1000), 0.05, gamma=0.5))
     large = dict(bound_terms("mcallester", make_inputs(m=2000), 0.05, gamma=0.5))
     assert small["kl"] == pytest.approx(2 * large["kl"], rel=1e-12)
 
 
 def test_term_breakdown_sums_to_value():
-    from shiftbound.bounds import bound_terms
-
     rng = np.random.default_rng(4)
     for _ in range(100):
         v = random_valid_inputs(rng)
@@ -308,18 +304,14 @@ def test_term_breakdown_sums_to_value():
         ):
             terms = bound_terms(name, inputs, v["delta"], **params)
             total = sum(val for _, val in terms)
-            direct = {
-                "mcallester": mcallester_bound,
-                "iw": iw_bound,
-                "mmd": mmd_bound,
-            }
-            if name in direct:
-                assert abs(direct[name](inputs, params["gamma"]) - total) <= 1e-12 * max(1, abs(total))
+            res = grid_search(name, inputs, ParamGrid({k: [x] for k, x in params.items()}))
+            assert res.terms == tuple(terms)
+            assert abs(res.value - total) <= 1e-12 * max(1, abs(total))
 
 
 def test_vacuous_values_not_clipped():
     inputs = make_inputs(kl=1e6, m=100)
-    assert mcallester_bound(inputs, 0.5) > 1.0
+    assert bound("mcallester", inputs, gamma=0.5) > 1.0
 
 
 def test_required_field_errors():
@@ -328,26 +320,26 @@ def test_required_field_errors():
     )
     no_extras = BoundInputs(m_source=100, n_target=100, kl=1.0, delta=0.05, estimates=est)
     with pytest.raises(ValueError):
-        iw_bound(no_extras, 0.5)
+        bound("iw", no_extras, gamma=0.5)
     with pytest.raises(ValueError):
-        mult_bound(no_extras, 1.0, 1.0)
+        bound("mult", no_extras, a=1.0, b=1.0)
     with pytest.raises(ValueError):
-        mmd_bound(no_extras, 0.5)
+        bound("mmd", no_extras, gamma=0.5)
     with pytest.raises(OracleAccessError):
-        add_bound(make_inputs(lam=None), 1.0, 1.0)
+        bound("add", make_inputs(lam=None), omega=1.0, gamma=1.0)
     with pytest.raises(ValueError):
-        mcallester_bound(make_inputs(), 1.0)
+        bound("mcallester", make_inputs(), gamma=1.0)
     with pytest.raises(ValueError):
-        mcallester_bound(make_inputs(), 0.0)
+        bound("mcallester", make_inputs(), gamma=0.0)
     with pytest.raises(ValueError):
-        mult_bound(make_inputs(), -1.0, 1.0)
+        bound("mult", make_inputs(), a=-1.0, b=1.0)
 
 
 def test_grid_search_singleton():
     inputs = make_inputs()
     res = grid_search("mcallester", inputs, ParamGrid({"gamma": [0.5]}))
     assert res.delta_effective == inputs.delta
-    assert res.value == mcallester_bound(inputs, 0.5)
+    assert res.value == bound("mcallester", inputs, gamma=0.5)
     assert res.params == {"gamma": 0.5}
     assert not res.oracle_used
 
@@ -357,8 +349,6 @@ def test_grid_search_union_bound_and_minimum():
     grid = ParamGrid({"gamma": [0.25, 0.5, 0.75]})
     res = grid_search("mcallester", inputs, grid)
     assert res.delta_effective == pytest.approx(0.05 / 3, rel=1e-15)
-    from shiftbound.bounds import bound_terms
-
     values = [
         sum(v for _, v in bound_terms("mcallester", inputs, 0.05 / 3, gamma=g))
         for g in (0.25, 0.5, 0.75)
@@ -381,8 +371,6 @@ def test_default_grid_sizes():
 
 
 def test_grid_search_matches_exhaustive_recomputation():
-    from shiftbound.bounds import bound_terms
-
     rng = np.random.default_rng(5)
     for _ in range(10):
         v = random_valid_inputs(rng)
@@ -421,7 +409,7 @@ def test_bound_result_json_roundtrip():
     import json
 
     res = grid_search("iw", make_inputs(), None)
-    doc = json.loads(res.to_json())
+    doc = json.loads(json.dumps(res.to_json_dict()))
     assert doc["name"] == "iw"
     assert set(doc) == {"name", "value", "params", "delta_effective", "terms", "oracle_used"}
     assert doc["value"] == pytest.approx(sum(t["value"] for t in doc["terms"]), abs=1e-12)

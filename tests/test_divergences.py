@@ -18,7 +18,6 @@ from shiftbound import (
     mmd_linear_statistic,
     mmd_quadratic_biased,
     one_sided_weight,
-    write_weight_table,
 )
 from shiftbound.divergences import mixture_counts
 
@@ -265,16 +264,11 @@ def test_one_sided_weight_values():
         one_sided_weight(0.0, 10, 10)
 
 
-def test_weight_table_csv(tmp_path):
-    import csv
-
+def test_weight_table_cells():
     spec = canonical_schedule(count=12)
-    path = tmp_path / "weights.csv"
-    write_weight_table(spec, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["class", "origin", "source_count", "target_count", "weight"]
-    assert len(rows) == 1 + 20
-    first = rows[1]
-    assert first[:4] == ["0", "0", "11", "1"]
-    assert float(first[4]) == pytest.approx(1 / 11)
+    src, tgt = mixture_counts(spec)
+    table = mixture_weights(spec)
+    # one cell per (class, origin)
+    assert sum(map(len, src)) == sum(map(len, tgt)) == sum(map(len, table)) == 20
+    assert (src[0][0], tgt[0][0]) == (11, 1)
+    assert float(table[0][0]) == pytest.approx(1 / 11)

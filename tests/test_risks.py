@@ -10,19 +10,13 @@ from shiftbound import (
     OracleAccessError,
     PosteriorSampleSet,
     UnlabeledSample,
-    domain_disagreement,
-    empirical_risk,
     estimate_risks,
-    expected_disagreement,
-    expected_joint_error,
     forward,
     gibbs_risk,
-    gibbs_weighted_risk,
     grid_search,
     lambda_rho_oracle,
     predict,
     sample_posterior,
-    weighted_empirical_risk,
 )
 
 # threshold unit: weights [a, b] predict 1 iff a*x + b > 0
@@ -40,12 +34,24 @@ def col(values):
     return np.asarray(values, dtype=float)[:, None]
 
 
+def risks(arch, samples, source, target=None):
+    """``estimate_risks`` with ``source`` as the source sample and ``target``
+    (default: the source rows) as the unlabeled target. An unlabeled source
+    gets all-zero labels, which no disagreement reads. ``draws_from(h, h)``
+    makes the Gibbs quantities those of the single classifier ``h``."""
+    if not isinstance(source, LabeledSample):
+        source = LabeledSample(features=source.features, labels=np.zeros(len(source), dtype=int))
+    target = UnlabeledSample(features=(source if target is None else target).features)
+    return estimate_risks(arch, samples, source, target)
+
+
 def test_empirical_risk_perfect_and_constant():
     data = LabeledSample(features=col([-1, -2, 1, 2]), labels=[0, 0, 1, 1])
-    assert empirical_risk(UNIT, [1.0, 0.0], data) == 0.0
+    h = [1.0, 0.0]
+    assert risks(UNIT, draws_from(h, h), data).gibbs_risk == 0.0
     always_zero = [0.0, -5.0]
     balanced = LabeledSample(features=col([1, 2, 3, 4]), labels=[0, 0, 1, 1])
-    assert empirical_risk(UNIT, always_zero, balanced) == 0.5
+    assert risks(UNIT, draws_from(always_zero, always_zero), balanced).gibbs_risk == 0.5
 
 
 def test_empirical_risk_matches_loop_oracle():
@@ -57,12 +63,13 @@ def test_empirical_risk_matches_loop_oracle():
         int((1 if forward(arch, w, data.features[i]) > 0 else 0) != data.labels[i])
         for i in range(50)
     ) / 50
-    assert empirical_risk(arch, w, data) == naive
+    assert risks(arch, draws_from(w, w), data).gibbs_risk == naive
 
 
 def test_empirical_risk_empty_rejected():
+    h = [1.0, 0.0]
     with pytest.raises(ValueError):
-        empirical_risk(UNIT, [1.0, 0.0], LabeledSample(features=np.zeros((0, 1)), labels=[]))
+        risks(UNIT, draws_from(h, h), LabeledSample(features=np.zeros((0, 1)), labels=[]))
 
 
 def test_weighted_risk_unit_weights_equal_plain():
@@ -73,7 +80,8 @@ def test_weighted_risk_unit_weights_equal_plain():
         weights=np.ones(30),
     )
     w = [1.0, 0.1]
-    assert weighted_empirical_risk(UNIT, w, data) == empirical_risk(UNIT, w, data)
+    est = risks(UNIT, draws_from(w, w), data)
+    assert est.gibbs_weighted_risk == est.gibbs_risk
 
 
 def test_weighted_risk_hand_arithmetic():
@@ -82,18 +90,24 @@ def test_weighted_risk_hand_arithmetic():
     labels = [0] + [1] * 9
     weights = [11.0] + [0.5] * 9
     data = LabeledSample(features=feats, labels=labels, weights=weights)
-    assert weighted_empirical_risk(UNIT, [1.0, 0.0], data) == pytest.approx(1.1)
+    h = [1.0, 0.0]
+    assert risks(UNIT, draws_from(h, h), data).gibbs_weighted_risk == pytest.approx(1.1)
 
 
 def test_weighted_risk_zero_errors():
     data = LabeledSample(features=col([1, 2]), labels=[1, 1], weights=[7.0, 9.0])
-    assert weighted_empirical_risk(UNIT, [1.0, 0.0], data) == 0.0
+    h = [1.0, 0.0]
+    assert risks(UNIT, draws_from(h, h), data).gibbs_weighted_risk == 0.0
 
 
 def test_weighted_risk_requires_weights():
     data = LabeledSample(features=col([1.0]), labels=[1])
+    h = [1.0, 0.0]
+    est = risks(UNIT, draws_from(h, h), data)
+    assert est.gibbs_weighted_risk is None
+    inputs = BoundInputs(m_source=1, n_target=1, kl=0.0, delta=0.05, estimates=est, beta_inf=1.0)
     with pytest.raises(ValueError):
-        weighted_empirical_risk(UNIT, [1.0, 0.0], data)
+        grid_search("iw", inputs)
 
 
 def test_gibbs_risk_degenerate_sigma():
@@ -102,8 +116,8 @@ def test_gibbs_risk_degenerate_sigma():
     mu = rng.standard_normal(arch.num_params)
     data = LabeledSample(features=rng.standard_normal((100, 2)), labels=rng.integers(0, 2, 100))
     samples = sample_posterior(IsotropicGaussian(mu, 1e-12), pairs=3, seed=0)
-    est, _ = gibbs_risk(arch, samples, data)
-    assert est == pytest.approx(empirical_risk(arch, mu, data), abs=1e-9)
+    est = risks(arch, samples, data).gibbs_risk
+    assert est == pytest.approx(risks(arch, draws_from(mu, mu), data).gibbs_risk, abs=1e-9)
 
 
 def test_gibbs_risk_two_draws_mean():
@@ -113,11 +127,11 @@ def test_gibbs_risk_two_draws_mean():
     data = LabeledSample(features=feats, labels=labels)
     h1 = [1.0, 0.0]     # 1 iff x > 0
     h2 = [1.0, -10.0]   # 1 iff x > 10
-    assert empirical_risk(UNIT, h1, data) == pytest.approx(0.1)
-    assert empirical_risk(UNIT, h2, data) == pytest.approx(0.3)
-    est, mc = gibbs_risk(UNIT, draws_from(h1, h2), data)
-    assert est == pytest.approx(0.2)
-    assert mc > 0
+    assert risks(UNIT, draws_from(h1, h1), data).gibbs_risk == pytest.approx(0.1)
+    assert risks(UNIT, draws_from(h2, h2), data).gibbs_risk == pytest.approx(0.3)
+    est = risks(UNIT, draws_from(h1, h2), data)
+    assert est.gibbs_risk == pytest.approx(0.2)
+    assert est.mc_std["gibbs_risk"] > 0
 
 
 def test_gibbs_risk_mc_consistency():
@@ -126,18 +140,19 @@ def test_gibbs_risk_mc_consistency():
     mu = rng.standard_normal(arch.num_params)
     data = LabeledSample(features=rng.standard_normal((200, 2)), labels=rng.integers(0, 2, 200))
     g = IsotropicGaussian(mu, 0.5)
-    small, mc_small = gibbs_risk(arch, sample_posterior(g, pairs=5, seed=1), data)
-    big, mc_big = gibbs_risk(arch, sample_posterior(g, pairs=500, seed=2), data)
-    assert abs(small - big) <= 4 * (mc_small**2 + mc_big**2) ** 0.5
+    small = risks(arch, sample_posterior(g, pairs=5, seed=1), data)
+    big = risks(arch, sample_posterior(g, pairs=500, seed=2), data)
+    mc_small, mc_big = small.mc_std["gibbs_risk"], big.mc_std["gibbs_risk"]
+    assert abs(small.gibbs_risk - big.gibbs_risk) <= 4 * (mc_small**2 + mc_big**2) ** 0.5
 
 
 def test_expected_disagreement_cases():
     X = UnlabeledSample(features=col([1, 2, 3, -1]))
     h = [1.0, 0.0]
-    assert expected_disagreement(UNIT, draws_from(h, h), X) == 0.0
+    assert risks(UNIT, draws_from(h, h), X).disagreement_target == 0.0
     const0 = [0.0, -5.0]
     const1 = [0.0, 5.0]
-    assert expected_disagreement(UNIT, draws_from(const0, const1), X) == 1.0
+    assert risks(UNIT, draws_from(const0, const1), X).disagreement_target == 1.0
 
 
 def test_expected_disagreement_matches_loop_oracle():
@@ -148,17 +163,17 @@ def test_expected_disagreement_matches_loop_oracle():
     naive = sum(
         int((forward(arch, w1, X[i]) > 0) != (forward(arch, w2, X[i]) > 0)) for i in range(60)
     ) / 60
-    got = expected_disagreement(arch, draws_from(w1, w2), UnlabeledSample(features=X))
+    got = risks(arch, draws_from(w1, w2), UnlabeledSample(features=X)).disagreement_target
     assert got == naive
 
 
 def test_expected_joint_error_cases():
     data = LabeledSample(features=col([1, 2, 3]), labels=[0, 0, 0])
     const1 = [0.0, 5.0]
-    assert expected_joint_error(UNIT, draws_from(const1, const1), data) == 1.0
+    assert risks(UNIT, draws_from(const1, const1), data).joint_error_source == 1.0
     perfect = [1.0, 0.0]
     data2 = LabeledSample(features=col([1, 2, -3]), labels=[1, 1, 0])
-    assert expected_joint_error(UNIT, draws_from(perfect, const1), data2) == 0.0
+    assert risks(UNIT, draws_from(perfect, const1), data2).joint_error_source == 0.0
 
 
 def test_expected_joint_error_matches_loop_oracle():
@@ -174,38 +189,41 @@ def test_expected_joint_error_matches_loop_oracle():
         )
         for i in range(40)
     ) / 40
-    assert expected_joint_error(arch, draws_from(w1, w2), LabeledSample(features=X, labels=y)) == naive
+    data = LabeledSample(features=X, labels=y)
+    assert risks(arch, draws_from(w1, w2), data).joint_error_source == naive
 
 
 def test_pair_symmetry():
     rng = np.random.default_rng(6)
     arch = MlpArchitecture((2, 4, 1))
     w1, w2 = rng.standard_normal((2, arch.num_params))
-    X = UnlabeledSample(features=rng.standard_normal((30, 2)))
-    data = LabeledSample(features=X.features, labels=rng.integers(0, 2, 30))
-    assert expected_disagreement(arch, draws_from(w1, w2), X) == expected_disagreement(
-        arch, draws_from(w2, w1), X
-    )
-    assert expected_joint_error(arch, draws_from(w1, w2), data) == expected_joint_error(
-        arch, draws_from(w2, w1), data
-    )
+    data = LabeledSample(features=rng.standard_normal((30, 2)), labels=rng.integers(0, 2, 30))
+    forward_pair = risks(arch, draws_from(w1, w2), data)
+    reverse_pair = risks(arch, draws_from(w2, w1), data)
+    assert forward_pair.disagreement_target == reverse_pair.disagreement_target
+    assert forward_pair.joint_error_source == reverse_pair.joint_error_source
 
 
 def test_domain_disagreement_cases():
     h1 = [1.0, 0.0]     # 1 iff x > 0
     h2 = [1.0, -10.0]   # 1 iff x > 10
     pair = draws_from(h1, h2)
+
+    def disagreement_gap(source, target):
+        est = risks(UNIT, pair, source, target)
+        return abs(est.disagreement_target - est.disagreement_source)
+
     same = UnlabeledSample(features=col([1, 20, -5]))
-    assert domain_disagreement(UNIT, pair, same, same) == 0.0
+    assert disagreement_gap(same, same) == 0.0
 
     # disagreement happens exactly on x in (0, 10]
     source = UnlabeledSample(features=col([5] + [-1] * 5 + [20] * 4))      # 1/10
     target = UnlabeledSample(features=col([1, 2, 3] + [-1] * 4 + [20] * 3))  # 3/10
-    assert domain_disagreement(UNIT, pair, source, target) == pytest.approx(0.2)
+    assert disagreement_gap(source, target) == pytest.approx(0.2)
 
     agree_source = UnlabeledSample(features=col([-1, 20]))
     all_disagree_target = UnlabeledSample(features=col([1, 5, 9]))
-    assert domain_disagreement(UNIT, pair, agree_source, all_disagree_target) == 1.0
+    assert disagreement_gap(agree_source, all_disagree_target) == 1.0
 
 
 def test_lambda_rho_oracle_refusal_and_values():
@@ -233,9 +251,7 @@ def test_gibbs_decomposition_over_disjoint_union():
         features=np.vstack([d1.features, d2.features]),
         labels=np.concatenate([d1.labels, d2.labels]),
     )
-    r1, _ = gibbs_risk(arch, samples, d1)
-    r2, _ = gibbs_risk(arch, samples, d2)
-    ru, _ = gibbs_risk(arch, samples, union)
+    r1, r2, ru = (risks(arch, samples, d).gibbs_risk for d in (d1, d2, union))
     assert ru == pytest.approx((30 * r1 + 50 * r2) / 80, abs=1e-12)
 
 
@@ -259,13 +275,20 @@ def test_estimate_risks_assembly_and_ranges():
         "gibbs_risk", "gibbs_weighted_risk", "disagreement_source",
         "disagreement_target", "joint_error_source", "joint_error_target",
     }
-    # agrees with the standalone estimators
-    assert est.gibbs_risk == gibbs_risk(arch, samples, source)[0]
-    assert est.disagreement_target == expected_disagreement(arch, samples, target_x)
-    assert est.joint_error_source == expected_joint_error(arch, samples, source)
-    assert est.gibbs_weighted_risk == gibbs_weighted_risk(arch, samples, source)[0]
-    assert est.joint_error_target == expected_joint_error(arch, samples, oracle)
-    assert est.oracle_target_gibbs_risk == gibbs_risk(arch, samples, oracle)[0]
+    # agrees with straight-line references: one forward pass per draw, a
+    # mean over rows per draw or pair, then a mean over draws or pairs
+    source_preds = np.stack([predict(forward(arch, w, source.features)) for w in samples.draws])
+    target_preds = np.stack([predict(forward(arch, w, target_x.features)) for w in samples.draws])
+    source_errors = source_preds != source.labels
+    target_errors = target_preds != oracle.labels
+    assert est.gibbs_risk == source_errors.mean(axis=1).mean()
+    assert est.disagreement_target == (target_preds[0::2] != target_preds[1::2]).mean(axis=1).mean()
+    assert est.joint_error_source == (source_errors[0::2] & source_errors[1::2]).mean(axis=1).mean()
+    assert est.gibbs_weighted_risk == (source.weights * source_errors).mean(axis=1).mean()
+    assert est.joint_error_target == (target_errors[0::2] & target_errors[1::2]).mean(axis=1).mean()
+    assert est.oracle_target_gibbs_risk == target_errors.mean(axis=1).mean()
+    # the two estimators kept beside estimate_risks agree with it
+    assert gibbs_risk(arch, samples, source) == (est.gibbs_risk, est.mc_std["gibbs_risk"])
     assert abs(est.joint_error_target - est.joint_error_source) == lambda_rho_oracle(
         arch, samples, source, oracle, oracle=True
     )

@@ -14,7 +14,6 @@ from shiftbound import (
     learn_prior_posterior,
     sample_posterior,
 )
-from shiftbound.stochastic import load_pair, save_pair
 
 
 def mc_kl_estimate(rho, pi, n_draws, seed):
@@ -158,21 +157,6 @@ def test_informed_prior_shrinks_final_kl():
         pair = learn_prior_posterior(S, alpha, ARCH, CFG_PRIOR, CFG_POST, sigma=0.03, seed=12)
         kls[alpha] = kl_isotropic(pair.final_posterior, pair.prior)
     assert kls[0.3] < kls[0.0]
-
-
-def test_pair_persistence_roundtrip(tmp_path):
-    S = _toy_sample(np.random.default_rng(5), m=120)
-    pair = learn_prior_posterior(S, 0.25, ARCH, CFG_PRIOR, CFG_POST, sigma=0.05, seed=2)
-    save_pair(pair, ARCH, tmp_path / "pair")
-    loaded = load_pair(tmp_path / "pair", S, sigma=0.05)
-    assert np.array_equal(loaded.prior.mean, pair.prior.mean)
-    assert loaded.prior.sigma == 0.05
-    assert len(loaded.posterior_checkpoints) == len(pair.posterior_checkpoints)
-    for (f1, g1), (f2, g2) in zip(loaded.posterior_checkpoints, pair.posterior_checkpoints):
-        assert f1 == f2
-        assert np.array_equal(g1.mean, g2.mean)
-    assert np.array_equal(np.sort(loaded.split_indices), np.sort(pair.split_indices))
-    assert np.array_equal(loaded.eval_set.features, pair.eval_set.features)
 
 
 def test_posterior_sample_set_validation():

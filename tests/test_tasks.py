@@ -6,22 +6,23 @@ import numpy as np
 import pytest
 
 from shiftbound import (
+    IsotropicGaussian,
     LabeledSample,
     MixtureTaskSpec,
     MlpArchitecture,
     OverlapError,
+    PosteriorSampleSet,
     SyntheticSpec,
     apply_label_rule,
     build_mixture_task,
     build_one_sided_task,
     build_synthetic_task,
     density_ratio,
-    empirical_risk,
+    estimate_risks,
     load_dataset,
     load_task,
     save_dataset,
     save_task,
-    weighted_empirical_risk,
 )
 from shiftbound.divergences import mixture_weights
 from shiftbound.tasks import CHUNK, TaskInstance, default_synthetic_spec, synthetic_beta_infinity
@@ -145,6 +146,17 @@ def test_one_sided_task_degenerate_fraction():
         build_one_sided_task(pool0, shared, move_fraction=0.01)
 
 
+def risks_of(arch, w, task):
+    """``estimate_risks`` for the single classifier ``w`` (a pair of identical
+    draws), with the task's labeled target as oracle."""
+    draws = PosteriorSampleSet(
+        draws=np.stack([w, w]), source_distribution=IsotropicGaussian(w, 1.0), seed=0
+    )
+    return estimate_risks(
+        arch, draws, task.source, task.target_x, target_oracle=task.target_labeled_oracle
+    )
+
+
 def test_one_sided_weighted_risk_ignores_out_of_support_rows():
     rng = np.random.default_rng(3)
     pool0 = LabeledSample(features=rng.standard_normal((50, 1)) + 10, labels=[0] * 50)
@@ -153,10 +165,10 @@ def test_one_sided_weighted_risk_ignores_out_of_support_rows():
     )
     task = build_one_sided_task(pool0, shared, move_fraction=0.5, seed=0)
     arch = MlpArchitecture((1, 1))
-    always_one = [0.0, 5.0]
+    always_one = np.array([0.0, 5.0])
     # pool0 rows (all labeled 0, all misclassified) have weight 0 and must
     # contribute nothing: the weighted risk reduces to a sum over shared rows
-    wr = weighted_empirical_risk(arch, always_one, task.source)
+    wr = risks_of(arch, always_one, task).gibbs_weighted_risk
     shared_mask = task.source.origin == 1
     shared_errors = task.source.labels[shared_mask] == 0
     manual = float(
@@ -236,8 +248,9 @@ def test_synthetic_importance_weighting_identity():
     for rep in range(50):
         spec = default_synthetic_spec(seed=1000 + rep, n_source=400, n_target=400)
         task = build_synthetic_task(spec)
-        ws.append(weighted_empirical_risk(arch, w, task.source))
-        rt.append(empirical_risk(arch, w, task.target_labeled_oracle))
+        est = risks_of(arch, w, task)
+        ws.append(est.gibbs_weighted_risk)
+        rt.append(est.oracle_target_gibbs_risk)
     ws, rt = np.array(ws), np.array(rt)
     se = np.sqrt(ws.var(ddof=1) / 50 + rt.var(ddof=1) / 50)
     assert abs(ws.mean() - rt.mean()) <= 4 * se
@@ -450,12 +463,17 @@ WEIGHTS_FAULTS = [
         {CHUNK: "abc", CHUNK + 15: ""},
         f":{CHUNK}: bad weight value (could not convert string to float: 'abc')",
     ),
+    ({3: "-1.0"}, ":3: negative weight value"),
+    ({LAST_OF_FIRST_CHUNK + 1: "-5e-324"}, f":{LAST_OF_FIRST_CHUNK + 1}: negative weight value"),
+    ({3: "-1.0", 4: "nan"}, ":3: negative weight value"),
+    ({3: "nan", 4: "-1.0"}, ":3: non-finite weight value"),
 ]
 FILE_FAULTS = {
     "dataset": [
         ("", ": empty file"),
         ("f0,f1,label,origin\n", ": no data rows"),
         ("x0,f1,label,origin\n0.5,1.5,0,1\n", ": header must be f0..f{d-1},label[,origin]"),
+        ("\nf0,f1,label,origin\n0.5,1.5,0,1\n", ": header must be f0..f{d-1},label[,origin]"),
     ],
     "weights": [
         ("", ": header must be the single column 'weight'"),
@@ -522,11 +540,17 @@ def test_task_weights_count_must_match_source_rows(tmp_path, chunked_task, num_w
     assert _refusal(lambda: load_task(task), task / "weights.csv") == message
 
 
-@pytest.mark.parametrize("key", ["kind", "spec", "beta_inf", "files"])
+@pytest.mark.parametrize(
+    "key", ["kind", "spec", "beta_inf", "files", "files.source", "files.target", "files.weights"]
+)
 def test_task_manifest_missing_key_refused(tmp_path, chunked_task, key):
     task = tmp_path / "task"
     shutil.copytree(chunked_task, task)
     manifest = json.loads((task / "manifest.json").read_text())
-    del manifest[key]
+    *parents, leaf = key.split(".")
+    node = manifest
+    for parent in parents:
+        node = node[parent]
+    del node[leaf]
     (task / "manifest.json").write_text(json.dumps(manifest))
     assert _refusal(lambda: load_task(task), task / "manifest.json") == f": missing key {key!r}"
