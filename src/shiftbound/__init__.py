@@ -39,7 +39,6 @@ from .experiment import (
     run_experiment,
 )
 from .nn import (
-    CheckpointSchedule,
     DivergedError,
     MlpArchitecture,
     TrainConfig,

@@ -85,8 +85,8 @@ class BoundInputs:
             raise ValueError("kl must be finite and >= 0")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.beta_inf is not None and self.beta_inf <= 0:
-            raise ValueError("beta_inf must be positive")
+        if self.beta_inf is not None and not (math.isfinite(self.beta_inf) and self.beta_inf > 0):
+            raise ValueError("beta_inf must be finite and > 0")
         if self.mmd_value is not None and self.mmd_value < 0:
             raise ValueError("mmd_value must be >= 0")
         if self.kernel_bound <= 0:

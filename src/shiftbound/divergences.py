@@ -15,6 +15,11 @@ from scipy.spatial.distance import cdist, pdist
 from .seeding import stream_rng
 
 
+# the fixed bandwidth sweep of median_heuristic_bandwidths
+BANDWIDTH_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
+MEDIAN_POOL_ROWS = 2048
+
+
 class OverlapError(ValueError):
     """A construction would put zero source mass where the target has mass
     (or leave a domain empty), breaking the overlap requirement."""
@@ -136,17 +141,17 @@ def mmd_estimate(X, Y, cfg: MmdConfig) -> float:
     return math.sqrt(max([0.0, *(float(row.mean()) for row in stats)]))
 
 
-def median_heuristic_bandwidths(X, Y, scales=(0.25, 0.5, 1.0, 2.0, 4.0), max_rows: int = 2048):
-    """Default bandwidth grid: the median pairwise distance of the pooled
-    sample, scaled by ``scales``. Pools larger than ``max_rows`` are thinned
-    deterministically by striding."""
+def median_heuristic_bandwidths(X, Y):
+    """The experiment's bandwidth sweep: the median pairwise distance of the
+    pooled sample, scaled by each of ``BANDWIDTH_SCALES``. Pools larger than
+    ``MEDIAN_POOL_ROWS`` are thinned deterministically by striding."""
     pool = np.vstack([np.atleast_2d(X), np.atleast_2d(Y)])
-    if len(pool) > max_rows:
-        pool = pool[:: len(pool) // max_rows + 1]
+    if len(pool) > MEDIAN_POOL_ROWS:
+        pool = pool[:: len(pool) // MEDIAN_POOL_ROWS + 1]
     med = float(np.median(pdist(pool, "euclidean")))
     if med <= 0:
         med = 1.0
-    return tuple(sorted(med * s for s in scales))
+    return tuple(sorted(med * s for s in BANDWIDTH_SCALES))
 
 
 @dataclass(frozen=True)

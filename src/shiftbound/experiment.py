@@ -11,12 +11,12 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
 
-from .bounds import BOUND_NAMES, BoundInputs, ParamGrid, grid_search
+from .bounds import BOUND_NAMES, BoundInputs, grid_search
 from .divergences import MmdConfig, median_heuristic_bandwidths, mmd_estimate
-from .nn import CheckpointSchedule, MlpArchitecture, TrainConfig
+from .nn import MlpArchitecture, TrainConfig
 from .risks import RiskEstimates, estimate_risks
 from .seeding import derive_seed
 from .stochastic import kl_isotropic, learn_prior_posterior, sample_posterior
@@ -59,8 +59,6 @@ _JSON_PATHS = {
     "alphas": ("alpha",),
     "hidden": ("arch", "hidden"),
     "activation": ("arch", "activation"),
-    "mmd_bandwidths": ("mmd", "bandwidths"),
-    "mmd_bandwidth_scales": ("mmd", "bandwidth_scales"),
     "mmd_shuffles": ("mmd", "shuffles"),
     **{
         name: ("train", name)
@@ -80,9 +78,6 @@ class ExperimentConfig:
     posterior_pairs: int = 5
     bounds: tuple = ("mcallester", "iw", "mmd")
     oracle_mode: bool = False
-    grids: dict = field(default_factory=dict)
-    mmd_bandwidths: tuple | None = None
-    mmd_bandwidth_scales: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
     mmd_shuffles: int = 10
     learning_rate: float = 3e-3
     momentum: float = 0.95
@@ -109,24 +104,30 @@ class ExperimentConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
-        self.grids = {
-            name: (g if isinstance(g, ParamGrid) else ParamGrid(g))
-            for name, g in self.grids.items()
-        }
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
         """Config from its JSON layout (see ``_JSON_PATHS``); absent keys keep
-        the dataclass defaults and JSON lists become tuples."""
+        the dataclass defaults and JSON lists become tuples. A key that names
+        no field is refused, at the top level and in the ``arch``, ``train``
+        and ``mmd`` sections; the ``report`` section is the CLI's."""
+        paths = {f.name: _JSON_PATHS.get(f.name, (f.name,)) for f in fields(cls) if f.name != "base_dir"}
+        sections = {path[0] for path in paths.values() if len(path) == 2}
+        keys = list(doc)
+        for section in [key for key in doc if key in sections]:
+            if not isinstance(doc[section], dict):
+                raise ValueError(f"config key {section!r} must be an object")
+            keys += [f"{section}.{key}" for key in doc[section]]
+        known = {"report", *sections, *map(".".join, paths.values())}
+        unknown = [key for key in keys if key not in known]
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = {"base_dir": base_dir}
-        for f in fields(cls):
-            *sections, key = _JSON_PATHS.get(f.name, (f.name,))
-            node = doc
-            for section in sections:
-                node = node.get(section, {})
-            if key in node and f.name != "base_dir":
+        for name, (*section, key) in paths.items():
+            node = doc.get(section[0], {}) if section else doc
+            if key in node:
                 value = node[key]
-                kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+                kwargs[name] = tuple(value) if isinstance(value, list) else value
         return cls(**kwargs)
 
     def resolve_task(self) -> TaskInstance:
@@ -179,20 +180,14 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
     )
     cfg_post = replace(cfg_prior, epochs=cfg.posterior_epochs, seed=derive_seed(seed, 2, a_idx))
     pair = learn_prior_posterior(
-        task.source, alpha, arch, cfg_prior, cfg_post, cfg.sigma,
-        derive_seed(seed, 0, a_idx), CheckpointSchedule(),
+        task.source, alpha, arch, cfg_prior, cfg_post, cfg.sigma, derive_seed(seed, 0, a_idx)
     )
     eval_set = pair.eval_set
     target_x = task.target_x
 
-    bandwidths = cfg.mmd_bandwidths or median_heuristic_bandwidths(
-        eval_set.features, target_x.features, scales=cfg.mmd_bandwidth_scales
-    )
-    mmd_val = mmd_estimate(
-        eval_set.features,
-        target_x.features,
-        MmdConfig(bandwidths, shuffles=cfg.mmd_shuffles, seed=derive_seed(seed, 3, a_idx)),
-    )
+    bandwidths = median_heuristic_bandwidths(eval_set.features, target_x.features)
+    mmd_cfg = MmdConfig(bandwidths, shuffles=cfg.mmd_shuffles, seed=derive_seed(seed, 3, a_idx))
+    mmd_val = mmd_estimate(eval_set.features, target_x.features, mmd_cfg)
 
     rows = []
     for ck_idx, (frac, posterior) in enumerate(pair.posterior_checkpoints):
@@ -216,7 +211,7 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
             kernel_bound=1.0,
             lambda_rho=lam,
         )
-        results = {name: grid_search(name, inputs, cfg.grids.get(name)) for name in cfg.bounds}
+        results = {name: grid_search(name, inputs) for name in cfg.bounds}
         rows.append(
             ReportRow(
                 seed=seed,

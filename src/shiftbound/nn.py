@@ -2,7 +2,8 @@
 and deterministic SGD-momentum training with in-memory checkpoints.
 
 Weight vectors are plain 1-D float64 arrays laid out layer by layer,
-weight matrix (fan_in x fan_out, row-major) followed by bias.
+weight matrix (fan_in x fan_out, row-major) followed by bias. ``forward``
+and the gradient share one layer loop, ``_layers``.
 """
 
 import math
@@ -14,6 +15,10 @@ from .samples import LabeledSample
 from .seeding import stream_rng
 
 ACTIVATIONS = ("relu", "tanh")
+
+# evenly spaced snapshots over the first epoch, from zero seen samples;
+# ``train`` also saves every epoch end
+FIRST_EPOCH_CHECKPOINTS = 10
 
 
 class DivergedError(RuntimeError):
@@ -68,20 +73,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-@dataclass(frozen=True)
-class CheckpointSchedule:
-    """Snapshot positions: ``first_epoch_checkpoints`` evenly spaced saves over
-    the first epoch (starting at zero seen samples), then the end of every
-    epoch when ``per_epoch_after`` is set."""
-
-    first_epoch_checkpoints: int = 10
-    per_epoch_after: bool = True
-
-    def __post_init__(self):
-        if self.first_epoch_checkpoints < 0:
-            raise ValueError("first_epoch_checkpoints must be >= 0")
-
-
 def _layer_views(arch: MlpArchitecture, w: np.ndarray):
     """Views of the flat vector as per-layer (W, b) pairs; no copies."""
     widths = arch.layer_widths
@@ -117,6 +108,27 @@ def init_weights(arch: MlpArchitecture, seed: int) -> np.ndarray:
     return w
 
 
+def _layer_buffers(arch: MlpArchitecture, n: int) -> list:
+    """One (n, width) output buffer per layer."""
+    return [np.empty((n, width)) for width in arch.layer_widths[1:]]
+
+
+def _layers(arch: MlpArchitecture, w: np.ndarray, a: np.ndarray, bufs: list) -> list:
+    """Apply the layers of one weight vector to the rows ``a``, writing each
+    layer's output into its buffer of ``bufs``: the hidden activations, then
+    the logits in the last. Returns ``bufs``."""
+    for (W, b), buf in zip(_layer_views(arch, w), bufs):
+        np.matmul(a, W, out=buf)
+        buf += b
+        if buf is not bufs[-1]:
+            if arch.activation == "relu":
+                np.maximum(buf, 0.0, out=buf)
+            else:
+                np.tanh(buf, out=buf)
+        a = buf
+    return bufs
+
+
 def forward(arch: MlpArchitecture, w, x):
     """Logit(s) of the network at ``x``.
 
@@ -137,21 +149,11 @@ def forward(arch: MlpArchitecture, w, x):
     if a0.shape[1] != arch.input_dim:
         raise ValueError(f"input width {a0.shape[1]} != architecture input {arch.input_dim}")
     draws = np.atleast_2d(w)
-    # one buffer per layer, reused by every draw
-    bufs = [np.empty((len(a0), width)) for width in arch.layer_widths[1:]]
+    bufs = _layer_buffers(arch, len(a0))  # reused by every draw
     logits = np.empty((len(draws), len(a0)))
     for k, wk in enumerate(draws):
-        a = a0
-        for (W, b), buf in zip(_layer_views(arch, wk), bufs):
-            np.matmul(a, W, out=buf)
-            buf += b
-            if buf is not bufs[-1]:
-                if arch.activation == "relu":
-                    np.maximum(buf, 0.0, out=buf)
-                else:
-                    np.tanh(buf, out=buf)
-            a = buf
-        logits[k] = a[:, 0]
+        # a copy: the next draw overwrites the logit buffer
+        logits[k] = _layers(arch, wk, a0, bufs)[-1][:, 0]
     out = logits[:, 0] if single else logits
     return out if w.ndim == 2 else (float(out[0]) if single else out[0])
 
@@ -192,17 +194,9 @@ def _require_binary(labels: np.ndarray):
 
 def _bce_gradient_arrays(arch: MlpArchitecture, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     views = _layer_views(arch, w)
-    acts = [X]
-    a = X
-    for (W, b) in views[:-1]:
-        a = a @ W + b
-        if arch.activation == "relu":
-            a = np.maximum(a, 0.0)
-        else:
-            a = np.tanh(a)
-        acts.append(a)
-    W_out, b_out = views[-1]
-    z = (a @ W_out + b_out)[:, 0]
+    *hidden, out = _layers(arch, w, X, _layer_buffers(arch, len(X)))
+    acts = [X, *hidden]
+    z = out[:, 0]
 
     grad = np.zeros_like(w)
     gviews = _layer_views(arch, grad)
@@ -232,19 +226,14 @@ def bce_gradient(arch: MlpArchitecture, w, batch: LabeledSample) -> np.ndarray:
     return _bce_gradient_arrays(arch, w, batch.features, batch.labels.astype(np.float64))
 
 
-def train(
-    arch: MlpArchitecture,
-    w0,
-    data: LabeledSample,
-    cfg: TrainConfig,
-    sched: CheckpointSchedule = CheckpointSchedule(),
-):
+def train(arch: MlpArchitecture, w0, data: LabeledSample, cfg: TrainConfig):
     """SGD with momentum over ``cfg.epochs`` passes, shuffling each epoch.
 
     Returns ``(final_weights, checkpoints)`` where checkpoints are
     ``(seen_fraction, weights)`` pairs, seen_fraction being the fraction of
-    the total planned sample presentations. Fully deterministic for a fixed
-    (arch, w0, data, cfg, sched).
+    the total planned sample presentations: ``FIRST_EPOCH_CHECKPOINTS``
+    over the first epoch, then one per epoch end. Fully deterministic for a
+    fixed (arch, w0, data, cfg).
     """
     w = _check_weights(arch, w0).copy()
     if not np.all(np.isfinite(w)):
@@ -260,11 +249,12 @@ def train(
     steps_per_epoch = -(-m // b)
     total = cfg.epochs * m
 
-    n_first = sched.first_epoch_checkpoints
-    first_steps = sorted(
-        {round(k * steps_per_epoch / n_first) for k in range(n_first)} if n_first else set()
-    )
-    first_steps = [t for t in first_steps if t < steps_per_epoch]
+    # first-epoch steps saved besides step 0; the filter keeps an epoch of
+    # fewer steps than checkpoints from saving its last step twice
+    first_steps = {
+        round(k * steps_per_epoch / FIRST_EPOCH_CHECKPOINTS) for k in range(1, FIRST_EPOCH_CHECKPOINTS)
+    }
+    first_steps = {t for t in first_steps if t < steps_per_epoch}
 
     checkpoints: list[tuple[float, np.ndarray]] = []
 
@@ -275,9 +265,8 @@ def train(
     rng = stream_rng(cfg.seed, "shuffle")
     velocity = np.zeros_like(w)
     X, y = data.features, data.labels.astype(np.float64)
+    snapshot(1, 0)
     for epoch in range(1, cfg.epochs + 1):
-        if epoch == 1 and 0 in first_steps:
-            snapshot(1, 0)
         order = rng.permutation(m)
         for step in range(1, steps_per_epoch + 1):
             idx = order[(step - 1) * b : step * b]
@@ -293,7 +282,6 @@ def train(
                 )
             if epoch == 1 and step in first_steps:
                 snapshot(1, step)
-        if sched.per_epoch_after:
-            snapshot(epoch, steps_per_epoch)
+        snapshot(epoch, steps_per_epoch)
     return w, checkpoints
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import CheckpointSchedule, MlpArchitecture, TrainConfig, init_weights, train
+from .nn import MlpArchitecture, TrainConfig, init_weights, train
 from .samples import LabeledSample
 from .seeding import stream_rng
 
@@ -117,7 +117,6 @@ def learn_prior_posterior(
     cfg_post: TrainConfig,
     sigma: float,
     seed: int,
-    sched: CheckpointSchedule = CheckpointSchedule(),
 ) -> PriorPosteriorPair:
     """Split S, train a prior on the alpha fraction, continue training on all
     of S for the posterior trajectory, and attach the held-out complement.
@@ -141,11 +140,11 @@ def learn_prior_posterior(
 
     w_init = init_weights(arch, seed)
     if n_prior > 0:
-        w_alpha, _ = train(arch, w_init, S.subset(prior_idx), cfg_prior, CheckpointSchedule(0, True))
+        w_alpha, _ = train(arch, w_init, S.subset(prior_idx), cfg_prior)
     else:
         w_alpha = w_init
 
-    _, checkpoints = train(arch, w_alpha, S, cfg_post, sched)
+    _, checkpoints = train(arch, w_alpha, S, cfg_post)
 
     prior = IsotropicGaussian(mean=w_alpha, sigma=sigma)
     posteriors = [(frac, IsotropicGaussian(mean=w, sigma=sigma)) for frac, w in checkpoints]

@@ -18,7 +18,8 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, asdict
+import sys
+from dataclasses import dataclass, asdict, field
 from fractions import Fraction
 from itertools import islice
 
@@ -30,6 +31,7 @@ from .samples import LabeledSample, UnlabeledSample
 from .seeding import stream_rng
 
 LABEL_RULES = ("halfspace", "disk")
+TASK_KINDS = ("synthetic", "mixture", "one_sided")
 
 
 @dataclass(frozen=True)
@@ -95,16 +97,18 @@ class SyntheticSpec:
 @dataclass
 class TaskInstance:
     """A materialised task: weighted labeled source, unlabeled target, and the
-    target labels held separately for oracle-only use."""
+    target labels held separately for oracle-only use. ``target_x`` is the
+    unlabeled view of the oracle sample, so both hold the same rows."""
 
     source: LabeledSample
-    target_x: UnlabeledSample
+    target_x: UnlabeledSample = field(init=False)
     target_labeled_oracle: LabeledSample
     spec: object
     beta_inf: float
     kind: str
 
     def __post_init__(self):
+        self.target_x = self.target_labeled_oracle.unlabeled()
         if self.source.weights is None:
             raise ValueError("task source must carry importance weights")
         max_w = float(self.source.weights.max())
@@ -162,7 +166,6 @@ def build_synthetic_task(spec: SyntheticSpec) -> TaskInstance:
     oracle = LabeledSample(features=xt, labels=apply_label_rule(spec, xt))
     return TaskInstance(
         source=source,
-        target_x=UnlabeledSample(features=xt),
         target_labeled_oracle=oracle,
         spec=spec,
         beta_inf=synthetic_beta_infinity(spec),
@@ -222,7 +225,6 @@ def build_mixture_task(
     oracle = _assemble(tgt_parts, with_weights=False)
     return TaskInstance(
         source=source,
-        target_x=UnlabeledSample(features=oracle.features, origin=oracle.origin),
         target_labeled_oracle=oracle,
         spec=spec,
         beta_inf=beta_infinity(spec),
@@ -275,7 +277,6 @@ def build_one_sided_task(
     )
     return TaskInstance(
         source=source,
-        target_x=UnlabeledSample(features=oracle.features, origin=oracle.origin),
         target_labeled_oracle=oracle,
         spec={"move_fraction": move_fraction, "seed": seed},
         beta_inf=weight,
@@ -469,9 +470,10 @@ def save_task(task: TaskInstance, dirpath) -> None:
 def load_task(dirpath) -> TaskInstance:
     """Read back a directory written by ``save_task``, refusing a manifest
     without one of its keys (``files.source`` and the other file names
-    included), a malformed CSV row or a negative weight (with its
-    ``path:line``), and a ``weights.csv`` whose row count differs from
-    ``source.csv``'s."""
+    included), with a ``kind`` outside ``TASK_KINDS`` or a ``beta_inf`` that
+    is not a finite number > 0, a malformed CSV row or a negative weight
+    (with its ``path:line``), and a ``weights.csv`` whose row count differs
+    from ``source.csv``'s."""
     manifest_path = os.path.join(dirpath, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
@@ -482,6 +484,12 @@ def load_task(dirpath) -> TaskInstance:
     for key in ("source", "target", "weights"):
         if key not in files:
             raise ValueError(f"{manifest_path}: missing key 'files.{key}'")
+    kind, beta_inf = manifest["kind"], manifest["beta_inf"]
+    if kind not in TASK_KINDS:
+        raise ValueError(f"{manifest_path}: kind must be one of {', '.join(TASK_KINDS)}, got {kind!r}")
+    # comparisons, not math.isfinite: an integer beyond the float range is refused too
+    if type(beta_inf) not in (int, float) or not 0 < beta_inf <= sys.float_info.max:
+        raise ValueError(f"{manifest_path}: beta_inf must be a finite number > 0, got {beta_inf!r}")
     source = load_dataset(os.path.join(dirpath, files["source"]), num_classes=2)
     target = load_dataset(os.path.join(dirpath, files["target"]), num_classes=2)
     weights_path = os.path.join(dirpath, files["weights"])
@@ -511,11 +519,10 @@ def load_task(dirpath) -> TaskInstance:
     )
     return TaskInstance(
         source=source,
-        target_x=UnlabeledSample(features=target.features, origin=target.origin),
         target_labeled_oracle=target,
-        spec=spec_from_json(manifest["kind"], manifest["spec"]),
-        beta_inf=float(manifest["beta_inf"]),
-        kind=manifest["kind"],
+        spec=spec_from_json(kind, manifest["spec"]),
+        beta_inf=float(beta_inf),
+        kind=kind,
     )
 
 

@@ -335,6 +335,12 @@ def test_required_field_errors():
         bound("mult", make_inputs(), a=-1.0, b=1.0)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+def test_beta_inf_must_be_finite_and_positive(beta):
+    with pytest.raises(ValueError, match="beta_inf must be finite and > 0"):
+        make_inputs(beta=beta)
+
+
 def test_grid_search_singleton():
     inputs = make_inputs()
     res = grid_search("mcallester", inputs, ParamGrid({"gamma": [0.5]}))

@@ -63,6 +63,13 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_refuses_unknown_config_key(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"task": {"type": "synthetic", "spec": {}}, "train": {"learningrate": 1.0}}))
+    assert main(["run", str(path)]) == 2
+    assert "error: unknown config keys: train.learningrate" in capsys.readouterr().err
+
+
 def test_make_task_mixture_requires_pools(tmp_path, capsys):
     assert main(["make-task", "mixture", "--out", str(tmp_path / "t")]) != 0
     assert "pool" in capsys.readouterr().err

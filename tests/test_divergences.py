@@ -174,7 +174,7 @@ def test_median_heuristic_matches_full_distance_matrix():
     dists = cdist(pool, pool, "euclidean")
     med = float(np.median(dists[np.triu_indices(len(pool), k=1)]))
     scales = (0.25, 0.5, 1.0, 2.0, 4.0)
-    assert median_heuristic_bandwidths(X, Y, scales) == tuple(med * s for s in scales)
+    assert median_heuristic_bandwidths(X, Y) == tuple(med * s for s in scales)
 
 
 def test_mmd_estimate_monotone_under_added_bandwidths():

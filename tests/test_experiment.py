@@ -203,7 +203,6 @@ def test_config_from_json_dict(tmp_path):
         "delta": 0.1,
         "posterior_pairs": 2,
         "bounds": ["mcallester"],
-        "grids": {"mcallester": {"gamma": [0.5, 0.9]}},
         "mmd": {"shuffles": 2},
         "train": {"learning_rate": 0.001, "batch_size": 32, "posterior_epochs": 2},
         "seeds": [3],
@@ -211,13 +210,35 @@ def test_config_from_json_dict(tmp_path):
     cfg = ExperimentConfig.from_json_dict(doc)
     assert cfg.hidden == (4,) and cfg.activation == "tanh"
     assert cfg.alphas == (0.0, 0.25)
-    assert cfg.grids["mcallester"].size == 2
     assert cfg.posterior_epochs == 2
     report = run_experiment(cfg)
     # two alphas, 10 + 2 checkpoints each
     assert len(report.rows) == 2 * 12
     deltas = {r.bounds["mcallester"].delta_effective for r in report.rows}
-    assert deltas == {0.1 / 2}
+    assert deltas == {0.1 / 7}
+
+
+@pytest.mark.parametrize(
+    "doc, keys",
+    [
+        # keys of settings the config no longer has
+        ({"grids": {"mcallester": {"gamma": [0.5]}}}, "grids"),
+        ({"mmd": {"shuffles": 2, "bandwidths": [1.0], "bandwidth_scales": [1.0]}},
+         "mmd.bandwidths, mmd.bandwidth_scales"),
+        # typos of keys it has
+        ({"posterior_pair": 3, "train": {"learningrate": 1.0}}, "posterior_pair, train.learningrate"),
+        ({"arch": {"hiden": [4]}, "seed": [0]}, "seed, arch.hiden"),
+    ],
+)
+def test_config_unknown_keys_refused(doc, keys):
+    task = {"type": "synthetic", "spec": asdict(default_synthetic_spec(seed=1))}
+    with pytest.raises(ValueError, match=f"^unknown config keys: {keys}$"):
+        ExperimentConfig.from_json_dict({"task": task, **doc})
+
+
+def test_config_section_must_be_an_object():
+    with pytest.raises(ValueError, match="config key 'train' must be an object"):
+        ExperimentConfig.from_json_dict({"task": {}, "train": ["learning_rate"]})
 
 
 def test_rows_sorted_and_alpha_sweep():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shiftbound import (
-    CheckpointSchedule,
     DivergedError,
     LabeledSample,
     MlpArchitecture,
@@ -262,7 +261,7 @@ def test_checkpoint_schedule_counts_and_monotonicity():
     data = blob_data(np.random.default_rng(2), 2000)
     w0 = init_weights(arch, 0)
     cfg = TrainConfig(learning_rate=1e-3, epochs=5, batch_size=128, seed=0)
-    _, cks = train(arch, w0, data, cfg, CheckpointSchedule(10, True))
+    _, cks = train(arch, w0, data, cfg)
     # 10 saves across the first epoch (from zero seen) plus every epoch end
     assert len(cks) == 15
     fractions = [f for f, _ in cks]

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from fractions import Fraction
 
@@ -370,12 +371,20 @@ def _small_task():
     target = LabeledSample(features=feats[::-1] * 0.5, labels=[1, 0, 1, 1])
     return TaskInstance(
         source=source,
-        target_x=target.unlabeled(),
         target_labeled_oracle=target,
         spec={"move_fraction": 0.25, "seed": 0},
         beta_inf=2.5,
         kind="one_sided",
     )
+
+
+def test_task_target_x_is_the_oracle_view():
+    task = _small_task()
+    assert task.target_x.features is task.target_labeled_oracle.features
+    assert task.target_x.origin is task.target_labeled_oracle.origin
+    views = {k: getattr(task, k) for k in ("source", "target_labeled_oracle", "spec", "beta_inf", "kind")}
+    with pytest.raises(TypeError):  # no separate target view can be passed in
+        TaskInstance(target_x=task.target_x, **views)
 
 
 def test_save_task_writes_pinned_bytes(tmp_path):
@@ -554,3 +563,25 @@ def test_task_manifest_missing_key_refused(tmp_path, chunked_task, key):
     del node[leaf]
     (task / "manifest.json").write_text(json.dumps(manifest))
     assert _refusal(lambda: load_task(task), task / "manifest.json") == f": missing key {key!r}"
+
+
+@pytest.mark.parametrize(
+    "key, value, suffix",
+    [
+        ("beta_inf", math.nan, ": beta_inf must be a finite number > 0, got nan"),
+        ("beta_inf", math.inf, ": beta_inf must be a finite number > 0, got inf"),
+        ("beta_inf", 0, ": beta_inf must be a finite number > 0, got 0"),
+        ("beta_inf", "9", ": beta_inf must be a finite number > 0, got '9'"),
+        ("beta_inf", True, ": beta_inf must be a finite number > 0, got True"),
+        ("beta_inf", 10**309, f": beta_inf must be a finite number > 0, got {10**309}"),
+        ("kind", "bogus", ": kind must be one of synthetic, mixture, one_sided, got 'bogus'"),
+    ],
+    ids=["nan", "inf", "zero", "string", "bool", "beyond-float-range", "kind"],
+)
+def test_task_manifest_bad_value_refused(tmp_path, chunked_task, key, value, suffix):
+    task = tmp_path / "task"
+    shutil.copytree(chunked_task, task)
+    manifest = json.loads((task / "manifest.json").read_text())
+    manifest[key] = value
+    (task / "manifest.json").write_text(json.dumps(manifest))
+    assert _refusal(lambda: load_task(task), task / "manifest.json") == suffix
