@@ -3,6 +3,12 @@ linear statistic with shuffle averaging and a bandwidth sweep whose
 bandwidths share each shuffle's squared distances, plus the quadratic biased
 estimator used as an oracle) and exact importance weights for
 mixture-constructed tasks.
+
+Everything here is numpy; nothing uses scipy. Pairwise squared distances are
+summed over features in order (d0*d0, then + d1*d1, ...), the order of
+scipy's ``pdist`` and ``cdist``. The median heuristic partitions the squared
+distances and takes square roots of the middle one or two; ``sqrt`` is
+monotone, so this equals the median of the distances bit for bit.
 """
 
 import math
@@ -10,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .seeding import stream_rng
 
@@ -55,8 +60,21 @@ def gaussian_kernel(x, y, kappa: float) -> float:
     return float(np.exp(-np.sum((x - y) ** 2) / (2.0 * kappa**2)))
 
 
+def _sq_distances(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+    """Squared Euclidean distances between rows of ``A`` and ``B``, which
+    broadcast against each other over all but their last (feature) axis,
+    summed over the features in order."""
+    sq = np.subtract(A[..., 0], B[..., 0], out=out)
+    sq *= sq
+    for k in range(1, A.shape[-1]):
+        diff = A[..., k] - B[..., k]
+        diff *= diff
+        sq += diff
+    return sq
+
+
 def _kernel_matrix(X: np.ndarray, Y: np.ndarray, kappa: float) -> np.ndarray:
-    return np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * kappa**2))
+    return np.exp(-_sq_distances(X[:, None, :], Y[None, :, :]) / (2.0 * kappa**2))
 
 
 def mmd_quadratic_biased(X, Y, kappa: float) -> float:
@@ -86,7 +104,7 @@ def mmd_linear_statistic(X, Y, kappa: float) -> float:
     and may be negative. Both samples are truncated to the shorter even length.
     """
     X, Y, _ = _truncate_even(X, Y)
-    return float(_linear_statistics(X, Y, (kappa,), [slice(None)])[0, 0])
+    return float(_linear_statistics(X, Y, (kappa,), [np.arange(len(X))])[0, 0])
 
 
 def _truncate_even(X, Y):
@@ -105,13 +123,15 @@ def _shuffle_permutations(n: int, shuffles: int, seed: int):
 
 
 def _linear_statistics(X, Y, kappas, perms) -> np.ndarray:
-    """(len(kappas), len(perms)) linear statistics. Each joint reordering of
-    X and Y is gathered once and its four paired squared distances are shared
-    by every bandwidth."""
+    """(len(kappas), len(perms)) linear statistics. Each row order ``p`` of
+    X and Y is paired as (p[0], p[1]), (p[2], p[3]), ...: the four paired
+    blocks are gathered straight from X and Y, and their squared distances
+    are shared by every bandwidth."""
     stats = np.empty((len(kappas), len(perms)))
     for j, p in enumerate(perms):
-        Xp, Yp = X[p], Y[p]
-        x1, x2, y1, y2 = Xp[0::2], Xp[1::2], Yp[0::2], Yp[1::2]
+        first, second = p[0::2], p[1::2]
+        x1, x2 = X.take(first, axis=0), X.take(second, axis=0)
+        y1, y2 = Y.take(first, axis=0), Y.take(second, axis=0)
         sq = [np.sum((a - b) ** 2, axis=1) for a, b in ((x1, x2), (y1, y2), (x1, y2), (x2, y1))]
         for i, kappa in enumerate(kappas):
             k_xx, k_yy, k_xy, k_yx = (np.exp(-d / (2.0 * kappa**2)) for d in sq)
@@ -148,10 +168,30 @@ def median_heuristic_bandwidths(X, Y):
     pool = np.vstack([np.atleast_2d(X), np.atleast_2d(Y)])
     if len(pool) > MEDIAN_POOL_ROWS:
         pool = pool[:: len(pool) // MEDIAN_POOL_ROWS + 1]
-    med = float(np.median(pdist(pool, "euclidean")))
+    med = _median_distance(pool)
     if med <= 0:
         med = 1.0
     return tuple(sorted(med * s for s in BANDWIDTH_SCALES))
+
+
+def _median_distance(pool: np.ndarray) -> float:
+    """Median Euclidean distance over the unordered pairs of rows of
+    ``pool``, equal to ``np.median(scipy.spatial.distance.pdist(pool))``."""
+    n = len(pool)
+    if n < 2:
+        raise ValueError("need at least 2 pooled rows")
+    sq = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        _sq_distances(pool[i], pool[i + 1 :], out=sq[start : start + n - 1 - i])
+        start += n - 1 - i
+    # one partition point, then the largest value below it: partitioning
+    # about both middle points at once is several times slower
+    mid = len(sq) // 2
+    sq.partition(mid)
+    if len(sq) % 2:
+        return math.sqrt(sq[mid])
+    return (math.sqrt(sq[:mid].max()) + math.sqrt(sq[mid])) / 2
 
 
 @dataclass(frozen=True)

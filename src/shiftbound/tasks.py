@@ -24,7 +24,6 @@ from fractions import Fraction
 from itertools import islice
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .divergences import MixtureTaskSpec, OverlapError, beta_infinity, mixture_counts, mixture_weights
 from .samples import LabeledSample, UnlabeledSample
@@ -111,9 +110,13 @@ class TaskInstance:
         self.target_x = self.target_labeled_oracle.unlabeled()
         if self.source.weights is None:
             raise ValueError("task source must carry importance weights")
-        max_w = float(self.source.weights.max())
-        if max_w > self.beta_inf * (1.0 + 1e-12):
+        if _exceeds_beta_inf(self.source.weights, self.beta_inf):
             raise ValueError("attached weights exceed the declared beta_inf")
+
+
+def _exceeds_beta_inf(weights: np.ndarray, beta_inf: float) -> bool:
+    """Whether a weight exceeds ``beta_inf`` beyond float rounding."""
+    return float(weights.max()) > beta_inf * (1.0 + 1e-12)
 
 
 def apply_label_rule(spec: SyntheticSpec, X) -> np.ndarray:
@@ -126,8 +129,28 @@ def apply_label_rule(spec: SyntheticSpec, X) -> np.ndarray:
     return (np.sum((X - v) ** 2, axis=1) <= spec.rule_offset**2).astype(np.int64)
 
 
+def _logaddexp_columns(a: np.ndarray) -> np.ndarray:
+    """log(exp(a[:, 0]) + exp(a[:, 1])) with the arithmetic of scipy 1.17's
+    ``logsumexp(a, axis=1)``: hi + log1p(exp(lo - hi)), and the direct
+    log(exp + exp) where that is not finite (both entries -inf, an overflow,
+    a NaN). Where the entries tie, scipy takes log(2) + hi, and
+    log1p(exp(0)) is log(2) in float64 too."""
+    hi = np.maximum(a[:, 0], a[:, 1])
+    lo = np.minimum(a[:, 0], a[:, 1])
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        out = hi + np.log1p(np.exp(lo - hi))
+        bad = ~np.isfinite(out)
+        out[bad] = np.log(np.exp(a[bad, 0]) + np.exp(a[bad, 1]))
+    return out
+
+
 def density_ratio(spec: SyntheticSpec, X) -> np.ndarray:
-    """Exact per-row target/source density ratio, evaluated in log space."""
+    """Exact per-row target/source density ratio, evaluated in log space: each
+    domain's log density (up to a shared constant) is the log-sum-exp of the
+    two components' log likelihoods plus the log mix weights. A zero
+    ``target_mix`` weight enters as log 0 = -inf and drops its component.
+    ``_logaddexp_columns`` gives the log-sum-exp bit for bit as
+    ``scipy.special.logsumexp``, in numpy alone."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     means = np.asarray(spec.component_means)
     logphi = np.stack(
@@ -138,8 +161,8 @@ def density_ratio(spec: SyntheticSpec, X) -> np.ndarray:
         axis=1,
     )
     with np.errstate(divide="ignore"):
-        log_t = logsumexp(logphi + np.log(spec.target_mix), axis=1)
-        log_s = logsumexp(logphi + np.log(spec.source_mix), axis=1)
+        log_t = _logaddexp_columns(logphi + np.log(spec.target_mix))
+        log_s = _logaddexp_columns(logphi + np.log(spec.source_mix))
     return np.exp(log_t - log_s)
 
 
@@ -472,8 +495,9 @@ def load_task(dirpath) -> TaskInstance:
     without one of its keys (``files.source`` and the other file names
     included), with a ``kind`` outside ``TASK_KINDS`` or a ``beta_inf`` that
     is not a finite number > 0, a malformed CSV row or a negative weight
-    (with its ``path:line``), and a ``weights.csv`` whose row count differs
-    from ``source.csv``'s."""
+    (with its ``path:line``), a ``target.csv`` whose feature count differs
+    from ``source.csv``'s, a ``weights.csv`` whose row count differs from
+    ``source.csv``'s, and a ``beta_inf`` below the largest weight."""
     manifest_path = os.path.join(dirpath, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
@@ -490,8 +514,12 @@ def load_task(dirpath) -> TaskInstance:
     # comparisons, not math.isfinite: an integer beyond the float range is refused too
     if type(beta_inf) not in (int, float) or not 0 < beta_inf <= sys.float_info.max:
         raise ValueError(f"{manifest_path}: beta_inf must be a finite number > 0, got {beta_inf!r}")
-    source = load_dataset(os.path.join(dirpath, files["source"]), num_classes=2)
-    target = load_dataset(os.path.join(dirpath, files["target"]), num_classes=2)
+    source_path = os.path.join(dirpath, files["source"])
+    target_path = os.path.join(dirpath, files["target"])
+    source = load_dataset(source_path, num_classes=2)
+    target = load_dataset(target_path, num_classes=2)
+    if target.dim != source.dim:
+        raise ValueError(f"{target_path}: {target.dim} features, but {source_path} has {source.dim}")
     weights_path = os.path.join(dirpath, files["weights"])
 
     def parse(columns):
@@ -511,11 +539,17 @@ def load_task(dirpath) -> TaskInstance:
     num_weights = sum(map(len, chunks))
     if num_weights != len(source):
         raise ValueError(f"{weights_path}: {num_weights} weights for {len(source)} source rows")
+    weights = np.concatenate(chunks)[:, 0]
+    if _exceeds_beta_inf(weights, beta_inf):
+        raise ValueError(
+            f"{manifest_path}: beta_inf {beta_inf!r} is below the largest weight "
+            f"{float(weights.max())!r} in {weights_path}"
+        )
     source = LabeledSample(
         features=source.features,
         labels=source.labels,
         origin=source.origin,
-        weights=np.concatenate(chunks)[:, 0],
+        weights=weights,
     )
     return TaskInstance(
         source=source,

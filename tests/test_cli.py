@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from shiftbound import RunReport, emit
+import shiftbound
+from shiftbound import LabeledSample, RunReport, emit, load_dataset, save_dataset
 from shiftbound.cli import main
 from shiftbound.tasks import default_synthetic_spec, load_task
 
@@ -81,15 +86,45 @@ def test_check_command(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_run_refuses_manifest_without_files(tmp_path, capsys):
+def make_small_task(tmp_path):
     spec = default_synthetic_spec(seed=4, n_source=40, n_target=30)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(asdict(spec)))
     task_dir = tmp_path / "task"
     assert main(["make-task", "synthetic", "--spec", str(spec_path), "--out", str(task_dir)]) == 0
+    return task_dir
+
+
+def test_run_refuses_manifest_without_files(tmp_path, capsys):
+    task_dir = make_small_task(tmp_path)
     manifest_path = task_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     del manifest["files"]
     manifest_path.write_text(json.dumps(manifest))
     assert main(["run", str(write_config(tmp_path, task_dir))]) == 2
     assert f"error: {manifest_path}: missing key 'files'" in capsys.readouterr().err
+
+
+def test_run_refuses_target_with_other_feature_count(tmp_path, capsys):
+    task_dir = make_small_task(tmp_path)
+    target = load_dataset(task_dir / "target.csv")
+    wider = np.column_stack([target.features, target.features[:, :1]])
+    save_dataset(LabeledSample(features=wider, labels=target.labels), task_dir / "target.csv")
+    assert main(["run", str(write_config(tmp_path, task_dir))]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {task_dir / 'target.csv'}: 3 features, but {task_dir / 'source.csv'} has 2" in err
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only: a fresh interpreter that imports the CLI
+    has no scipy module loaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftbound.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import shiftbound.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.strip() == "[]"

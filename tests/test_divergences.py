@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from shiftbound import (
     MixtureTaskSpec,
@@ -19,7 +19,16 @@ from shiftbound import (
     mmd_quadratic_biased,
     one_sided_weight,
 )
-from shiftbound.divergences import mixture_counts
+from shiftbound.divergences import (
+    BANDWIDTH_SCALES,
+    _kernel_matrix,
+    _linear_statistics,
+    _median_distance,
+    _shuffle_permutations,
+    _sq_distances,
+    _truncate_even,
+    mixture_counts,
+)
 
 
 def canonical_schedule(count=120):
@@ -175,6 +184,69 @@ def test_median_heuristic_matches_full_distance_matrix():
     med = float(np.median(dists[np.triu_indices(len(pool), k=1)]))
     scales = (0.25, 0.5, 1.0, 2.0, 4.0)
     assert median_heuristic_bandwidths(X, Y) == tuple(med * s for s in scales)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 64])
+@pytest.mark.parametrize("rows", [2, 3, 5, 50, 52])  # 1, 3, 10, 1225, 1326 pairs
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_median_distance_equals_pdist_median(dim, rows, duplicates):
+    rng = np.random.default_rng(dim * 100 + rows)
+    pool = rng.standard_normal((rows, dim)) * rng.uniform(0.01, 100.0, size=dim)
+    if duplicates:
+        pool[rows // 2 :] = pool[: rows - rows // 2]
+    assert _median_distance(pool) == float(np.median(pdist(pool)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9])
+def test_median_heuristic_on_a_thinned_pool_equals_pdist_median(dim):
+    rng = np.random.default_rng(dim)
+    X = rng.standard_normal((2100, dim))
+    Y = rng.standard_normal((1949, dim)) + 0.5
+    pool = np.vstack([X, Y])[::2]  # 2025 rows: an even number of pairs
+    med = float(np.median(pdist(pool)))
+    assert median_heuristic_bandwidths(X, Y) == tuple(med * s for s in BANDWIDTH_SCALES)
+
+
+def test_median_distance_needs_two_rows():
+    with pytest.raises(ValueError, match="at least 2"):
+        _median_distance(np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9, 17])
+def test_kernel_matrix_equals_cdist(dim):
+    rng = np.random.default_rng(dim)
+    X = rng.standard_normal((31, dim))
+    Y = rng.standard_normal((40, dim)) * 3.0
+    sq = cdist(X, Y, "sqeuclidean")
+    assert np.array_equal(_sq_distances(X[:, None, :], Y[None, :, :]), sq)
+    assert np.array_equal(_kernel_matrix(X, Y, 0.7), np.exp(-sq / (2.0 * 0.7**2)))
+
+
+def _linear_statistics_reference(X, Y, kappas, perms):
+    """Reorder both samples in full, then pair rows through strided views."""
+    stats = np.empty((len(kappas), len(perms)))
+    for j, p in enumerate(perms):
+        Xp, Yp = X[p], Y[p]
+        x1, x2, y1, y2 = Xp[0::2], Xp[1::2], Yp[0::2], Yp[1::2]
+        sq = [np.sum((a - b) ** 2, axis=1) for a, b in ((x1, x2), (y1, y2), (x1, y2), (x2, y1))]
+        for i, kappa in enumerate(kappas):
+            k_xx, k_yy, k_xy, k_yx = (np.exp(-d / (2.0 * kappa**2)) for d in sq)
+            stats[i, j] = (k_xx + k_yy - k_xy - k_yx).mean()
+    return stats
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9])
+def test_linear_statistics_equal_the_reorder_then_stride_reference(dim):
+    rng = np.random.default_rng(dim)
+    X, Y, n = _truncate_even(rng.standard_normal((101, dim)), rng.standard_normal((133, dim)) + 0.3)
+    assert n == 100
+    kappas = (0.25, 1.0, 4.0)
+    perms = _shuffle_permutations(n, 6, seed=2)
+    assert np.array_equal(
+        _linear_statistics(X, Y, kappas, perms), _linear_statistics_reference(X, Y, kappas, perms)
+    )
+    identity = _linear_statistics_reference(X, Y, (1.0,), [slice(None)])[0, 0]
+    assert mmd_linear_statistic(X, Y, 1.0) == identity
 
 
 def test_mmd_estimate_monotone_under_added_bandwidths():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from shiftbound import (
     IsotropicGaussian,
@@ -26,7 +27,13 @@ from shiftbound import (
     save_task,
 )
 from shiftbound.divergences import mixture_weights
-from shiftbound.tasks import CHUNK, TaskInstance, default_synthetic_spec, synthetic_beta_infinity
+from shiftbound.tasks import (
+    CHUNK,
+    TaskInstance,
+    _logaddexp_columns,
+    default_synthetic_spec,
+    synthetic_beta_infinity,
+)
 
 
 def make_pools(per_class_counts, num_classes, dim=3, seed=0):
@@ -216,6 +223,53 @@ def test_synthetic_beta_nine_and_grid_maximisation():
     assert ratios.max() >= beta - 0.05
     task = build_synthetic_task(spec)
     assert task.source.weights.max() <= beta + 1e-9
+
+
+def _density_ratio_reference(spec, X):
+    """The log-space ratio through scipy's logsumexp."""
+    means = np.asarray(spec.component_means)
+    logphi = np.stack(
+        [-np.sum((X - means[k]) ** 2, axis=1) / (2.0 * spec.component_std**2) for k in range(2)],
+        axis=1,
+    )
+    with np.errstate(divide="ignore"):
+        log_t = logsumexp(logphi + np.log(spec.target_mix), axis=1)
+        log_s = logsumexp(logphi + np.log(spec.source_mix), axis=1)
+    return np.exp(log_t - log_s)
+
+
+@pytest.mark.parametrize(
+    "source_mix, target_mix",
+    [((0.9, 0.1), (0.1, 0.9)), ((0.5, 0.5), (0.5, 0.5)), ((0.3, 0.7), (1.0, 0.0)), ((0.5, 0.5), (0.0, 1.0))],
+    ids=["flipped", "equal-mixes-tie", "zero-target-component", "zero-first-target-component"],
+)
+@pytest.mark.parametrize("std", [1.0, 0.01])  # 0.01: |log phi| up to about 1e10
+def test_density_ratio_equals_logsumexp_formula(source_mix, target_mix, std):
+    spec = SyntheticSpec(
+        dim=2,
+        component_means=((-1.0, 0.0), (1.0, 0.0)),
+        component_std=std,
+        source_mix=source_mix,
+        target_mix=target_mix,
+        n_source=1,
+        n_target=1,
+        seed=0,
+    )
+    rng = np.random.default_rng(0)
+    bisector = np.column_stack([np.zeros(50), rng.standard_normal(50)])  # equal component likelihoods
+    X = np.vstack([bisector, rng.standard_normal((500, 2)), 1e3 * rng.standard_normal((50, 2))])
+    assert np.array_equal(density_ratio(spec, X), _density_ratio_reference(spec, X), equal_nan=True)
+
+
+def test_logaddexp_columns_equals_logsumexp_on_edge_entries():
+    big = np.finfo(np.float64).max
+    values = [-np.inf, -1e308, -745.2, -1.0, -0.0, 0.0, 1e-300, 0.5, 700.0, big, np.inf, np.nan]
+    a = np.array([(u, v) for u in values for v in values])
+    with np.errstate(all="ignore"):
+        expected = logsumexp(a, axis=1)
+    got = _logaddexp_columns(a)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_synthetic_unbounded_ratio_refused():
@@ -585,3 +639,25 @@ def test_task_manifest_bad_value_refused(tmp_path, chunked_task, key, value, suf
     manifest[key] = value
     (task / "manifest.json").write_text(json.dumps(manifest))
     assert _refusal(lambda: load_task(task), task / "manifest.json") == suffix
+
+
+def test_task_target_feature_count_must_match_source(tmp_path, chunked_task):
+    task = tmp_path / "task"
+    shutil.copytree(chunked_task, task)
+    target = load_dataset(task / "target.csv")
+    wider = np.column_stack([target.features, np.ones(len(target))])
+    save_dataset(LabeledSample(features=wider, labels=target.labels), task / "target.csv")
+    message = f": 3 features, but {task / 'source.csv'} has 2"
+    assert _refusal(lambda: load_task(task), task / "target.csv") == message
+
+
+def test_task_beta_inf_below_largest_weight_refused(tmp_path, chunked_task):
+    task = tmp_path / "task"
+    shutil.copytree(chunked_task, task)
+    largest = float(load_task(task).source.weights.max())
+    assert largest > 1.0
+    manifest = json.loads((task / "manifest.json").read_text())
+    manifest["beta_inf"] = 1.0
+    (task / "manifest.json").write_text(json.dumps(manifest))
+    message = f": beta_inf 1.0 is below the largest weight {largest!r} in {task / 'weights.csv'}"
+    assert _refusal(lambda: load_task(task), task / "manifest.json") == message
