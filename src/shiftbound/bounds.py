@@ -11,11 +11,18 @@ size (both as actually used to evaluate the estimators):
   add          w' R_hat + g' Dis/2 + (w'/w + g'/g)(KL + ln(3/d))/m
                  + lambda + (g' - 1)/2          [uses min(m, n); oracle only]
   mmd          (1/g) R_hat + (KL + ln(2/d)) / (2 g (1-g) m) + MMD
-                 + 2 sqrt(K/m) (2 + sqrt(ln(4/d)))   [uses min(m, n)]
+                 + 2 sqrt(1/m) (2 + sqrt(ln(4/d)))   [uses min(m, n)]
 
 where B is the worst-case density ratio, x' = x/(1 - e^-x) for a, b, w and
-g' = 2g/(1 - e^-2g). Values above 1 are reported as-is; vacuity is
-information, never clipped away.
+g' = 2g/(1 - e^-2g). The mmd constant is 2 sqrt(K/m) (...) with K the sup of
+the kernel, which is 1 for the Gaussian kernel of ``divergences``.
+mcallester, iw and mmd share one gamma form (``_gamma_form``). Values above
+1 are reported as-is; vacuity is information, never clipped away.
+
+Each bound is declared once, in ``_BOUNDS``: its terms function, its default
+free-parameter grid and whether it reads oracle target labels.
+``BOUND_NAMES``, ``default_grid``, ``bound_terms``, ``grid_search``'s
+``oracle_used`` and ``ORACLE_BOUNDS`` all derive from that table.
 """
 
 import itertools
@@ -23,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 from .risks import OracleAccessError, RiskEstimates
-
-BOUND_NAMES = ("mcallester", "mult", "add", "iw", "mmd")
 
 # Free-parameter candidates: {1, 5} x 10^k sweeps for the unconstrained
 # parameters, and a (0, 1) grid for the gamma of the single-sample bounds.
@@ -51,16 +56,6 @@ class ParamGrid:
         return math.prod(len(v) for v in self.values.values())
 
 
-def default_grid(bound: str) -> ParamGrid:
-    if bound in ("mcallester", "iw", "mmd"):
-        return ParamGrid({"gamma": GAMMA_GRID})
-    if bound == "mult":
-        return ParamGrid({"a": POSITIVE_GRID, "b": POSITIVE_GRID})
-    if bound == "add":
-        return ParamGrid({"omega": POSITIVE_GRID, "gamma": POSITIVE_GRID})
-    raise ValueError(f"unknown bound {bound!r}")
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Everything a bound evaluation may consume. ``m_source`` and ``n_target``
@@ -75,7 +70,6 @@ class BoundInputs:
     estimates: RiskEstimates
     beta_inf: float | None = None
     mmd_value: float | None = None
-    kernel_bound: float = 1.0
     lambda_rho: float | None = None
 
     def __post_init__(self):
@@ -89,8 +83,6 @@ class BoundInputs:
             raise ValueError("beta_inf must be finite and > 0")
         if self.mmd_value is not None and self.mmd_value < 0:
             raise ValueError("mmd_value must be >= 0")
-        if self.kernel_bound <= 0:
-            raise ValueError("kernel_bound must be positive")
         if self.lambda_rho is not None and self.lambda_rho < 0:
             raise ValueError("lambda_rho must be >= 0")
 
@@ -131,39 +123,32 @@ def _require(condition: bool, message: str):
         raise ValueError(message)
 
 
-def _gamma_unit(gamma: float):
+def _gamma_form(inputs: BoundInputs, delta: float, gamma: float, risk: float, m: int, c: float,
+                scale: float = 1.0, domain: float = 0.0, constant: float = 0.0):
+    """The gamma form that mcallester, iw and mmd share:
+    risk/g + scale (KL + ln(c/d)) / (2 g (1-g) m) + domain + constant."""
     _require(0 < gamma < 1, f"gamma must lie in (0, 1), got {gamma}")
-
-
-def _mcallester_terms(inputs: BoundInputs, delta: float, gamma: float):
-    _gamma_unit(gamma)
-    m = inputs.m_source
     return (
-        ("risk", inputs.estimates.gibbs_risk / gamma),
-        ("kl", (inputs.kl + math.log(1.0 / delta)) / (2.0 * gamma * (1.0 - gamma) * m)),
-        ("domain", 0.0),
-        ("constant", 0.0),
+        ("risk", risk / gamma),
+        ("kl", scale * (inputs.kl + math.log(c / delta)) / (2.0 * gamma * (1.0 - gamma) * m)),
+        ("domain", domain),
+        ("constant", constant),
     )
 
 
+def _mcallester_terms(inputs: BoundInputs, delta: float, gamma: float):
+    return _gamma_form(inputs, delta, gamma, inputs.estimates.gibbs_risk, inputs.m_source, 1.0)
+
+
 def _iw_terms(inputs: BoundInputs, delta: float, gamma: float):
-    _gamma_unit(gamma)
     _require(inputs.beta_inf is not None, "iw bound needs beta_inf")
     _require(
         inputs.estimates.gibbs_weighted_risk is not None,
         "iw bound needs a weighted Gibbs risk (importance weights attached)",
     )
-    m = inputs.m_source
-    return (
-        ("risk", inputs.estimates.gibbs_weighted_risk / gamma),
-        (
-            "kl",
-            inputs.beta_inf
-            * (inputs.kl + math.log(1.0 / delta))
-            / (2.0 * gamma * (1.0 - gamma) * m),
-        ),
-        ("domain", 0.0),
-        ("constant", 0.0),
+    return _gamma_form(
+        inputs, delta, gamma, inputs.estimates.gibbs_weighted_risk, inputs.m_source, 1.0,
+        scale=inputs.beta_inf,
     )
 
 
@@ -210,35 +195,51 @@ def _add_terms(inputs: BoundInputs, delta: float, omega: float, gamma: float):
 
 
 def _mmd_terms(inputs: BoundInputs, delta: float, gamma: float):
-    _gamma_unit(gamma)
     _require(inputs.mmd_value is not None, "mmd bound needs an mmd_value")
     m = min(inputs.m_source, inputs.n_target)
-    return (
-        ("risk", inputs.estimates.gibbs_risk / gamma),
-        ("kl", (inputs.kl + math.log(2.0 / delta)) / (2.0 * gamma * (1.0 - gamma) * m)),
-        ("domain", inputs.mmd_value),
-        (
-            "constant",
-            2.0
-            * math.sqrt(inputs.kernel_bound / m)
-            * (2.0 + math.sqrt(math.log(4.0 / delta))),
-        ),
+    # K = sup k(x, x') = 1 for the Gaussian kernel, so sqrt(K/m) = sqrt(1/m);
+    # 1/sqrt(m) rounds differently for many m and would change the reports
+    constant = 2.0 * math.sqrt(1.0 / m) * (2.0 + math.sqrt(math.log(4.0 / delta)))
+    return _gamma_form(
+        inputs, delta, gamma, inputs.estimates.gibbs_risk, m, 2.0,
+        domain=inputs.mmd_value, constant=constant,
     )
 
 
-_TERM_FUNCS = {
-    "mcallester": _mcallester_terms,
-    "iw": _iw_terms,
-    "mult": _mult_terms,
-    "add": _add_terms,
-    "mmd": _mmd_terms,
+@dataclass(frozen=True)
+class _Bound:
+    terms: object  # (inputs, delta, **params) -> ((label, value), ...)
+    grid: ParamGrid
+    oracle: bool  # whether the bound reads oracle target labels
+
+
+_GAMMA = ParamGrid({"gamma": GAMMA_GRID})
+
+# Every bound once, in report order: its terms, its default free-parameter
+# grid, and whether it needs oracle target labels.
+_BOUNDS = {
+    "mcallester": _Bound(_mcallester_terms, _GAMMA, oracle=False),
+    "mult": _Bound(_mult_terms, ParamGrid({"a": POSITIVE_GRID, "b": POSITIVE_GRID}), oracle=False),
+    "add": _Bound(_add_terms, ParamGrid({"omega": POSITIVE_GRID, "gamma": POSITIVE_GRID}), oracle=True),
+    "iw": _Bound(_iw_terms, _GAMMA, oracle=False),
+    "mmd": _Bound(_mmd_terms, _GAMMA, oracle=False),
 }
+BOUND_NAMES = tuple(_BOUNDS)
+ORACLE_BOUNDS = tuple(name for name, b in _BOUNDS.items() if b.oracle)
+
+
+def _bound(name: str) -> _Bound:
+    if name not in _BOUNDS:
+        raise ValueError(f"unknown bound {name!r}")
+    return _BOUNDS[name]
+
+
+def default_grid(bound: str) -> ParamGrid:
+    return _bound(bound).grid
 
 
 def bound_terms(name: str, inputs: BoundInputs, delta: float, **params):
-    if name not in _TERM_FUNCS:
-        raise ValueError(f"unknown bound {name!r}")
-    return _TERM_FUNCS[name](inputs, delta, **params)
+    return _bound(name).terms(inputs, delta, **params)
 
 
 def _value(terms) -> float:
@@ -252,14 +253,15 @@ def grid_search(bound: str, inputs: BoundInputs, grid: ParamGrid | None = None) 
 
     Ties go to the lexicographically smallest parameter tuple.
     """
+    spec = _bound(bound)
     if grid is None:
-        grid = default_grid(bound)
+        grid = spec.grid
     delta_eff = inputs.delta / grid.size
     names = list(grid.values.keys())
     best = None
     for combo in itertools.product(*grid.values.values()):
         params = dict(zip(names, combo))
-        terms = bound_terms(bound, inputs, delta_eff, **params)
+        terms = spec.terms(inputs, delta_eff, **params)
         value = _value(terms)
         if best is None or value < best[0]:
             best = (value, params, terms)
@@ -270,5 +272,5 @@ def grid_search(bound: str, inputs: BoundInputs, grid: ParamGrid | None = None) 
         params=params,
         delta_effective=delta_eff,
         terms=tuple(terms),
-        oracle_used=(bound == "add"),
+        oracle_used=spec.oracle,
     )

@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .bounds import BoundInputs, bound_terms, grid_search
+from .bounds import BoundInputs, bound_terms, default_grid, grid_search
 from .divergences import MixtureTaskSpec, beta_infinity
 from .experiment import (
     ExperimentConfig,
@@ -105,7 +105,7 @@ def _cmd_check(args) -> int:
     res = grid_search("mcallester", inputs)
     ok &= _check(
         "union-bound delta correction",
-        abs(res.delta_effective - 0.05 / 7) < 1e-15
+        abs(res.delta_effective - 0.05 / default_grid("mcallester").size) < 1e-15
         and abs(res.value - sum(v for _, v in res.terms)) < 1e-12,
         f"delta_eff={res.delta_effective:.6f}",
     )

@@ -14,7 +14,7 @@ import os
 from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
 
-from .bounds import BOUND_NAMES, BoundInputs, grid_search
+from .bounds import BOUND_NAMES, ORACLE_BOUNDS, BoundInputs, grid_search
 from .divergences import MmdConfig, median_heuristic_bandwidths, mmd_estimate
 from .nn import MlpArchitecture, TrainConfig
 from .risks import RiskEstimates, estimate_risks
@@ -95,8 +95,9 @@ class ExperimentConfig:
         unknown = set(self.bounds) - set(BOUND_NAMES)
         if unknown:
             raise ValueError(f"unknown bounds requested: {sorted(unknown)}")
-        if "add" in self.bounds and not self.oracle_mode:
-            raise ValueError("the add bound needs oracle_mode=true (it uses target labels)")
+        oracle = [name for name in self.bounds if name in ORACLE_BOUNDS]
+        if oracle and not self.oracle_mode:
+            raise ValueError(f"the {oracle[0]} bound needs oracle_mode=true (it uses target labels)")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if self.posterior_pairs < 1:
@@ -159,8 +160,6 @@ class RunReport:
 def run_experiment(cfg: ExperimentConfig, task: TaskInstance | None = None) -> RunReport:
     if task is None:
         task = cfg.resolve_task()
-    if ("iw" in cfg.bounds or "mult" in cfg.bounds) and task.source.weights is None:
-        raise ValueError("iw/mult bounds need a task with exact importance weights")
     arch = MlpArchitecture((task.source.dim, *cfg.hidden, 1), cfg.activation)
     rows = []
     for seed in cfg.seeds:
@@ -208,7 +207,6 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
             estimates=est,
             beta_inf=task.beta_inf,
             mmd_value=mmd_val,
-            kernel_bound=1.0,
             lambda_rho=lam,
         )
         results = {name: grid_search(name, inputs) for name in cfg.bounds}

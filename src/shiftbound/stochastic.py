@@ -39,16 +39,12 @@ class PosteriorSampleSet:
     """2P weight draws organised as P consecutive pairs (2i, 2i+1)."""
 
     draws: np.ndarray
-    source_distribution: IsotropicGaussian
-    seed: int
 
     def __post_init__(self):
         draws = np.asarray(self.draws, dtype=np.float64)
         object.__setattr__(self, "draws", draws)
         if draws.ndim != 2 or draws.shape[0] < 2 or draws.shape[0] % 2:
             raise ValueError("draws must be a (2P, d) array with P >= 1")
-        if draws.shape[1] != self.source_distribution.dim:
-            raise ValueError("draw length does not match distribution dimension")
 
     @property
     def num_pairs(self) -> int:
@@ -78,7 +74,7 @@ def sample_posterior(g: IsotropicGaussian, pairs: int, seed: int) -> PosteriorSa
         raise ValueError("pairs must be >= 1")
     rng = stream_rng(seed, "posterior")
     z = rng.standard_normal((2 * pairs, g.dim))
-    return PosteriorSampleSet(draws=g.mean[None, :] + g.sigma * z, source_distribution=g, seed=seed)
+    return PosteriorSampleSet(draws=g.mean[None, :] + g.sigma * z)
 
 
 @dataclass

@@ -440,36 +440,20 @@ def load_dataset(path, num_classes: int = 2) -> LabeledSample:
     return LabeledSample(features=features, labels=labels, origin=origin[0] if origin else None)
 
 
-def _spec_to_json(task: TaskInstance) -> dict:
-    if task.kind == "synthetic":
-        d = asdict(task.spec)
-        return d
-    if task.kind == "mixture":
-        s = task.spec
-        return {
-            "num_classes": s.num_classes,
-            "source_share": [str(v) for v in s.source_share],
-            "per_class_counts": [list(c) for c in s.per_class_counts],
-            "binary_relabel_threshold": s.binary_relabel_threshold,
-        }
-    return dict(task.spec)
+def _fraction_to_json(value):
+    """``json.dump`` default for task specs: a Fraction (a mixture share) as
+    its exact string, e.g. "1/12"; nothing else is converted."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"cannot write {type(value).__name__} to a task manifest")
 
 
 def spec_from_json(kind: str, d: dict):
-    if kind == "synthetic":
-        d = dict(d)
-        d["component_means"] = tuple(tuple(m) for m in d["component_means"])
-        for key in ("source_mix", "target_mix", "rule_vector"):
-            d[key] = tuple(d.get(key, ()))
-        return SyntheticSpec(**d)
-    if kind == "mixture":
-        return MixtureTaskSpec(
-            num_classes=d["num_classes"],
-            source_share=tuple(Fraction(v) for v in d["source_share"]),
-            per_class_counts=tuple(tuple(c) for c in d["per_class_counts"]),
-            binary_relabel_threshold=d.get("binary_relabel_threshold", 0),
-        )
-    return dict(d)
+    """The spec of a task of ``kind`` from its JSON object (a manifest's
+    ``spec``, a ``make-task --spec`` file, an inline config spec); a key
+    that names no spec field is refused. The spec classes convert lists,
+    share strings and numbers themselves."""
+    return {"synthetic": SyntheticSpec, "mixture": MixtureTaskSpec}.get(kind, dict)(**d)
 
 
 def save_task(task: TaskInstance, dirpath) -> None:
@@ -481,12 +465,12 @@ def save_task(task: TaskInstance, dirpath) -> None:
     _write_csv(os.path.join(dirpath, "weights.csv"), ["weight"], [task.source.weights])
     manifest = {
         "kind": task.kind,
-        "spec": _spec_to_json(task),
+        "spec": task.spec if task.kind == "one_sided" else asdict(task.spec),
         "beta_inf": task.beta_inf,
         "files": {"source": "source.csv", "target": "target.csv", "weights": "weights.csv"},
     }
     with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=_fraction_to_json)
         fh.write("\n")
 
 

@@ -86,7 +86,7 @@ def _refs(v, gamma, a, b, omega, gpos):
         v["r"] / gamma
         + (v["kl"] + math.log(2 / v["delta"])) / (2 * gamma * (1 - gamma) * mm)
         + v["mmd"]
-        + 2 * math.sqrt(v["K"] / mm) * (2 + math.sqrt(math.log(4 / v["delta"])))
+        + 2 * math.sqrt(1 / mm) * (2 + math.sqrt(math.log(4 / v["delta"])))
     )
     return mca, iw, mult, add, mmd
 
@@ -106,7 +106,7 @@ def _inputs(v):
     )
     return BoundInputs(
         m_source=v["m"], n_target=v["n"], kl=v["kl"], delta=v["delta"], estimates=est,
-        beta_inf=v["beta"], mmd_value=v["mmd"], kernel_bound=v["K"], lambda_rho=v["lam"],
+        beta_inf=v["beta"], mmd_value=v["mmd"], lambda_rho=v["lam"],
     )
 
 
@@ -121,8 +121,7 @@ def test_criterion_01_formula_exactness():
             joint_s=float(rng.uniform(0, 1)), kl=float(rng.uniform(0, 1000)),
             delta=float(rng.uniform(0.001, 0.5)), m=int(rng.integers(10, 10**6)),
             n=int(rng.integers(10, 10**6)), beta=float(rng.uniform(1, 100)),
-            mmd=float(rng.uniform(0, 2)), K=float(rng.uniform(0.1, 2)),
-            lam=float(rng.uniform(0, 1)),
+            mmd=float(rng.uniform(0, 2)), lam=float(rng.uniform(0, 1)),
         )
         gamma = float(rng.uniform(0.01, 0.99))
         a, b, omega, gpos = (float(10 ** rng.uniform(-3, 5)) for _ in range(4))
@@ -142,23 +141,23 @@ def test_criterion_01_formula_exactness():
     # worked examples, frozen from straight-line evaluation of each formula
     w1 = bound("mcallester", _inputs(dict(
         r=0.1, rw=0.1, dis_s=0, dis_t=0, joint_s=0, kl=10.0, delta=0.05,
-        m=10000, n=10000, beta=11.0, mmd=0.0, K=1.0, lam=0.0)), gamma=0.5)
+        m=10000, n=10000, beta=11.0, mmd=0.0, lam=0.0)), gamma=0.5)
     assert abs(w1 - 0.2025991464547108) <= 1e-6 and abs(w1 - 0.202599) <= 1e-6
     w2 = bound("iw", _inputs(dict(
         r=0.1, rw=0.1, dis_s=0, dis_t=0, joint_s=0, kl=10.0, delta=0.05,
-        m=10000, n=10000, beta=11.0, mmd=0.0, K=1.0, lam=0.0)), gamma=0.5)
+        m=10000, n=10000, beta=11.0, mmd=0.0, lam=0.0)), gamma=0.5)
     assert abs(w2 - 0.2285906110018188) <= 1e-6 and abs(w2 - 0.228590) <= 1e-6
     w3 = bound("mult", _inputs(dict(
         r=0.0, rw=0.0, dis_s=0, dis_t=0.0, joint_s=0.0, kl=0.0, delta=0.05,
-        m=1000, n=1000, beta=1.0, mmd=0.0, K=1.0, lam=0.0)), a=1.0, b=1.0)
+        m=1000, n=1000, beta=1.0, mmd=0.0, lam=0.0)), a=1.0, b=1.0)
     assert abs(w3 - 0.011671442741714166) <= 1e-6 and abs(w3 - 0.011672) <= 1e-6
     w4 = bound("add", _inputs(dict(
         r=0.0, rw=0.0, dis_s=0.0, dis_t=0.0, joint_s=0.0, kl=0.0, delta=0.05,
-        m=1000, n=1000, beta=1.0, mmd=0.0, K=1.0, lam=0.0)), omega=1.0, gamma=1.0)
+        m=1000, n=1000, beta=1.0, mmd=0.0, lam=0.0)), omega=1.0, gamma=1.0)
     assert abs(w4 - 0.6724651639204102) <= 1e-6
     w5 = bound("mmd", _inputs(dict(
         r=0.0, rw=0.0, dis_s=0.0, dis_t=0.0, joint_s=0.0, kl=0.0, delta=0.05,
-        m=10000, n=10000, beta=1.0, mmd=0.0, K=1.0, lam=0.0)), gamma=0.5)
+        m=10000, n=10000, beta=1.0, mmd=0.0, lam=0.0)), gamma=0.5)
     assert abs(w5 - 0.0826043574788812) <= 1e-6
     elapsed = time.perf_counter() - t0
     _report(1, "formula exactness (1000 random inputs + worked examples)",
@@ -364,9 +363,7 @@ def test_criterion_08_importance_weighting_identity():
     rng = np.random.default_rng(3)
     w = rng.standard_normal(ARCH.num_params)
     # a pair of identical draws: its Gibbs risks are the risks of w itself
-    draws = PosteriorSampleSet(
-        draws=np.stack([w, w]), source_distribution=IsotropicGaussian(w, 1.0), seed=0
-    )
+    draws = PosteriorSampleSet(draws=np.stack([w, w]))
     weighted, target = [], []
     for rep in range(50):
         task = build_synthetic_task(
@@ -397,7 +394,7 @@ def test_criterion_09_grid_union_bound_contract():
             joint_s=float(rng.uniform(0, 1)), kl=float(rng.uniform(0, 200)),
             delta=float(rng.uniform(0.01, 0.2)), m=int(rng.integers(50, 10**5)),
             n=int(rng.integers(50, 10**5)), beta=float(rng.uniform(1, 20)),
-            mmd=float(rng.uniform(0, 1)), K=1.0, lam=float(rng.uniform(0, 1)),
+            mmd=float(rng.uniform(0, 1)), lam=float(rng.uniform(0, 1)),
         )
         inputs = _inputs(v)
         gammas = sorted(float(g) for g in rng.uniform(0.05, 0.95, size=4))

@@ -13,7 +13,7 @@ from shiftbound import (
     default_grid,
     grid_search,
 )
-from shiftbound.bounds import bound_terms
+from shiftbound.bounds import BOUND_NAMES, ORACLE_BOUNDS, bound_terms
 
 # ---------------------------------------------------------------------------
 # independent straight-line reference evaluations (kept deliberately separate
@@ -53,13 +53,13 @@ def ref_add(r, dis, lam, kl, delta, m, n, omega, gamma):
     )
 
 
-def ref_mmd(r, kl, delta, m, n, gamma, mmd, K):
+def ref_mmd(r, kl, delta, m, n, gamma, mmd):
     mm = min(m, n)
     return (
         r / gamma
         + (kl + math.log(2 / delta)) / (2 * gamma * (1 - gamma) * mm)
         + mmd
-        + 2 * math.sqrt(K / mm) * (2 + math.sqrt(math.log(4 / delta)))
+        + 2 * math.sqrt(1 / mm) * (2 + math.sqrt(math.log(4 / delta)))
     )
 
 
@@ -80,7 +80,6 @@ def make_inputs(
     n=10000,
     beta=11.0,
     mmd=0.0,
-    K=1.0,
     lam=None,
 ):
     est = RiskEstimates(
@@ -98,7 +97,6 @@ def make_inputs(
         estimates=est,
         beta_inf=beta,
         mmd_value=mmd,
-        kernel_bound=K,
         lambda_rho=lam,
     )
 
@@ -154,7 +152,7 @@ def test_worked_example_add():
 
 
 def test_worked_example_mmd():
-    inputs = make_inputs(r=0.0, kl=0.0, delta=0.05, m=10000, n=10000, mmd=0.0, K=1.0)
+    inputs = make_inputs(r=0.0, kl=0.0, delta=0.05, m=10000, n=10000, mmd=0.0)
     assert bound("mmd", inputs, gamma=0.5) == pytest.approx(WORKED["mmd"], abs=1e-6)
 
 
@@ -188,7 +186,6 @@ def random_valid_inputs(rng):
         n=int(rng.integers(10, 10**6)),
         beta=float(rng.uniform(1, 100)),
         mmd=float(rng.uniform(0, 2)),
-        K=float(rng.uniform(0.1, 2)),
         lam=float(rng.uniform(0, 1)),
     )
 
@@ -223,7 +220,7 @@ def test_formula_crosscheck_1000_random_inputs():
             rel=1e-12,
         )
         assert bound("mmd", inputs, gamma=gamma) == pytest.approx(
-            ref_mmd(v["r"], v["kl"], v["delta"], v["m"], v["n"], gamma, v["mmd"], v["K"]),
+            ref_mmd(v["r"], v["kl"], v["delta"], v["m"], v["n"], gamma, v["mmd"]),
             rel=1e-12,
         )
 
@@ -240,12 +237,13 @@ def test_iw_reduces_to_mcallester_when_beta_one():
 
 
 def test_mmd_reduces_to_mcallester_with_two_delta():
-    # MMD = 0 and K -> 0 leaves the same form with ln(2/delta)
+    # the risk and kl terms of mmd are mcallester's, with ln(2/delta)
     v = dict(r=0.3, kl=5.0, delta=0.1, m=5000, n=5000)
-    inputs = make_inputs(r=v["r"], kl=v["kl"], delta=v["delta"], m=v["m"], n=v["n"], mmd=0.0, K=1e-300)
+    inputs = make_inputs(r=v["r"], kl=v["kl"], delta=v["delta"], m=v["m"], n=v["n"], mmd=0.0)
     gamma = 0.5
     want = v["r"] / gamma + (v["kl"] + math.log(2 / v["delta"])) / (2 * gamma * (1 - gamma) * v["m"])
-    assert bound("mmd", inputs, gamma=gamma) == pytest.approx(want, rel=1e-9)
+    terms = dict(bound_terms("mmd", inputs, v["delta"], gamma=gamma))
+    assert terms["risk"] + terms["kl"] == pytest.approx(want, rel=1e-9)
 
 
 def test_beta_linearity_in_mult_risk_term():
@@ -403,6 +401,15 @@ def test_grid_search_tie_keeps_first():
     # first (lexicographically smallest) winner is kept
     assert res.delta_effective == pytest.approx(inputs.delta / 3)
     assert res.params["gamma"] in (0.5, 0.9)
+
+
+def test_bound_table_names_order_and_oracle_flags():
+    assert BOUND_NAMES == ("mcallester", "mult", "add", "iw", "mmd")
+    assert ORACLE_BOUNDS == ("add",)
+    with pytest.raises(ValueError, match="unknown bound 'nope'"):
+        default_grid("nope")
+    with pytest.raises(ValueError, match="unknown bound 'nope'"):
+        grid_search("nope", make_inputs())
 
 
 def test_grid_search_add_flags_oracle():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,48 @@ def test_run_refuses_unknown_config_key(tmp_path, capsys):
 def test_make_task_mixture_requires_pools(tmp_path, capsys):
     assert main(["make-task", "mixture", "--out", str(tmp_path / "t")]) != 0
     assert "pool" in capsys.readouterr().err
+
+
+def write_mixture_inputs(tmp_path, spec):
+    """Two 12-row pools of four classes, three rows each, and ``spec`` as JSON;
+    returns the ``make-task mixture`` arguments for them."""
+    labels = np.repeat([0, 1, 2, 3], 3)
+    for o in (0, 1):
+        features = np.column_stack([np.arange(12.0), np.full(12, float(o))])
+        save_dataset(LabeledSample(features=features, labels=labels), tmp_path / f"pool{o}.csv")
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    return [
+        "make-task", "mixture", "--pool0", str(tmp_path / "pool0.csv"),
+        "--pool1", str(tmp_path / "pool1.csv"), "--spec", str(tmp_path / "spec.json"),
+        "--seed", "3", "--out", str(tmp_path / "task"),
+    ]
+
+
+MIXTURE_SPEC = {
+    "num_classes": 4, "source_share": ["1/3", "2/3", "1/3", "2/3"], "per_class_counts": [[3, 3]] * 4,
+}
+
+
+def test_make_task_mixture_manifest(tmp_path):
+    assert main(write_mixture_inputs(tmp_path, MIXTURE_SPEC)) == 0
+    manifest = {
+        "beta_inf": 2.0,
+        "files": {"source": "source.csv", "target": "target.csv", "weights": "weights.csv"},
+        "kind": "mixture",
+        "spec": {**MIXTURE_SPEC, "binary_relabel_threshold": 2},
+    }
+    want = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "task" / "manifest.json").read_text() == want
+    spec = load_task(tmp_path / "task").spec
+    assert spec.source_share == (Fraction(1, 3), Fraction(2, 3)) * 2
+    assert spec.per_class_counts == ((3, 3),) * 4
+
+
+def test_make_task_mixture_refuses_unknown_spec_key(tmp_path, capsys):
+    spec = {**MIXTURE_SPEC, "binary_relabel_treshold": 1}
+    assert main(write_mixture_inputs(tmp_path, spec)) == 2
+    assert "binary_relabel_treshold" in capsys.readouterr().err
+    assert not (tmp_path / "task").exists()
 
 
 def test_check_command(capsys):

@@ -42,8 +42,9 @@ def test_checkpoint_row_count(small_report):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        small_config(bounds=("add",), oracle_mode=False)
+    for bounds in (("add",), ("iw", "add")):
+        with pytest.raises(ValueError, match=r"^the add bound needs oracle_mode=true \(it uses target labels\)$"):
+            small_config(bounds=bounds, oracle_mode=False)
     with pytest.raises(ValueError):
         small_config(bounds=("nope",))
     with pytest.raises(ValueError):

@@ -25,9 +25,7 @@ UNIT = MlpArchitecture((1, 1))
 
 def draws_from(*weight_vectors):
     w = np.asarray(weight_vectors, dtype=float)
-    return PosteriorSampleSet(
-        draws=w, source_distribution=IsotropicGaussian(w[0], 1.0), seed=0
-    )
+    return PosteriorSampleSet(draws=w)
 
 
 def col(values):

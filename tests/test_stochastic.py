@@ -160,8 +160,7 @@ def test_informed_prior_shrinks_final_kl():
 
 
 def test_posterior_sample_set_validation():
-    g = IsotropicGaussian(np.zeros(3), 1.0)
-    with pytest.raises(ValueError):
-        PosteriorSampleSet(draws=np.zeros((3, 3)), source_distribution=g, seed=0)
-    with pytest.raises(ValueError):
-        PosteriorSampleSet(draws=np.zeros((2, 4)), source_distribution=g, seed=0)
+    # draws must be (2P, d) with P >= 1
+    for shape in ((3, 3), (0, 3), (4,)):
+        with pytest.raises(ValueError):
+            PosteriorSampleSet(draws=np.zeros(shape))

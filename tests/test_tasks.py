@@ -8,7 +8,6 @@ import pytest
 from scipy.special import logsumexp
 
 from shiftbound import (
-    IsotropicGaussian,
     LabeledSample,
     MixtureTaskSpec,
     MlpArchitecture,
@@ -30,6 +29,7 @@ from shiftbound.divergences import mixture_weights
 from shiftbound.tasks import (
     CHUNK,
     TaskInstance,
+    _fraction_to_json,
     _logaddexp_columns,
     default_synthetic_spec,
     synthetic_beta_infinity,
@@ -157,9 +157,7 @@ def test_one_sided_task_degenerate_fraction():
 def risks_of(arch, w, task):
     """``estimate_risks`` for the single classifier ``w`` (a pair of identical
     draws), with the task's labeled target as oracle."""
-    draws = PosteriorSampleSet(
-        draws=np.stack([w, w]), source_distribution=IsotropicGaussian(w, 1.0), seed=0
-    )
+    draws = PosteriorSampleSet(draws=np.stack([w, w]))
     return estimate_risks(
         arch, draws, task.source, task.target_x, target_oracle=task.target_labeled_oracle
     )
@@ -396,6 +394,14 @@ def test_mixture_task_directory_roundtrip(tmp_path):
     assert loaded.beta_inf == 11.0
     assert loaded.spec == spec
     assert np.array_equal(loaded.source.weights, task.source.weights)
+
+
+def test_manifest_writes_fractions_only():
+    assert _fraction_to_json(Fraction(1, 12)) == "1/12"
+    assert _fraction_to_json(Fraction(1)) == "1"
+    for value in (np.int64(1), {1, 2}, 0.5):
+        with pytest.raises(TypeError, match="cannot write .* to a task manifest"):
+            _fraction_to_json(value)
 
 
 @pytest.mark.parametrize(
