@@ -81,10 +81,10 @@ class BoundInputs:
             raise ValueError("delta must lie in (0, 1)")
         if self.beta_inf is not None and not (math.isfinite(self.beta_inf) and self.beta_inf > 0):
             raise ValueError("beta_inf must be finite and > 0")
-        if self.mmd_value is not None and self.mmd_value < 0:
-            raise ValueError("mmd_value must be >= 0")
-        if self.lambda_rho is not None and self.lambda_rho < 0:
-            raise ValueError("lambda_rho must be >= 0")
+        if self.mmd_value is not None and not (math.isfinite(self.mmd_value) and self.mmd_value >= 0):
+            raise ValueError("mmd_value must be finite and >= 0")
+        if self.lambda_rho is not None and not (math.isfinite(self.lambda_rho) and self.lambda_rho >= 0):
+            raise ValueError("lambda_rho must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ density ratio is available in closed form.
 A task persists as a directory (``save_task`` / ``load_task``): source.csv
 and target.csv (header f0..f{d-1},label[,origin]), weights.csv (header
 weight, one row per source row) and manifest.json. The CSVs hold floats as
-``repr`` with CRLF line endings, and are written and parsed a column at a
-time in chunks of ``CHUNK`` rows; a malformed row is refused with its
-``path:line``.
+``repr`` with CRLF line endings, written one join per ``CHUNK`` of rows.
+Reading parses a file's rows with one ``np.loadtxt`` call and falls back to
+a ``csv.reader`` row walk, which refuses a malformed row with its
+``path:line`` and otherwise accepts what Python's ``float`` and ``int`` do.
 """
 
 import csv
@@ -19,9 +20,10 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, asdict, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
@@ -307,66 +309,104 @@ def build_one_sided_task(
     )
 
 
-# Rows formatted or parsed per step. Whole-file lists of per-row strings raise
-# peak memory by a few percent on a 100k-row task; chunks this size do not.
+# Rows formatted per write. Whole-file lists of per-row strings raise peak
+# memory by a few percent on a 100k-row task; chunks this size do not.
 CHUNK = 8192
+
+# Characters of text lines handed to ``np.loadtxt`` per block.
+_BLOCK_CHARS = 1 << 16
+
+# The ASCII information separators: numpy's number parser strips them as
+# whitespace, Python's ``float`` and ``int`` refuse them.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 def _write_csv(path, header, columns) -> None:
     """Write ``header`` and one row per index of the equal-length 1-D arrays
     ``columns``, each field the ``repr`` of its Python value (the shortest
     round-tripping text for a float, the decimal digits for an integer),
-    with CRLF line endings: the bytes ``csv.writer`` gives for these rows."""
+    with CRLF line endings: the bytes ``csv.writer`` gives for these rows.
+    Each ``CHUNK`` of rows is one list of cells interleaved with their
+    separators, joined once."""
+    row = [None, ","] * len(columns)
+    row[-1] = "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), CHUNK):
-            fields = [map(repr, col[start : start + CHUNK].tolist()) for col in columns]
-            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+            parts = [col[start : start + CHUNK].tolist() for col in columns]
+            cells = row * len(parts[0])
+            for j, part in enumerate(parts):
+                cells[2 * j :: len(row)] = map(repr, part)
+            fh.write("".join(cells))
 
 
-def _read_csv(path, reader, width: int, parse, check_row) -> list:
-    """``parse`` of each chunk of at most ``CHUNK`` data rows after the header.
+def _read_table(path, fh, floats: int, stops: tuple, check_row, least: float = -math.inf):
+    """The data rows of ``path``, open as ``fh`` with universal newlines just
+    past its header line: ``floats`` float columns, then one integer column
+    per entry of ``stops``. Returns the floats as an (n, floats) array and
+    the integer columns, each C-contiguous. Every float must be finite and
+    >= ``least``, and integer column j in [0, stops[j]).
 
-    ``parse`` takes a chunk's columns (tuples of field text) and returns its
-    arrays, or None when a field is malformed or out of range. Such a chunk is
-    walked row by row with the field count and ``check_row(lineno, row)``,
-    which raise the ``path:line`` diagnostic of the first faulty row, so a
-    refusal names the same line whatever the chunking."""
-    chunks = []
-    first = 2
-    while rows := list(islice(reader, CHUNK)):
-        parsed = parse(list(zip(*rows))) if set(map(len, rows)) == {width} else None
-        if parsed is None:
-            for lineno, row in enumerate(rows, start=first):
-                if len(row) != width:
-                    raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-                check_row(lineno, row)
-            raise AssertionError(f"{path}:{first}: chunk refused but every row passed")
-        chunks.append(parsed)
-        first += len(rows)
-    return chunks
+    One ``np.loadtxt`` call parses the rows while the lines it reads are
+    counted. Where it raises or warns, skips blank lines (its row count then
+    differs from the line count), meets a character only numpy strips as
+    whitespace, or gives a value out of range, ``_walk_rows`` reads the file
+    again the way the ``csv`` module and ``float``/``int`` do: it raises the
+    ``path:line`` diagnostic of the first faulty row, or returns the rows'
+    values when none is faulty (quoted fields, ``1_000``, non-ASCII digits)."""
+    dtype = np.dtype([("x", np.float64, (floats,))] + [(f"i{j}", np.int64) for j in range(len(stops))])
+    lines = 0
 
+    def blocks():
+        nonlocal lines
+        while block := fh.readlines(_BLOCK_CHARS):
+            lines += len(block)
+            text = "".join(block)
+            if any(sep in text for sep in _SEPARATORS):
+                raise ValueError("information separator in a field")
+            yield block
 
-def _finite_block(columns, n: int):
-    """The float columns as an (n, len(columns)) array, or None if a field
-    is not a finite float."""
-    block = np.empty((n, len(columns)))
     try:
-        for j, col in enumerate(columns):
-            block[:, j] = np.fromiter(map(float, col), np.float64, n)
-    except ValueError:
-        return None
-    return block if np.isfinite(block).all() else None
+        with warnings.catch_warnings():
+            # a file without data rows only warns, as does an integer field
+            # written as a float on numpy releases that still parse it
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                chain.from_iterable(blocks()),
+                dtype,
+                delimiter=",",
+                comments=None,
+                quotechar=None,
+                ndmin=1,
+            )
+    except (ValueError, Warning):
+        table = None
+    if (
+        table is None
+        or len(table) != lines
+        or not (np.isfinite(table["x"]) & (table["x"] >= least)).all()
+        or not all(((table[name] >= 0) & (table[name] < stop)).all() for name, stop in zip(dtype.names[1:], stops))
+    ):
+        table = _walk_rows(path, floats, dtype, check_row)
+    return [np.ascontiguousarray(table[name]) for name in dtype.names]
 
 
-def _int_column(column, stop: int):
-    """The integer column as an array, or None if a field is not an integer
-    in [0, stop)."""
-    try:
-        values = np.fromiter(map(int, column), np.int64, len(column))
-    except (ValueError, OverflowError):  # OverflowError: beyond int64
-        return None
-    return values if ((values >= 0) & (values < stop)).all() else None
+def _walk_rows(path, floats: int, dtype, check_row):
+    """Every row after the header, read by ``csv.reader`` and checked with
+    the field count and ``check_row(lineno, row)``, which raise the
+    ``path:line`` diagnostic of the first faulty row; the rows' ``float``
+    and ``int`` values as a ``dtype`` table when none is faulty."""
+    width = floats + len(dtype.names) - 1
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            check_row(lineno, row)
+            rows.append((tuple(map(float, row[:floats])), *map(int, row[floats:])))
+    return np.array(rows, dtype)
 
 
 def _check_floats(path, lineno: int, fields, what: str) -> None:
@@ -393,10 +433,9 @@ def load_dataset(path, num_classes: int = 2) -> LabeledSample:
     """Parse a dataset CSV, rejecting malformed rows with their line number:
     a wrong field count, a feature that is not a finite float, a label that
     is not an integer in [0, num_classes), an origin other than 0 or 1."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path) as fh:
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         # slices, not indexing: a blank first line gives an empty header
@@ -406,16 +445,6 @@ def load_dataset(path, num_classes: int = 2) -> LabeledSample:
         expected = [f"f{i}" for i in range(len(feat_names))]
         if feat_names != expected or header[label_pos : label_pos + 1] != ["label"]:
             raise ValueError(f"{path}: header must be f0..f{{d-1}},label[,origin]")
-
-        def parse(columns):
-            n = len(columns[label_pos])
-            arrays = [
-                _finite_block(columns[:label_pos], n),
-                _int_column(columns[label_pos], num_classes),
-            ]
-            if has_origin:
-                arrays.append(_int_column(columns[label_pos + 1], 2))
-            return None if any(a is None for a in arrays) else arrays
 
         def check_row(lineno, row):
             _check_floats(path, lineno, row[:label_pos], "feature")
@@ -433,10 +462,10 @@ def load_dataset(path, num_classes: int = 2) -> LabeledSample:
                 if o not in (0, 1):
                     raise ValueError(f"{path}:{lineno}: origin must be 0 or 1")
 
-        chunks = _read_csv(path, reader, len(header), parse, check_row)
-    if not chunks:
+        stops = (num_classes, 2) if has_origin else (num_classes,)
+        features, labels, *origin = _read_table(path, fh, label_pos, stops, check_row)
+    if not len(labels):
         raise ValueError(f"{path}: no data rows")
-    features, labels, *origin = (np.concatenate(parts) for parts in zip(*chunks))
     return LabeledSample(features=features, labels=labels, origin=origin[0] if origin else None)
 
 
@@ -506,24 +535,18 @@ def load_task(dirpath) -> TaskInstance:
         raise ValueError(f"{target_path}: {target.dim} features, but {source_path} has {source.dim}")
     weights_path = os.path.join(dirpath, files["weights"])
 
-    def parse(columns):
-        block = _finite_block(columns, len(columns[0]))
-        return block if block is not None and (block >= 0).all() else None
-
     def check_row(lineno, row):
         _check_floats(weights_path, lineno, row, "weight")
         if float(row[0]) < 0:
             raise ValueError(f"{weights_path}:{lineno}: negative weight value")
 
-    with open(weights_path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["weight"]:
+    with open(weights_path) as fh:
+        if next(csv.reader(fh), None) != ["weight"]:
             raise ValueError(f"{weights_path}: header must be the single column 'weight'")
-        chunks = _read_csv(weights_path, reader, 1, parse, check_row)
-    num_weights = sum(map(len, chunks))
-    if num_weights != len(source):
-        raise ValueError(f"{weights_path}: {num_weights} weights for {len(source)} source rows")
-    weights = np.concatenate(chunks)[:, 0]
+        (weights,) = _read_table(weights_path, fh, 1, (), check_row, least=0.0)
+    weights = weights[:, 0]
+    if len(weights) != len(source):
+        raise ValueError(f"{weights_path}: {len(weights)} weights for {len(source)} source rows")
     if _exceeds_beta_inf(weights, beta_inf):
         raise ValueError(
             f"{manifest_path}: beta_inf {beta_inf!r} is below the largest weight "

@@ -339,6 +339,13 @@ def test_beta_inf_must_be_finite_and_positive(beta):
         make_inputs(beta=beta)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("field, key", [("mmd_value", "mmd"), ("lambda_rho", "lam")])
+def test_mmd_and_lambda_rho_must_be_finite_and_nonnegative(field, key, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+        make_inputs(**{key: value})
+
+
 def test_grid_search_singleton():
     inputs = make_inputs()
     res = grid_search("mcallester", inputs, ParamGrid({"gamma": [0.5]}))

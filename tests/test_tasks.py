@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import math
 import shutil
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +34,7 @@ from shiftbound.tasks import (
     TaskInstance,
     _fraction_to_json,
     _logaddexp_columns,
+    _write_csv,
     default_synthetic_spec,
     synthetic_beta_infinity,
 )
@@ -667,3 +671,202 @@ def test_task_beta_inf_below_largest_weight_refused(tmp_path, chunked_task):
     (task / "manifest.json").write_text(json.dumps(manifest))
     message = f": beta_inf 1.0 is below the largest weight {largest!r} in {task / 'weights.csv'}"
     assert _refusal(lambda: load_task(task), task / "manifest.json") == message
+
+
+# Reader parity: each file gives the arrays, or the refusal with its line,
+# of the csv.reader row walk with Python's float and int. numpy's parser is
+# stricter in some spellings (quotes, underscores, non-ASCII digits) and
+# looser in others (blank lines, the ASCII information separators, integers
+# written as floats); the walk decides every such file.
+EDGE_ROWS = "1.5,0\n2.5,1\n"
+DATASET_EDGE_CASES = {
+    "blank line first": ("f0,label\n\n" + EDGE_ROWS, ":2: expected 2 fields, got 0"),
+    "blank line in the middle": ("f0,label\n1.5,0\n\n2.5,1\n", ":3: expected 2 fields, got 0"),
+    "blank line last": ("f0,label\n" + EDGE_ROWS + "\n", ":4: expected 2 fields, got 0"),
+    "CRLF": ("f0,label\r\n1.5,0\r\n2.5,1\r\n", ([[1.5], [2.5]], [0, 1])),
+    "LF only": ("f0,label\n" + EDGE_ROWS, ([[1.5], [2.5]], [0, 1])),
+    "CR only": ("f0,label\r1.5,0\r2.5,1\r", ([[1.5], [2.5]], [0, 1])),
+    "mixed line endings": ("f0,label\r1.5,0\n2.5,1\r\n", ([[1.5], [2.5]], [0, 1])),
+    "no final newline": ("f0,label\n1.5,0\n2.5,1", ([[1.5], [2.5]], [0, 1])),
+    "quoted fields": ('f0,label\n"1.5","0"\n2.5,"1"\n', ([[1.5], [2.5]], [0, 1])),
+    "underscores": ("f0,label\n1_000,0\n2.5,1\n", ([[1000.0], [2.5]], [0, 1])),
+    "whitespace padding": ("f0,label\n 1.5 ,\t0 \n2.5,1\n", ([[1.5], [2.5]], [0, 1])),
+    "plus-signed label": ("f0,label\n1.5,+1\n2.5,1\n", ([[1.5], [2.5]], [1, 1])),
+    "float label": ("f0,label\n1.5,0\n2.5,1.0\n", ":3: bad label '1.0'"),
+    "hash in a field": (
+        "f0,label\n1.5#,0\n",
+        ":2: bad feature value (could not convert string to float: '1.5#')",
+    ),
+    "hash first": ("f0,label\n#1.5,0\n", ":2: bad feature value (could not convert string to float: '#1.5')"),
+    "nan": ("f0,label\n1.5,0\nnan,1\n", ":3: non-finite feature value"),
+    "inf": ("f0,label\n-inf,0\n", ":2: non-finite feature value"),
+    "header only": ("f0,label\n", ": no data rows"),
+    "information separator": (
+        "f0,label\n1.5\x1c,0\n",
+        ":2: bad feature value (could not convert string to float: '1.5\\x1c')",
+    ),
+    "information separator in a label": ("f0,label\n1.5,\x1f0\n", ":2: bad label '\\x1f0'"),
+    "non-ASCII digits": ("f0,label\n\u0661.5,\u0660\n", ([[1.5]], [0])),
+    "non-ASCII space": ("f0,label\n\u20031.5,0\u00a0\n", ([[1.5]], [0])),
+    "signed zero and subnormal": ("f0,f1,label\n-0.0,5e-324,0\n", ([[-0.0, 5e-324]], [0])),
+    "no features": ("label\n1\n0\n", (np.empty((2, 0)), [1, 0])),
+}
+WEIGHTS_EDGE_CASES = {
+    "blank line first": ("weight\n\n0.5\n1.5\n", ":2: expected 1 fields, got 0"),
+    "blank line in the middle": ("weight\n0.5\n\n1.5\n", ":3: expected 1 fields, got 0"),
+    "blank line last": ("weight\n0.5\n1.5\n\n", ":4: expected 1 fields, got 0"),
+    "LF only": ("weight\n0.5\n1.5\n", [0.5, 1.5]),
+    "CR only": ("weight\r0.5\r1.5\r", [0.5, 1.5]),
+    "no final newline": ("weight\r\n0.5\r\n1.5", [0.5, 1.5]),
+    "quoted fields": ('weight\n"0.5"\n1.5\n', [0.5, 1.5]),
+    "underscores": ("weight\n1_000\n1.5\n", [1000.0, 1.5]),
+    "whitespace padding": ("weight\n 0.5\t\n1.5 \n", [0.5, 1.5]),
+    "plus sign and integer": ("weight\n+1\n2\n", [1.0, 2.0]),
+    "hash in a field": (
+        "weight\n0.5\n1.5#\n",
+        ":3: bad weight value (could not convert string to float: '1.5#')",
+    ),
+    "nan": ("weight\nnan\n1.5\n", ":2: non-finite weight value"),
+    "inf": ("weight\n0.5\ninf\n", ":3: non-finite weight value"),
+    "header only": ("weight\n", ": 0 weights for 2 source rows"),
+    "information separator": (
+        "weight\n0.5\n\x1e1.5\n",
+        ":3: bad weight value (could not convert string to float: '\\x1e1.5')",
+    ),
+    "non-ASCII digits": ("weight\n\u0660.5\n1.5\n", [0.5, 1.5]),
+    "signed zero and subnormal": ("weight\n-0.0\n5e-324\n", [-0.0, 5e-324]),
+    "negative": ("weight\n0.5\n-1e-300\n", ":3: negative weight value"),
+}
+
+
+def _outcome(load, path):
+    try:
+        return load()
+    except ValueError as exc:
+        return str(exc).removeprefix(str(path))
+
+
+def _same_bits(actual, expected, dtype):
+    expected = np.asarray(expected, dtype=dtype)
+    return actual.dtype == dtype and actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text, expected", DATASET_EDGE_CASES.values(), ids=DATASET_EDGE_CASES)
+def test_dataset_reader_parity_on_edge_cases(tmp_path, text, expected):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    result = _outcome(lambda: load_dataset(path), path)
+    if isinstance(expected, str):
+        assert result == expected
+    else:
+        assert isinstance(result, LabeledSample), result
+        assert _same_bits(result.features, expected[0], np.float64)
+        assert result.features.flags["C_CONTIGUOUS"]
+        assert _same_bits(result.labels, expected[1], np.int64)
+        assert result.origin is None
+
+
+
+@pytest.mark.parametrize("case", ["float label", "header only"])
+def test_dataset_reader_does_not_depend_on_warning_filters(tmp_path, case):
+    # numpy warns on a file without data rows (and older numpy on an integer
+    # written as a float); the reader refuses either without a warning,
+    # whatever filters the caller has set
+    text, expected = DATASET_EDGE_CASES[case]
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _outcome(lambda: load_dataset(path), path) == expected
+    assert caught == []
+
+
+@pytest.fixture(scope="module")
+def two_row_task(tmp_path_factory):
+    """A task directory with two source rows and room for weights up to 1e6."""
+    path = tmp_path_factory.mktemp("two_row") / "task"
+    spec = default_synthetic_spec(seed=3, n_source=2, n_target=2)
+    save_task(build_synthetic_task(spec), path)
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["beta_inf"] = 1e6
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("text, expected", WEIGHTS_EDGE_CASES.values(), ids=WEIGHTS_EDGE_CASES)
+def test_weights_reader_parity_on_edge_cases(tmp_path, two_row_task, text, expected):
+    task = tmp_path / "task"
+    shutil.copytree(two_row_task, task)
+    path = task / "weights.csv"
+    path.write_bytes(text.encode())
+    result = _outcome(lambda: load_task(task), path)
+    if isinstance(expected, str):
+        assert result == expected
+    else:
+        assert isinstance(result, TaskInstance), result
+        assert _same_bits(result.source.weights, expected, np.float64)
+
+
+@pytest.mark.parametrize(
+    "lineno, text, suffix",
+    [
+        (LAST_OF_FIRST_CHUNK, "", f":{LAST_OF_FIRST_CHUNK}: expected 3 fields, got 0"),
+        (LAST_OF_FIRST_CHUNK + 1, "", f":{LAST_OF_FIRST_CHUNK + 1}: expected 3 fields, got 0"),
+        (LAST_OF_FIRST_CHUNK, "0.5,1.0,0", f":{LAST_OF_FIRST_CHUNK}: bad label '1.0'"),
+        (LAST_OF_FIRST_CHUNK + 1, "0.5,1,1.0", f":{LAST_OF_FIRST_CHUNK + 1}: bad origin '1.0'"),
+        (LAST_OF_FIRST_CHUNK + 1, "0.5,\x1d1,0", f":{LAST_OF_FIRST_CHUNK + 1}: bad label '\\x1d1'"),
+    ],
+)
+def test_dataset_reader_parity_across_chunk_boundary(tmp_path, lineno, text, suffix):
+    path = tmp_path / "data.csv"
+    path.write_text("f0,label,origin\n" + "0.5,1,0\n" * (CHUNK + 2))
+    _edit_lines(path, {lineno: text})
+    assert _refusal(lambda: load_dataset(path), path) == suffix
+
+
+@pytest.mark.parametrize(
+    "lineno, text, suffix",
+    [
+        (LAST_OF_FIRST_CHUNK, "", f":{LAST_OF_FIRST_CHUNK}: expected 1 fields, got 0"),
+        (LAST_OF_FIRST_CHUNK + 1, "", f":{LAST_OF_FIRST_CHUNK + 1}: expected 1 fields, got 0"),
+        (LAST_OF_FIRST_CHUNK, "nan", f":{LAST_OF_FIRST_CHUNK}: non-finite weight value"),
+        (LAST_OF_FIRST_CHUNK + 1, "-0.5", f":{LAST_OF_FIRST_CHUNK + 1}: negative weight value"),
+    ],
+)
+def test_weights_reader_parity_across_chunk_boundary(tmp_path, chunked_task, lineno, text, suffix):
+    task = tmp_path / "task"
+    shutil.copytree(chunked_task, task)
+    _edit_lines(task / "weights.csv", {lineno: text})
+    assert _refusal(lambda: load_task(task), task / "weights.csv") == suffix
+
+
+def test_dataset_reader_accepts_spellings_only_python_parses_across_chunks(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("f0,label\n" + "0.5,1\n" * (CHUNK + 2))
+    _edit_lines(path, {3: '"0.5",1', LAST_OF_FIRST_CHUNK + 1: "1_0.5,1"})
+    loaded = load_dataset(path)
+    expected = np.full((CHUNK + 2, 1), 0.5)
+    expected[LAST_OF_FIRST_CHUNK - 1] = 10.5
+    assert _same_bits(loaded.features, expected, np.float64)
+    assert _same_bits(loaded.labels, np.ones(CHUNK + 2), np.int64)
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("width", [1, 3, 4])
+def test_write_csv_matches_csv_writer(tmp_path, width):
+    n = CHUNK + 5
+    rng = np.random.default_rng(width)
+    floats = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-300, 300, (2, n))
+    floats[:, : len(EDGE_FLOATS)] = EDGE_FLOATS
+    floats[:, CHUNK - 2 : CHUNK + 3] = EDGE_FLOATS
+    ints = rng.integers(0, 2, (2, n))
+    columns = [floats[0]] if width == 1 else [*floats, *ints[: width - 2]]
+    header = [f"c{j}" for j in range(width)]
+    _write_csv(tmp_path / "table.csv", header, columns)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(col.tolist() for col in columns)))
+    assert (tmp_path / "table.csv").read_bytes() == expected.getvalue().encode()
