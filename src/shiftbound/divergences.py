@@ -8,7 +8,17 @@ Everything here is numpy; nothing uses scipy. Pairwise squared distances are
 summed over features in order (d0*d0, then + d1*d1, ...), the order of
 scipy's ``pdist`` and ``cdist``. The median heuristic partitions the squared
 distances and takes square roots of the middle one or two; ``sqrt`` is
-monotone, so this equals the median of the distances bit for bit.
+monotone, so this equals the median of the distances bit for bit. Its
+thinned pool is gathered straight from the two samples, never stacked in full.
+
+The shuffled linear statistic runs in a working set that does not grow with
+the number of shuffles: each permutation is drawn only when its shuffle is
+evaluated (the same RNG stream, in the same order), and each shuffle's four
+paired squared-distance rows are written into buffers reused by every
+shuffle. Below ``IN_ORDER_SUM_FEATURES`` features those rows are summed in
+order, which is what ``np.sum(..., axis=1)`` does there bit for bit, and
+faster; from that width on numpy sums pairwise with eight accumulators, so
+``np.sum`` itself is kept.
 """
 
 import math
@@ -23,6 +33,8 @@ from .seeding import stream_rng
 # the fixed bandwidth sweep of median_heuristic_bandwidths
 BANDWIDTH_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 MEDIAN_POOL_ROWS = 2048
+# the feature count from which numpy's np.sum over a row is no longer in order
+IN_ORDER_SUM_FEATURES = 8
 
 
 class OverlapError(ValueError):
@@ -118,25 +130,45 @@ def _truncate_even(X, Y):
 
 
 def _shuffle_permutations(n: int, shuffles: int, seed: int):
+    """The shuffles' row orders, each drawn only when it is asked for."""
     rng = stream_rng(seed, "mmd")
-    return [rng.permutation(n) for _ in range(shuffles)]
+    for _ in range(shuffles):
+        yield rng.permutation(n)
 
 
 def _linear_statistics(X, Y, kappas, perms) -> np.ndarray:
-    """(len(kappas), len(perms)) linear statistics. Each row order ``p`` of
-    X and Y is paired as (p[0], p[1]), (p[2], p[3]), ...: the four paired
+    """(len(kappas), number of perms) linear statistics. Each row order ``p``
+    of X and Y is paired as (p[0], p[1]), (p[2], p[3]), ...: the four paired
     blocks are gathered straight from X and Y, and their squared distances
-    are shared by every bandwidth."""
-    stats = np.empty((len(kappas), len(perms)))
-    for j, p in enumerate(perms):
-        first, second = p[0::2], p[1::2]
-        x1, x2 = X.take(first, axis=0), X.take(second, axis=0)
-        y1, y2 = Y.take(first, axis=0), Y.take(second, axis=0)
-        sq = [np.sum((a - b) ** 2, axis=1) for a, b in ((x1, x2), (y1, y2), (x1, y2), (x2, y1))]
-        for i, kappa in enumerate(kappas):
-            k_xx, k_yy, k_xy, k_yx = (np.exp(-d / (2.0 * kappa**2)) for d in sq)
-            stats[i, j] = (k_xx + k_yy - k_xy - k_yx).mean()
-    return stats
+    are shared by every bandwidth. Every order reuses the same buffers."""
+    half = len(X) // 2
+    x1, x2, y1, y2 = blocks = np.empty((4, half, X.shape[1]))
+    sq, kern = np.empty((4, half)), np.empty((4, half))
+    summand = np.empty(half)
+    in_order = X.shape[1] < IN_ORDER_SUM_FEATURES
+    diff = None if in_order else np.empty((half, X.shape[1]))
+    columns = []
+    for p in perms:
+        for sample, rows, block in zip((X, X, Y, Y), (p[0::2], p[1::2]) * 2, blocks):
+            # a permutation's rows are all in range: "clip" changes none of
+            # them, and unlike "raise" lets take write into the block directly
+            sample.take(rows, axis=0, out=block, mode="clip")
+        for row, (a, b) in zip(sq, ((x1, x2), (y1, y2), (x1, y2), (x2, y1))):
+            if in_order:
+                _sq_distances(a, b, out=row)
+            else:
+                np.subtract(a, b, out=diff)
+                diff *= diff
+                np.sum(diff, axis=1, out=row)
+        column = []
+        for kappa in kappas:
+            np.exp(np.divide(sq, -2.0 * kappa**2, out=kern), out=kern)
+            np.add(kern[0], kern[1], out=summand)
+            summand -= kern[2]
+            summand -= kern[3]
+            column.append(summand.mean())
+        columns.append(column)
+    return np.array(columns).T.copy()
 
 
 def mmd_linear_shuffled(X, Y, kappa: float, shuffles: int = 10, seed: int = 0) -> float:
@@ -165,10 +197,11 @@ def median_heuristic_bandwidths(X, Y):
     """The experiment's bandwidth sweep: the median pairwise distance of the
     pooled sample, scaled by each of ``BANDWIDTH_SCALES``. Pools larger than
     ``MEDIAN_POOL_ROWS`` are thinned deterministically by striding."""
-    pool = np.vstack([np.atleast_2d(X), np.atleast_2d(Y)])
-    if len(pool) > MEDIAN_POOL_ROWS:
-        pool = pool[:: len(pool) // MEDIAN_POOL_ROWS + 1]
-    med = _median_distance(pool)
+    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
+    total = len(X) + len(Y)
+    step = total // MEDIAN_POOL_ROWS + 1 if total > MEDIAN_POOL_ROWS else 1
+    # every step-th row of X stacked on Y, without the stack
+    med = _median_distance(np.vstack([X[::step], Y[-len(X) % step :: step]]))
     if med <= 0:
         med = 1.0
     return tuple(sorted(med * s for s in BANDWIDTH_SCALES))

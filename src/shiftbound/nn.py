@@ -4,6 +4,15 @@ and deterministic SGD-momentum training with in-memory checkpoints.
 Weight vectors are plain 1-D float64 arrays laid out layer by layer,
 weight matrix (fan_in x fan_out, row-major) followed by bias. ``forward``
 and the gradient share one layer loop, ``_layers``.
+
+``forward`` runs the hidden layers over blocks of ``BLOCK_ROWS`` rows, so
+only the last hidden layer is held at full height. The logits stay equal to
+an unblocked pass bit for bit (the tests compare the two): a block of rows
+goes through the same BLAS matrix-matrix product as the full matrix, which
+gives each row the same sums. The width-1 output layer is a matrix-vector
+product instead, and BLAS rounds each of its rows according to how it splits
+the rows across threads, so it runs once over all rows. A 1-row block would
+be a matrix-vector product too, so a 1-row tail joins the block before it.
 """
 
 import math
@@ -19,6 +28,8 @@ ACTIVATIONS = ("relu", "tanh")
 # evenly spaced snapshots over the first epoch, from zero seen samples;
 # ``train`` also saves every epoch end
 FIRST_EPOCH_CHECKPOINTS = 10
+# rows per block of the hidden layers in ``forward``
+BLOCK_ROWS = 512
 
 
 class DivergedError(RuntimeError):
@@ -108,25 +119,32 @@ def init_weights(arch: MlpArchitecture, seed: int) -> np.ndarray:
     return w
 
 
-def _layer_buffers(arch: MlpArchitecture, n: int) -> list:
-    """One (n, width) output buffer per layer."""
-    return [np.empty((n, width)) for width in arch.layer_widths[1:]]
-
-
-def _layers(arch: MlpArchitecture, w: np.ndarray, a: np.ndarray, bufs: list) -> list:
-    """Apply the layers of one weight vector to the rows ``a``, writing each
-    layer's output into its buffer of ``bufs``: the hidden activations, then
-    the logits in the last. Returns ``bufs``."""
-    for (W, b), buf in zip(_layer_views(arch, w), bufs):
+def _layers(arch: MlpArchitecture, layers: list, a: np.ndarray, bufs: list, to_logit: bool = True) -> list:
+    """Apply ``layers``, consecutive (W, b) pairs of one weight vector, to
+    the rows ``a``, writing each layer's output into its buffer of ``bufs``.
+    Every output goes through the activation except the logit, which is the
+    last when ``to_logit``. A bias is either a row or already broadcast to
+    its buffer's shape. Returns ``bufs``."""
+    hidden = len(layers) - 1 if to_logit else len(layers)
+    for i, ((W, b), buf) in enumerate(zip(layers, bufs)):
         np.matmul(a, W, out=buf)
         buf += b
-        if buf is not bufs[-1]:
+        if i < hidden:
             if arch.activation == "relu":
                 np.maximum(buf, 0.0, out=buf)
             else:
                 np.tanh(buf, out=buf)
         a = buf
     return bufs
+
+
+def _row_blocks(n: int) -> list:
+    """(start, stop) of consecutive blocks of ``BLOCK_ROWS`` rows covering
+    ``n`` rows; a 1-row tail joins the block before it."""
+    starts = list(range(0, n, BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, [*starts[1:], n]))
 
 
 def forward(arch: MlpArchitecture, w, x):
@@ -137,6 +155,11 @@ def forward(arch: MlpArchitecture, w, x):
     (k, n) logits, equal to stacking per-draw calls: each draw runs alone
     with the same matrix shapes. Pure. Batched rows agree with row-by-row
     calls only up to rounding, since BLAS may reorder a row's sums.
+
+    The hidden layers run over row blocks (see the module docstring), with
+    each bias broadcast to the block shape once per draw; the output layer
+    runs once over the full-height last hidden layer. The logits equal an
+    unblocked pass bit for bit.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim not in (1, 2) or w.shape[-1] != arch.num_params:
@@ -149,11 +172,27 @@ def forward(arch: MlpArchitecture, w, x):
     if a0.shape[1] != arch.input_dim:
         raise ValueError(f"input width {a0.shape[1]} != architecture input {arch.input_dim}")
     draws = np.atleast_2d(w)
-    bufs = _layer_buffers(arch, len(a0))  # reused by every draw
-    logits = np.empty((len(draws), len(a0)))
+    n = len(a0)
+    hidden = arch.layer_widths[1:-1]
+    blocks = _row_blocks(n) if hidden else []
+    rows = max((stop - start for start, stop in blocks), default=0)
+    # reused by every draw: the block buffers and broadcast biases of the
+    # hidden layers, the full-height last hidden layer, and the logit column
+    block_bufs = [np.empty((rows, width)) for width in hidden[:-1]]
+    biases = [np.empty((rows, width)) for width in hidden]
+    top = np.empty((n, hidden[-1])) if hidden else a0
+    logit = np.empty((n, 1))
+    logits = np.empty((len(draws), n))
     for k, wk in enumerate(draws):
-        # a copy: the next draw overwrites the logit buffer
-        logits[k] = _layers(arch, wk, a0, bufs)[-1][:, 0]
+        *layers, output = _layer_views(arch, wk)
+        for bias, (_, b) in zip(biases, layers):
+            bias[...] = b
+        for start, stop in blocks:
+            size = stop - start
+            block_layers = [(W, bias[:size]) for (W, _), bias in zip(layers, biases)]
+            bufs = [buf[:size] for buf in block_bufs] + [top[start:stop]]
+            _layers(arch, block_layers, a0[start:stop], bufs, to_logit=False)
+        logits[k] = _layers(arch, [output], top, [logit])[0][:, 0]
     out = logits[:, 0] if single else logits
     return out if w.ndim == 2 else (float(out[0]) if single else out[0])
 
@@ -194,7 +233,8 @@ def _require_binary(labels: np.ndarray):
 
 def _bce_gradient_arrays(arch: MlpArchitecture, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     views = _layer_views(arch, w)
-    *hidden, out = _layers(arch, w, X, _layer_buffers(arch, len(X)))
+    bufs = [np.empty((len(X), width)) for width in arch.layer_widths[1:]]
+    *hidden, out = _layers(arch, views, X, bufs)
     acts = [X, *hidden]
     z = out[:, 0]
 

@@ -21,6 +21,7 @@ from shiftbound import (
 )
 from shiftbound.divergences import (
     BANDWIDTH_SCALES,
+    MEDIAN_POOL_ROWS,
     _kernel_matrix,
     _linear_statistics,
     _median_distance,
@@ -207,6 +208,29 @@ def test_median_heuristic_on_a_thinned_pool_equals_pdist_median(dim):
     assert median_heuristic_bandwidths(X, Y) == tuple(med * s for s in BANDWIDTH_SCALES)
 
 
+def test_median_heuristic_gathers_its_pool_without_stacking_the_samples(peak_traced_bytes):
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((100000, 8))
+    Y = rng.standard_normal((100000, 8)) + 0.5
+    step = (len(X) + len(Y)) // MEDIAN_POOL_ROWS + 1
+    rows = len(range(0, len(X) + len(Y), step))
+    condensed = rows * (rows - 1) // 2 * 8
+    peak = peak_traced_bytes(median_heuristic_bandwidths, X, Y)
+    assert peak - condensed < (X.nbytes + Y.nbytes) / 4
+
+
+@pytest.mark.parametrize("dim", [2, 9])
+def test_mmd_estimate_memory_does_not_grow_with_the_shuffles(dim, peak_traced_bytes):
+    rng = np.random.default_rng(dim)
+    X = rng.standard_normal((20000, dim))
+    Y = rng.standard_normal((20000, dim)) + 0.3
+    peaks = {
+        shuffles: peak_traced_bytes(mmd_estimate, X, Y, MmdConfig((0.5, 1.0, 2.0), shuffles=shuffles))
+        for shuffles in (1, 50)
+    }
+    assert peaks[50] <= 1.5 * peaks[1]
+
+
 def test_median_distance_needs_two_rows():
     with pytest.raises(ValueError, match="at least 2"):
         _median_distance(np.zeros((1, 3)))
@@ -235,13 +259,15 @@ def _linear_statistics_reference(X, Y, kappas, perms):
     return stats
 
 
-@pytest.mark.parametrize("dim", [1, 2, 9])
+# 7 and 8 straddle IN_ORDER_SUM_FEATURES, where the squared distances switch
+# from the in-order sum to np.sum
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9])
 def test_linear_statistics_equal_the_reorder_then_stride_reference(dim):
     rng = np.random.default_rng(dim)
     X, Y, n = _truncate_even(rng.standard_normal((101, dim)), rng.standard_normal((133, dim)) + 0.3)
     assert n == 100
     kappas = (0.25, 1.0, 4.0)
-    perms = _shuffle_permutations(n, 6, seed=2)
+    perms = list(_shuffle_permutations(n, 6, seed=2))
     assert np.array_equal(
         _linear_statistics(X, Y, kappas, perms), _linear_statistics_reference(X, Y, kappas, perms)
     )

@@ -2,13 +2,20 @@
 full size from bench/workloads.py, are compared with the golden CSVs in
 bench/golden/, checked for the report invariants, and their CSV then JSON
 bytes hashed as bench/worker.py hashes them. The benchmark files are loaded
-from their paths, without editing them."""
+from their paths, without editing them.
+
+Both workloads have 2 features, so a 9-feature run is pinned too: it takes
+the MMD's np.sum branch and runs forward over several row blocks."""
 
 import hashlib
 import importlib.util
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+
+from shiftbound import experiment
+from shiftbound.tasks import SyntheticSpec, build_synthetic_task
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 DELTA = 0.05  # the ExperimentConfig default both workloads run with
@@ -39,3 +46,31 @@ def test_seed0_reports_match_golden(tmp_path, workload):
     for path in (outcome.csv_path, outcome.json_path):
         digest.update(Path(path).read_bytes())
     assert digest.hexdigest() == REPORT_SHA256[workload]
+
+
+# sha256 of the CSV then JSON bytes of the 9-feature run below
+WIDE_REPORT_SHA256 = "193bd4629561efc0e3419695817c8cfcf3536cb56e6e4b804e8e9d3a4e80221f"
+
+
+def _axis(dim, k, value):
+    return tuple(value if i == k else 0.0 for i in range(dim))
+
+
+def test_nine_feature_report_is_pinned(tmp_path):
+    spec = SyntheticSpec(
+        dim=9, component_means=(_axis(9, 0, -0.5), _axis(9, 0, 0.5)), component_std=1.0,
+        source_mix=(0.9, 0.1), target_mix=(0.1, 0.9), n_source=3001, n_target=3001,
+        seed=0, label_rule="halfspace", rule_vector=_axis(9, 1, 1.0), rule_offset=0.0,
+    )
+    cfg = experiment.ExperimentConfig(
+        task={"type": "synthetic", "spec": asdict(spec)}, hidden=(64, 64), alphas=(0.0, 0.3),
+        bounds=("mcallester", "iw", "mmd", "mult", "add"), oracle_mode=True,
+        posterior_pairs=5, learning_rate=2e-2, seeds=(0,), posterior_epochs=1,
+    )
+    report = experiment.run_experiment(cfg, build_synthetic_task(spec))
+    digest = hashlib.sha256()
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"report.{fmt}"
+        experiment.emit(report, fmt, path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == WIDE_REPORT_SHA256

@@ -15,6 +15,7 @@ from shiftbound import (
     predict,
     train,
 )
+from shiftbound.nn import BLOCK_ROWS
 
 
 def naive_forward(arch, w, x):
@@ -128,6 +129,53 @@ def test_forward_stack_equals_per_draw_calls(widths, activation):
         want = np.array([forward(arch, w, x) for w in draws])
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def unblocked_forward(arch, draws, X):
+    """Reference: the layer loop run over all rows at once, every layer
+    written at full height, one draw after another."""
+    widths = arch.layer_widths
+    logits = []
+    for w in draws:
+        a, pos = X, 0
+        for i in range(len(widths) - 1):
+            n_in, n_out = widths[i], widths[i + 1]
+            W = w[pos : pos + n_in * n_out].reshape(n_in, n_out)
+            b = w[pos + n_in * n_out : pos + n_in * n_out + n_out]
+            pos += n_in * n_out + n_out
+            buf = np.empty((len(X), n_out))
+            np.matmul(a, W, out=buf)
+            buf += b
+            if i < len(widths) - 2:
+                if arch.activation == "relu":
+                    np.maximum(buf, 0.0, out=buf)
+                else:
+                    np.tanh(buf, out=buf)
+            a = buf
+        logits.append(a[:, 0].copy())
+    return np.array(logits)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(64,), (64, 64), (16, 32, 8)])
+def test_blocked_forward_equals_the_unblocked_layer_loop(hidden, activation):
+    arch = MlpArchitecture((3, *hidden, 1), activation)
+    rng = np.random.default_rng(len(hidden))
+    draws = rng.standard_normal((3, arch.num_params)) / 4
+    B = BLOCK_ROWS
+    for n in (0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 14001):
+        X = rng.standard_normal((n, 3))
+        want = unblocked_forward(arch, draws, X)
+        assert np.array_equal(forward(arch, draws, X), want)
+        assert np.array_equal(forward(arch, draws[1], X), want[1])
+
+
+def test_forward_holds_one_full_height_hidden_layer(peak_traced_bytes):
+    arch = MlpArchitecture((2, 64, 64, 1))
+    w = init_weights(arch, 0)
+    n = 20000
+    X = np.random.default_rng(0).standard_normal((n, 2))
+    assert peak_traced_bytes(forward, arch, w, X) < 1.5 * n * 64 * 8
 
 
 def test_forward_refuses_bad_weight_stack():
