@@ -15,10 +15,9 @@ The shuffled linear statistic runs in a working set that does not grow with
 the number of shuffles: each permutation is drawn only when its shuffle is
 evaluated (the same RNG stream, in the same order), and each shuffle's four
 paired squared-distance rows are written into buffers reused by every
-shuffle. Below ``IN_ORDER_SUM_FEATURES`` features those rows are summed in
-order, which is what ``np.sum(..., axis=1)`` does there bit for bit, and
-faster; from that width on numpy sums pairwise with eight accumulators, so
-``np.sum`` itself is kept.
+shuffle. Those rows are summed with ``np.sum(..., axis=1)``, just as when
+both samples are reordered in full and paired through strided views, so the
+statistics equal that reference bit for bit (the tests compare the two).
 """
 
 import math
@@ -33,8 +32,6 @@ from .seeding import stream_rng
 # the fixed bandwidth sweep of median_heuristic_bandwidths
 BANDWIDTH_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 MEDIAN_POOL_ROWS = 2048
-# the feature count from which numpy's np.sum over a row is no longer in order
-IN_ORDER_SUM_FEATURES = 8
 
 
 class OverlapError(ValueError):
@@ -145,8 +142,7 @@ def _linear_statistics(X, Y, kappas, perms) -> np.ndarray:
     x1, x2, y1, y2 = blocks = np.empty((4, half, X.shape[1]))
     sq, kern = np.empty((4, half)), np.empty((4, half))
     summand = np.empty(half)
-    in_order = X.shape[1] < IN_ORDER_SUM_FEATURES
-    diff = None if in_order else np.empty((half, X.shape[1]))
+    diff = np.empty((half, X.shape[1]))
     columns = []
     for p in perms:
         for sample, rows, block in zip((X, X, Y, Y), (p[0::2], p[1::2]) * 2, blocks):
@@ -154,12 +150,9 @@ def _linear_statistics(X, Y, kappas, perms) -> np.ndarray:
             # them, and unlike "raise" lets take write into the block directly
             sample.take(rows, axis=0, out=block, mode="clip")
         for row, (a, b) in zip(sq, ((x1, x2), (y1, y2), (x1, y2), (x2, y1))):
-            if in_order:
-                _sq_distances(a, b, out=row)
-            else:
-                np.subtract(a, b, out=diff)
-                diff *= diff
-                np.sum(diff, axis=1, out=row)
+            np.subtract(a, b, out=diff)
+            diff *= diff
+            np.sum(diff, axis=1, out=row)
         column = []
         for kappa in kappas:
             np.exp(np.divide(sq, -2.0 * kappa**2, out=kern), out=kern)
@@ -175,6 +168,8 @@ def mmd_linear_shuffled(X, Y, kappa: float, shuffles: int = 10, seed: int = 0) -
     """Mean of the linear statistic over random shuffles. One permutation per
     shuffle reorders both samples jointly, so identical samples give exactly
     zero on every shuffle. Deterministic per seed."""
+    if shuffles < 1:
+        raise ValueError("shuffles must be >= 1")
     X, Y, n = _truncate_even(X, Y)
     return float(_linear_statistics(X, Y, (kappa,), _shuffle_permutations(n, shuffles, seed))[0].mean())
 

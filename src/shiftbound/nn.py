@@ -123,8 +123,7 @@ def _layers(arch: MlpArchitecture, layers: list, a: np.ndarray, bufs: list, to_l
     """Apply ``layers``, consecutive (W, b) pairs of one weight vector, to
     the rows ``a``, writing each layer's output into its buffer of ``bufs``.
     Every output goes through the activation except the logit, which is the
-    last when ``to_logit``. A bias is either a row or already broadcast to
-    its buffer's shape. Returns ``bufs``."""
+    last when ``to_logit``. Returns ``bufs``."""
     hidden = len(layers) - 1 if to_logit else len(layers)
     for i, ((W, b), buf) in enumerate(zip(layers, bufs)):
         np.matmul(a, W, out=buf)
@@ -156,10 +155,9 @@ def forward(arch: MlpArchitecture, w, x):
     with the same matrix shapes. Pure. Batched rows agree with row-by-row
     calls only up to rounding, since BLAS may reorder a row's sums.
 
-    The hidden layers run over row blocks (see the module docstring), with
-    each bias broadcast to the block shape once per draw; the output layer
-    runs once over the full-height last hidden layer. The logits equal an
-    unblocked pass bit for bit.
+    The hidden layers run over row blocks (see the module docstring); the
+    output layer runs once over the full-height last hidden layer. The
+    logits equal an unblocked pass bit for bit.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim not in (1, 2) or w.shape[-1] != arch.num_params:
@@ -176,22 +174,17 @@ def forward(arch: MlpArchitecture, w, x):
     hidden = arch.layer_widths[1:-1]
     blocks = _row_blocks(n) if hidden else []
     rows = max((stop - start for start, stop in blocks), default=0)
-    # reused by every draw: the block buffers and broadcast biases of the
-    # hidden layers, the full-height last hidden layer, and the logit column
+    # reused by every draw: the block buffers of the hidden layers, the
+    # full-height last hidden layer, and the logit column
     block_bufs = [np.empty((rows, width)) for width in hidden[:-1]]
-    biases = [np.empty((rows, width)) for width in hidden]
     top = np.empty((n, hidden[-1])) if hidden else a0
     logit = np.empty((n, 1))
     logits = np.empty((len(draws), n))
     for k, wk in enumerate(draws):
         *layers, output = _layer_views(arch, wk)
-        for bias, (_, b) in zip(biases, layers):
-            bias[...] = b
         for start, stop in blocks:
-            size = stop - start
-            block_layers = [(W, bias[:size]) for (W, _), bias in zip(layers, biases)]
-            bufs = [buf[:size] for buf in block_bufs] + [top[start:stop]]
-            _layers(arch, block_layers, a0[start:stop], bufs, to_logit=False)
+            bufs = [buf[: stop - start] for buf in block_bufs] + [top[start:stop]]
+            _layers(arch, layers, a0[start:stop], bufs, to_logit=False)
         logits[k] = _layers(arch, [output], top, [logit])[0][:, 0]
     out = logits[:, 0] if single else logits
     return out if w.ndim == 2 else (float(out[0]) if single else out[0])

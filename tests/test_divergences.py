@@ -259,8 +259,8 @@ def _linear_statistics_reference(X, Y, kappas, perms):
     return stats
 
 
-# 7 and 8 straddle IN_ORDER_SUM_FEATURES, where the squared distances switch
-# from the in-order sum to np.sum
+# 7 and 8 straddle the width from which numpy sums a row pairwise with
+# eight accumulators instead of in order
 @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9])
 def test_linear_statistics_equal_the_reorder_then_stride_reference(dim):
     rng = np.random.default_rng(dim)
@@ -304,6 +304,12 @@ def test_mmd_config_validation():
         MmdConfig(bandwidths=(-1.0,))
     with pytest.raises(ValueError):
         MmdConfig(bandwidths=(1.0,), shuffles=0)
+
+
+def test_mmd_linear_shuffled_refuses_zero_shuffles():
+    X = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="shuffles must be >= 1"):
+        mmd_linear_shuffled(X, X, 1.0, shuffles=0)
 
 
 def test_mixture_weights_canonical_schedule():
