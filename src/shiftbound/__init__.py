@@ -19,13 +19,9 @@ from .divergences import (
     MmdConfig,
     OverlapError,
     beta_infinity,
-    gaussian_kernel,
     median_heuristic_bandwidths,
     mixture_weights,
     mmd_estimate,
-    mmd_linear_shuffled,
-    mmd_linear_statistic,
-    mmd_quadratic_biased,
     one_sided_weight,
 )
 from .experiment import (

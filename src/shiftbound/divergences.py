@@ -1,23 +1,27 @@
-"""Domain-shift quantities: Gaussian-kernel MMD estimators (an O(n) paired
+"""Domain-shift quantities: a Gaussian-kernel MMD estimate (an O(n) paired
 linear statistic with shuffle averaging and a bandwidth sweep whose
-bandwidths share each shuffle's squared distances, plus the quadratic biased
-estimator used as an oracle) and exact importance weights for
-mixture-constructed tasks.
+bandwidths share each shuffle's squared distances) and exact importance
+weights for mixture-constructed tasks.
 
-Everything here is numpy; nothing uses scipy. Pairwise squared distances are
-summed over features in order (d0*d0, then + d1*d1, ...), the order of
-scipy's ``pdist`` and ``cdist``. The median heuristic partitions the squared
-distances and takes square roots of the middle one or two; ``sqrt`` is
-monotone, so this equals the median of the distances bit for bit. Its
-thinned pool is gathered straight from the two samples, never stacked in full.
+Everything here is numpy; nothing uses scipy. The median heuristic sums
+its pairwise squared distances over features in order (d0*d0, then
++ d1*d1, ...), the order of scipy's ``pdist`` and ``cdist``. It partitions
+the squared distances and takes square roots of the middle one or two;
+``sqrt`` is monotone, so this equals the median of the distances bit for
+bit. Its thinned pool is gathered straight from the two samples, never
+stacked in full.
 
 The shuffled linear statistic runs in a working set that does not grow with
 the number of shuffles: each permutation is drawn only when its shuffle is
 evaluated (the same RNG stream, in the same order), and each shuffle's four
 paired squared-distance rows are written into buffers reused by every
-shuffle. Those rows are summed with ``np.sum(..., axis=1)``, just as when
-both samples are reordered in full and paired through strided views, so the
-statistics equal that reference bit for bit (the tests compare the two).
+shuffle. Those rows are summed column by column (``_row_sums``), adding
+whole columns in the order ``np.sum(..., axis=1)`` adds each row's entries,
+so the statistics equal a reference that reorders both samples in full,
+pairs them through strided views and sums with ``np.sum`` bit for bit (the
+tests compare the two). ``np.sum`` over a row of a few features runs numpy's
+inner loop once per row, which costs more than the arithmetic; a column pass
+runs it once per feature.
 """
 
 import math
@@ -58,17 +62,6 @@ class MmdConfig:
             raise ValueError("shuffles must be >= 1")
 
 
-def gaussian_kernel(x, y, kappa: float) -> float:
-    """k(x, y) = exp(-||x - y||^2 / (2 kappa^2)), always in (0, 1]."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("x and y must have equal dimensions")
-    return float(np.exp(-np.sum((x - y) ** 2) / (2.0 * kappa**2)))
-
-
 def _sq_distances(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     """Squared Euclidean distances between rows of ``A`` and ``B``, which
     broadcast against each other over all but their last (feature) axis,
@@ -80,40 +73,6 @@ def _sq_distances(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
         diff *= diff
         sq += diff
     return sq
-
-
-def _kernel_matrix(X: np.ndarray, Y: np.ndarray, kappa: float) -> np.ndarray:
-    return np.exp(-_sq_distances(X[:, None, :], Y[None, :, :]) / (2.0 * kappa**2))
-
-
-def mmd_quadratic_biased(X, Y, kappa: float) -> float:
-    """Biased quadratic-time MMD estimate:
-
-        sqrt( mean k(x,x') - 2 mean k(x,y) + mean k(y,y') )
-
-    with all-pairs means (diagonal included) and the square clamped at zero.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    if len(X) < 1 or len(Y) < 1:
-        raise ValueError("both samples must be non-empty")
-    sq = (
-        _kernel_matrix(X, X, kappa).mean()
-        - 2.0 * _kernel_matrix(X, Y, kappa).mean()
-        + _kernel_matrix(Y, Y, kappa).mean()
-    )
-    return math.sqrt(max(sq, 0.0))
-
-
-def mmd_linear_statistic(X, Y, kappa: float) -> float:
-    """Paired-block linear-time statistic on the given row order.
-
-    Rows are consumed in consecutive pairs; with blocks ((x, y), (x', y')) the
-    summand is k(x,x') + k(y,y') - k(x,y') - k(x',y). Unbiased for squared MMD
-    and may be negative. Both samples are truncated to the shorter even length.
-    """
-    X, Y, _ = _truncate_even(X, Y)
-    return float(_linear_statistics(X, Y, (kappa,), [np.arange(len(X))])[0, 0])
 
 
 def _truncate_even(X, Y):
@@ -131,6 +90,42 @@ def _shuffle_permutations(n: int, shuffles: int, seed: int):
     rng = stream_rng(seed, "mmd")
     for _ in range(shuffles):
         yield rng.permutation(n)
+
+
+def _row_sums(A: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.sum(A, axis=1)`` of a row-major 2-D ``A``, written into ``out``
+    bit for bit, but added up over whole columns, in the order numpy adds
+    up each row:
+
+    - below 8 columns, in order;
+    - from 8 to 128 columns, eight accumulators seeded with columns 0-7,
+      each adding every eighth later column of the whole groups of eight,
+      combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover
+      columns in order;
+    - above 128 columns, the sums of the two halves split at half the
+      columns rounded down to a multiple of 8.
+    """
+    d = A.shape[1]
+    if d > 128:
+        split = d // 2 - d // 2 % 8
+        _row_sums(A[:, :split], out)
+        out += _row_sums(A[:, split:], np.empty_like(out))
+        return out
+    if d < 8:
+        np.copyto(out, A[:, 0])
+        rest = range(1, d)
+    else:
+        whole = d - d % 8
+        r = A[:, :8].T.copy()
+        for j in range(8, whole):
+            r[j % 8] += A[:, j]
+        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6)):
+            r[i] += r[j]
+        np.add(r[0], r[4], out=out)
+        rest = range(whole, d)
+    for j in rest:
+        out += A[:, j]
+    return out
 
 
 def _linear_statistics(X, Y, kappas, perms) -> np.ndarray:
@@ -152,7 +147,7 @@ def _linear_statistics(X, Y, kappas, perms) -> np.ndarray:
         for row, (a, b) in zip(sq, ((x1, x2), (y1, y2), (x1, y2), (x2, y1))):
             np.subtract(a, b, out=diff)
             diff *= diff
-            np.sum(diff, axis=1, out=row)
+            _row_sums(diff, row)
         column = []
         for kappa in kappas:
             np.exp(np.divide(sq, -2.0 * kappa**2, out=kern), out=kern)
@@ -162,16 +157,6 @@ def _linear_statistics(X, Y, kappas, perms) -> np.ndarray:
             column.append(summand.mean())
         columns.append(column)
     return np.array(columns).T.copy()
-
-
-def mmd_linear_shuffled(X, Y, kappa: float, shuffles: int = 10, seed: int = 0) -> float:
-    """Mean of the linear statistic over random shuffles. One permutation per
-    shuffle reorders both samples jointly, so identical samples give exactly
-    zero on every shuffle. Deterministic per seed."""
-    if shuffles < 1:
-        raise ValueError("shuffles must be >= 1")
-    X, Y, n = _truncate_even(X, Y)
-    return float(_linear_statistics(X, Y, (kappa,), _shuffle_permutations(n, shuffles, seed))[0].mean())
 
 
 def mmd_estimate(X, Y, cfg: MmdConfig) -> float:

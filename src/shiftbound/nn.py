@@ -13,6 +13,9 @@ gives each row the same sums. The width-1 output layer is a matrix-vector
 product instead, and BLAS rounds each of its rows according to how it splits
 the rows across threads, so it runs once over all rows. A 1-row block would
 be a matrix-vector product too, so a 1-row tail joins the block before it.
+Each hidden layer's bias is copied to block height once per draw, so adding
+it to a block adds two arrays of one shape rather than broadcasting a row
+over every block row; the sums are the same.
 """
 
 import math
@@ -174,17 +177,21 @@ def forward(arch: MlpArchitecture, w, x):
     hidden = arch.layer_widths[1:-1]
     blocks = _row_blocks(n) if hidden else []
     rows = max((stop - start for start, stop in blocks), default=0)
-    # reused by every draw: the block buffers of the hidden layers, the
-    # full-height last hidden layer, and the logit column
+    # reused by every draw: the block buffers and bias tiles of the hidden
+    # layers, the full-height last hidden layer, and the logit column
     block_bufs = [np.empty((rows, width)) for width in hidden[:-1]]
+    tiles = [np.empty((rows, width)) for width in hidden]
     top = np.empty((n, hidden[-1])) if hidden else a0
     logit = np.empty((n, 1))
     logits = np.empty((len(draws), n))
     for k, wk in enumerate(draws):
         *layers, output = _layer_views(arch, wk)
+        for tile, (_, b) in zip(tiles, layers):
+            tile[...] = b
         for start, stop in blocks:
             bufs = [buf[: stop - start] for buf in block_bufs] + [top[start:stop]]
-            _layers(arch, layers, a0[start:stop], bufs, to_logit=False)
+            tiled = [(W, tile[: stop - start]) for (W, _), tile in zip(layers, tiles)]
+            _layers(arch, tiled, a0[start:stop], bufs, to_logit=False)
         logits[k] = _layers(arch, [output], top, [logit])[0][:, 0]
     out = logits[:, 0] if single else logits
     return out if w.ndim == 2 else (float(out[0]) if single else out[0])

@@ -31,8 +31,6 @@ from shiftbound import (
     grid_search,
     kl_isotropic,
     learn_prior_posterior,
-    mmd_linear_statistic,
-    mmd_quadratic_biased,
     one_sided_weight,
     report_records,
     report_summary,
@@ -43,6 +41,8 @@ from shiftbound.bounds import bound_terms
 from shiftbound.divergences import _shuffle_permutations
 from shiftbound.samples import LabeledSample
 from shiftbound.tasks import default_synthetic_spec
+
+from oracles import mmd_linear_statistic, mmd_quadratic_biased
 
 
 def _report(criterion, name, ok, detail=""):

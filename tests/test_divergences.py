@@ -10,25 +10,29 @@ from shiftbound import (
     MmdConfig,
     OverlapError,
     beta_infinity,
-    gaussian_kernel,
     median_heuristic_bandwidths,
     mixture_weights,
     mmd_estimate,
-    mmd_linear_shuffled,
-    mmd_linear_statistic,
-    mmd_quadratic_biased,
     one_sided_weight,
 )
 from shiftbound.divergences import (
     BANDWIDTH_SCALES,
     MEDIAN_POOL_ROWS,
-    _kernel_matrix,
     _linear_statistics,
     _median_distance,
+    _row_sums,
     _shuffle_permutations,
     _sq_distances,
     _truncate_even,
     mixture_counts,
+)
+
+from oracles import (
+    _kernel_matrix,
+    gaussian_kernel,
+    mmd_linear_shuffled,
+    mmd_linear_statistic,
+    mmd_quadratic_biased,
 )
 
 
@@ -246,6 +250,17 @@ def test_kernel_matrix_equals_cdist(dim):
     assert np.array_equal(_kernel_matrix(X, Y, 0.7), np.exp(-sq / (2.0 * 0.7**2)))
 
 
+@pytest.mark.parametrize("dim", [*range(1, 41), 127, 128, 129, 255, 256, 257, 300])
+def test_row_sums_equal_np_sum_bit_for_bit(dim):
+    # non-negative columns on scales from 1e-8 to 1e8, so any other order of
+    # the additions rounds differently
+    rng = np.random.default_rng(dim)
+    A = rng.uniform(0.0, 1.0, (203, dim)) * 10.0 ** rng.uniform(-8.0, 8.0, dim)
+    out = np.empty(len(A))
+    assert _row_sums(A, out) is out
+    assert np.array_equal(out, np.sum(A, axis=1))
+
+
 def _linear_statistics_reference(X, Y, kappas, perms):
     """Reorder both samples in full, then pair rows through strided views."""
     stats = np.empty((len(kappas), len(perms)))
@@ -260,8 +275,9 @@ def _linear_statistics_reference(X, Y, kappas, perms):
 
 
 # 7 and 8 straddle the width from which numpy sums a row pairwise with
-# eight accumulators instead of in order
-@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9])
+# eight accumulators instead of in order, 16 and 17 end on a whole group of
+# eight and one past it, and 130 splits into two halves
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 17, 130])
 def test_linear_statistics_equal_the_reorder_then_stride_reference(dim):
     rng = np.random.default_rng(dim)
     X, Y, n = _truncate_even(rng.standard_normal((101, dim)), rng.standard_normal((133, dim)) + 0.3)
