@@ -39,7 +39,6 @@ from .nn import (
     MlpArchitecture,
     TrainConfig,
     bce_gradient,
-    bce_loss,
     forward,
     init_weights,
     predict,

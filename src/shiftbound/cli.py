@@ -60,17 +60,31 @@ def _cmd_make_task(args) -> int:
     return 0
 
 
+def _report_settings(doc: dict):
+    """(dir, stem, formats) of a run config's ``report`` section, which must
+    be an object with no key or format but these."""
+    section = doc.get("report", {})
+    if not isinstance(section, dict):
+        raise ValueError("config key 'report' must be an object")
+    unknown = [f"report.{key}" for key in section if key not in ("dir", "stem", "formats")]
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    formats = section.get("formats", ["csv"])
+    if any(fmt not in ("csv", "json") for fmt in formats):
+        raise ValueError("format must be 'csv' or 'json'")
+    return section.get("dir", "."), section.get("stem", "report"), formats
+
+
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     cfg = ExperimentConfig.from_json_dict(doc, base_dir=base_dir)
+    out_dir, stem, formats = _report_settings(doc)
     report = run_experiment(cfg)
-    report_cfg = doc.get("report", {})
-    out_dir = os.path.join(base_dir, report_cfg.get("dir", "."))
+    out_dir = os.path.join(base_dir, out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    stem = report_cfg.get("stem", "report")
-    for fmt in report_cfg.get("formats", ["csv"]):
+    for fmt in formats:
         path = os.path.join(out_dir, f"{stem}.{fmt}")
         emit(report, fmt, path)
         print(f"wrote {path}")

@@ -4,12 +4,17 @@ per-checkpoint risk estimation and bound evaluation -> report emission.
 Every bound is evaluated with m equal to the held-out evaluation split size
 (never the full source sample) and n equal to the unlabeled target sample
 size. The input-space MMD does not depend on the hypothesis, so it is
-computed once per (seed, alpha) and repeated across checkpoints.
+computed once per (seed, alpha) and repeated across checkpoints. The
+checkpoints' risks are estimated before the bandwidths and the MMD, so the
+forward passes run before the MMD's shuffle buffers are allocated; each
+step draws from its own seed stream, so the order changes no reported
+digit.
 """
 
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
@@ -102,6 +107,10 @@ class ExperimentConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.posterior_pairs < 1:
             raise ValueError("posterior_pairs must be >= 1")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be finite and > 0")
+        if self.mmd_shuffles < 1:
+            raise ValueError("shuffles must be >= 1")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
@@ -184,17 +193,20 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
     eval_set = pair.eval_set
     target_x = task.target_x
 
+    estimates = []
+    for ck_idx, (_, posterior) in enumerate(pair.posterior_checkpoints):
+        draws = sample_posterior(posterior, cfg.posterior_pairs, derive_seed(seed, 4, a_idx, ck_idx))
+        estimates.append(estimate_risks(
+            arch, draws, eval_set, target_x,
+            target_oracle=task.target_labeled_oracle, oracle=cfg.oracle_mode,
+        ))
+
     bandwidths = median_heuristic_bandwidths(eval_set.features, target_x.features)
     mmd_cfg = MmdConfig(bandwidths, shuffles=cfg.mmd_shuffles, seed=derive_seed(seed, 3, a_idx))
     mmd_val = mmd_estimate(eval_set.features, target_x.features, mmd_cfg)
 
     rows = []
-    for ck_idx, (frac, posterior) in enumerate(pair.posterior_checkpoints):
-        draws = sample_posterior(posterior, cfg.posterior_pairs, derive_seed(seed, 4, a_idx, ck_idx))
-        est = estimate_risks(
-            arch, draws, eval_set, target_x,
-            target_oracle=task.target_labeled_oracle, oracle=cfg.oracle_mode,
-        )
+    for ck_idx, ((frac, posterior), est) in enumerate(zip(pair.posterior_checkpoints, estimates)):
         kl = kl_isotropic(posterior, pair.prior)
         lam = None
         if cfg.oracle_mode:

@@ -213,19 +213,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    # max(z, 0) + log1p(exp(-|z|)) never overflows for finite z
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def bce_loss(arch: MlpArchitecture, w, data: LabeledSample) -> float:
-    """Mean binary cross-entropy of the batch, computed in logit space."""
-    _require_binary(data.labels)
-    z = forward(arch, w, data.features)
-    y = data.labels.astype(np.float64)
-    return float(np.mean(_softplus(z) - y * z))
-
-
 def _require_binary(labels: np.ndarray):
     if labels.size and not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be in {0, 1}")

@@ -46,14 +46,6 @@ class PosteriorSampleSet:
         if draws.ndim != 2 or draws.shape[0] < 2 or draws.shape[0] % 2:
             raise ValueError("draws must be a (2P, d) array with P >= 1")
 
-    @property
-    def num_pairs(self) -> int:
-        return self.draws.shape[0] // 2
-
-    @property
-    def num_draws(self) -> int:
-        return self.draws.shape[0]
-
 
 def kl_isotropic(rho: IsotropicGaussian, pi: IsotropicGaussian) -> float:
     """Closed-form KL(rho || pi) between isotropic Gaussians of equal dimension:
@@ -99,10 +91,6 @@ class PriorPosteriorPair:
         for _, g in self.posterior_checkpoints:
             if g.dim != self.prior.dim:
                 raise ValueError("posterior checkpoint dimension mismatch")
-
-    @property
-    def final_posterior(self) -> IsotropicGaussian:
-        return self.posterior_checkpoints[-1][1]
 
 
 def learn_prior_posterior(

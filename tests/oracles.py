@@ -1,7 +1,8 @@
-"""Reference MMD estimators that only the tests use: the Gaussian kernel of
-one pair, the biased quadratic-time estimate over all pairs, and the linear
+"""Reference quantities that only the tests use: the Gaussian kernel of one
+pair, the biased quadratic-time MMD estimate over all pairs, the linear
 statistic on a single row order or averaged over shuffles (thin wrappers of
-the estimator the experiment runs)."""
+the estimator the experiment runs), and the mean binary cross-entropy that
+the gradient checks difference."""
 
 import math
 
@@ -13,6 +14,7 @@ from shiftbound.divergences import (
     _sq_distances,
     _truncate_even,
 )
+from shiftbound.nn import _require_binary, forward
 
 
 def gaussian_kernel(x, y, kappa: float) -> float:
@@ -68,3 +70,13 @@ def mmd_linear_shuffled(X, Y, kappa: float, shuffles: int = 10, seed: int = 0) -
         raise ValueError("shuffles must be >= 1")
     X, Y, n = _truncate_even(X, Y)
     return float(_linear_statistics(X, Y, (kappa,), _shuffle_permutations(n, shuffles, seed))[0].mean())
+
+
+def bce_loss(arch, w, data) -> float:
+    """Mean binary cross-entropy of the batch, computed in logit space."""
+    _require_binary(data.labels)
+    z = forward(arch, w, data.features)
+    y = data.labels.astype(np.float64)
+    # max(z, 0) + log1p(exp(-|z|)) is softplus(z), and never overflows for finite z
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    return float(np.mean(softplus - y * z))

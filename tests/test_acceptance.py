@@ -25,7 +25,6 @@ from shiftbound import (
     TrainConfig,
     beta_infinity,
     bce_gradient,
-    bce_loss,
     build_synthetic_task,
     estimate_risks,
     grid_search,
@@ -42,7 +41,7 @@ from shiftbound.divergences import _shuffle_permutations
 from shiftbound.samples import LabeledSample
 from shiftbound.tasks import default_synthetic_spec
 
-from oracles import mmd_linear_statistic, mmd_quadratic_biased
+from oracles import bce_loss, mmd_linear_statistic, mmd_quadratic_biased
 
 
 def _report(criterion, name, ok, detail=""):
@@ -296,7 +295,7 @@ def _final_checkpoint_iw(seed):
     pair = learn_prior_posterior(
         task.source, 0.3, ARCH, cfg_prior, cfg_post, sigma=0.03, seed=seed
     )
-    final = pair.final_posterior
+    final = pair.posterior_checkpoints[-1][1]
     draws = sample_posterior(final, pairs=5, seed=seed + 777)
     est = estimate_risks(
         ARCH, draws, pair.eval_set, task.target_x, target_oracle=task.target_labeled_oracle

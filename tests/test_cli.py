@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import shiftbound
-from shiftbound import LabeledSample, RunReport, emit, load_dataset, save_dataset
+from shiftbound import LabeledSample, RunReport, cli, emit, load_dataset, save_dataset
 from shiftbound.cli import main
 from shiftbound.tasks import default_synthetic_spec, load_task
 
@@ -74,6 +74,27 @@ def test_run_refuses_unknown_config_key(tmp_path, capsys):
     path.write_text(json.dumps({"task": {"type": "synthetic", "spec": {}}, "train": {"learningrate": 1.0}}))
     assert main(["run", str(path)]) == 2
     assert "error: unknown config keys: train.learningrate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({"formats": ["csv", "xml"]}, "format must be 'csv' or 'json'"),
+        ({"format": ["json"], "stem": "run"}, "unknown config keys: report.format"),
+        ("out", "config key 'report' must be an object"),
+    ],
+)
+def test_run_checks_the_report_section_before_running(tmp_path, capsys, monkeypatch, report, message):
+    def run_experiment(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    path = tmp_path / "config.json"
+    task = {"type": "synthetic", "spec": asdict(default_synthetic_spec(seed=1))}
+    path.write_text(json.dumps({"task": task, "report": report}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_make_task_mixture_requires_pools(tmp_path, capsys):

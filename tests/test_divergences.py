@@ -223,6 +223,46 @@ def test_median_heuristic_gathers_its_pool_without_stacking_the_samples(peak_tra
     assert peak - condensed < (X.nbytes + Y.nbytes) / 4
 
 
+def _tie_pools():
+    rng = np.random.default_rng(11)
+    return {
+        # nine distinct squared distances; the middle bucket is refined until all 64 bits are fixed
+        "binary": (rng.random((2048, 8)) < 0.5).astype(float),
+        "identical": np.tile(rng.standard_normal(3), (2048, 1)),
+        "lattice": rng.integers(0, 3, (2048, 2)).astype(float),
+        # two tight clusters: half the pairs share their top 16 bits, then spread below them
+        "clusters": np.vstack([rng.standard_normal((1024, 2)), rng.standard_normal((1024, 2)) + 1e4]) * 1e-3,
+        # squared distances 1, 1, 1, 4, 4, 9: the middle two lie in different buckets
+        "line": np.arange(4.0)[:, None],
+    }
+
+
+@pytest.mark.parametrize("name", ["binary", "identical", "lattice", "clusters", "line"])
+def test_median_distance_with_heavy_ties_equals_pdist_median(name):
+    pool = _tie_pools()[name]
+    assert _median_distance(pool) == float(np.median(pdist(pool)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9])
+@pytest.mark.parametrize("rows", [2047, 2048])  # an odd and an even number of pairs
+def test_median_distance_of_a_full_pool_equals_pdist_median(dim, rows):
+    rng = np.random.default_rng(dim * 10 + rows)
+    pool = rng.standard_normal((rows, dim)) * rng.uniform(0.01, 100.0, size=dim)
+    pool[rows // 2 :] += 0.5
+    assert _median_distance(pool) == float(np.median(pdist(pool)))
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_median_heuristic_holds_no_condensed_distance_array(binary, peak_traced_bytes):
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((100000, 8))
+    Y = rng.standard_normal((100000, 8)) + 0.5
+    if binary:  # heavy ties: the middle bucket's bits are fixed, its values never gathered
+        X, Y = (X > 0).astype(float), (Y > 0).astype(float)
+    condensed = MEDIAN_POOL_ROWS * (MEDIAN_POOL_ROWS - 1) // 2 * 8
+    assert peak_traced_bytes(median_heuristic_bandwidths, X, Y) < condensed / 4
+
+
 @pytest.mark.parametrize("dim", [2, 9])
 def test_mmd_estimate_memory_does_not_grow_with_the_shuffles(dim, peak_traced_bytes):
     rng = np.random.default_rng(dim)

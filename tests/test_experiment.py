@@ -237,6 +237,22 @@ def test_config_unknown_keys_refused(doc, keys):
         ExperimentConfig.from_json_dict({"task": task, **doc})
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"sigma": 0}, "sigma must be finite and > 0"),
+        ({"sigma": -0.03}, "sigma must be finite and > 0"),
+        ({"sigma": float("nan")}, "sigma must be finite and > 0"),
+        ({"sigma": float("inf")}, "sigma must be finite and > 0"),
+        ({"mmd": {"shuffles": 0}}, "shuffles must be >= 1"),
+    ],
+)
+def test_config_refuses_bad_sigma_and_shuffles(doc, message):
+    task = {"type": "synthetic", "spec": asdict(default_synthetic_spec(seed=1))}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig.from_json_dict({"task": task, **doc})
+
+
 def test_config_section_must_be_an_object():
     with pytest.raises(ValueError, match="config key 'train' must be an object"):
         ExperimentConfig.from_json_dict({"task": {}, "train": ["learning_rate"]})

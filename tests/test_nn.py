@@ -9,13 +9,14 @@ from shiftbound import (
     MlpArchitecture,
     TrainConfig,
     bce_gradient,
-    bce_loss,
     forward,
     init_weights,
     predict,
     train,
 )
 from shiftbound.nn import BLOCK_ROWS
+
+from oracles import bce_loss
 
 
 def naive_forward(arch, w, x):

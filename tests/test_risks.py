@@ -331,7 +331,7 @@ def test_estimate_risks_evaluates_each_draw_once_per_sample(monkeypatch):
     monkeypatch.setattr(shiftbound.risks, "forward", counting_forward)
     estimate_risks(arch, samples, source, target_x, target_oracle=oracle, oracle=True)
     assert len(calls) == 2
-    assert sum(calls) == 2 * samples.num_draws
+    assert sum(calls) == 2 * samples.draws.shape[0]
 
 
 def test_estimate_risks_rejects_mismatched_target_oracle():
