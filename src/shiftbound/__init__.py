@@ -26,7 +26,6 @@ from .divergences import (
 )
 from .experiment import (
     ExperimentConfig,
-    RunReport,
     emit,
     format_summary,
     parse_report_csv,

@@ -154,8 +154,8 @@ def _cmd_check(args) -> int:
     ok &= _check("deterministic end-to-end report", first == second)
     ok &= _check(
         "bound values finite and recorded",
-        all(math.isfinite(r.value) for row in report.rows for r in row.bounds.values()),
-        f"{len(report.rows)} checkpoint rows",
+        all(math.isfinite(r.value) for row in report for r in row.bounds.values()),
+        f"{len(report)} checkpoint rows",
     )
     return 0 if ok else 1
 

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
@@ -25,7 +26,7 @@ from .nn import MlpArchitecture, TrainConfig
 from .risks import RiskEstimates, estimate_risks
 from .seeding import derive_seed
 from .stochastic import kl_isotropic, learn_prior_posterior, sample_posterior
-from .tasks import TaskInstance, build_synthetic_task, load_task, spec_from_json
+from .tasks import TaskInstance, build_synthetic_task, data_rows, load_task, spec_from_json
 
 
 def _optional_float(text: str) -> float | None:
@@ -72,6 +73,14 @@ _JSON_PATHS = {
 }
 
 
+def _integer(value, path: str) -> int:
+    """``value`` as an int: an integral number, not a bool or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{path} must be an integer, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     task: dict
@@ -93,10 +102,20 @@ class ExperimentConfig:
     base_dir: str = "."
 
     def __post_init__(self):
+        for name in ("posterior_pairs", "mmd_shuffles", "batch_size", "prior_epochs", "posterior_epochs"):
+            setattr(self, name, _integer(getattr(self, name), ".".join(_JSON_PATHS.get(name, (name,)))))
+        self.hidden = tuple(_integer(w, f"arch.hidden[{i}]") for i, w in enumerate(self.hidden))
+        self.seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(self.seeds))
         self.alphas = tuple(float(a) for a in (self.alphas if hasattr(self.alphas, "__iter__") else [self.alphas]))
+        if not self.alphas:
+            raise ValueError("need at least one alpha")
         if any(not 0 <= a < 1 for a in self.alphas):
             raise ValueError("alpha values must lie in [0, 1)")
+        if len(set(self.alphas)) < len(self.alphas):
+            raise ValueError("alpha values must be distinct")
         self.bounds = tuple(self.bounds)
+        if not self.bounds:
+            raise ValueError("need at least one bound")
         unknown = set(self.bounds) - set(BOUND_NAMES)
         if unknown:
             raise ValueError(f"unknown bounds requested: {sorted(unknown)}")
@@ -111,9 +130,21 @@ class ExperimentConfig:
             raise ValueError("sigma must be finite and > 0")
         if self.mmd_shuffles < 1:
             raise ValueError("shuffles must be >= 1")
-        self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("seeds must be distinct")
+        # built here too, so that their own refusals come before any task
+        MlpArchitecture((1, *self.hidden, 1), self.activation)
+        self._train_configs(self.seeds[0], 0)
+
+    def _train_configs(self, seed: int, a_idx: int) -> tuple:
+        """The prior's and the posterior's ``TrainConfig`` for ``seed`` and
+        the alpha at index ``a_idx``."""
+        prior = TrainConfig(
+            self.learning_rate, self.momentum, self.batch_size, self.prior_epochs, derive_seed(seed, 1, a_idx)
+        )
+        return prior, replace(prior, epochs=self.posterior_epochs, seed=derive_seed(seed, 2, a_idx))
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
@@ -161,12 +192,8 @@ class ReportRow:
     mmd: float
 
 
-@dataclass
-class RunReport:
-    rows: list
-
-
-def run_experiment(cfg: ExperimentConfig, task: TaskInstance | None = None) -> RunReport:
+def run_experiment(cfg: ExperimentConfig, task: TaskInstance | None = None) -> list:
+    """One ``ReportRow`` per (seed, alpha, checkpoint), sorted by them."""
     if task is None:
         task = cfg.resolve_task()
     arch = MlpArchitecture((task.source.dim, *cfg.hidden, 1), cfg.activation)
@@ -175,18 +202,11 @@ def run_experiment(cfg: ExperimentConfig, task: TaskInstance | None = None) -> R
         for a_idx, alpha in enumerate(cfg.alphas):
             rows.extend(_run_one(cfg, task, arch, seed, a_idx, alpha))
     rows.sort(key=lambda r: (r.seed, r.alpha, r.checkpoint_index))
-    return RunReport(rows=rows)
+    return rows
 
 
 def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: int, alpha: float):
-    cfg_prior = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        batch_size=cfg.batch_size,
-        epochs=cfg.prior_epochs,
-        seed=derive_seed(seed, 1, a_idx),
-    )
-    cfg_post = replace(cfg_prior, epochs=cfg.posterior_epochs, seed=derive_seed(seed, 2, a_idx))
+    cfg_prior, cfg_post = cfg._train_configs(seed, a_idx)
     pair = learn_prior_posterior(
         task.source, alpha, arch, cfg_prior, cfg_post, cfg.sigma, derive_seed(seed, 0, a_idx)
     )
@@ -197,8 +217,7 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
     for ck_idx, (_, posterior) in enumerate(pair.posterior_checkpoints):
         draws = sample_posterior(posterior, cfg.posterior_pairs, derive_seed(seed, 4, a_idx, ck_idx))
         estimates.append(estimate_risks(
-            arch, draws, eval_set, target_x,
-            target_oracle=task.target_labeled_oracle, oracle=cfg.oracle_mode,
+            arch, draws, eval_set, task.target_labeled_oracle, oracle=cfg.oracle_mode
         ))
 
     bandwidths = median_heuristic_bandwidths(eval_set.features, target_x.features)
@@ -247,18 +266,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def report_records(report: RunReport):
+def report_records(report: list):
     """One dict per (checkpoint row, bound), keyed by ``CSV_COLUMNS`` in
     order, with typed values; rows in report order, bounds by name."""
-    for row in report.rows:
+    for row in report:
         for name in sorted(row.bounds):
             source = {"row": row, "estimates": row.estimates, "bound": row.bounds[name]}
             yield {col: read(source[scope]) for col, scope, read, _ in _REPORT_COLUMNS}
 
 
-def _json_doc(report: RunReport) -> dict:
+def _json_doc(report: list) -> dict:
     rows = []
-    for row in report.rows:
+    for row in report:
         estimates = asdict(row.estimates)
         del estimates["oracle_target_gibbs_risk"]  # evaluation-only, a row field
         rows.append(
@@ -271,10 +290,10 @@ def _json_doc(report: RunReport) -> dict:
     return {"columns": CSV_COLUMNS, "rows": rows}
 
 
-def emit(report: RunReport, format: str, path) -> None:
-    """Write the report. Formats: csv (one line per bound per checkpoint,
-    fixed column set) or json. Identical reports produce byte-identical
-    files."""
+def emit(report: list, format: str, path) -> None:
+    """Write the ``ReportRow`` list ``report``. Formats: csv (one line per
+    bound per checkpoint, fixed column set) or json. Identical reports
+    produce byte-identical files."""
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -290,15 +309,6 @@ def emit(report: RunReport, format: str, path) -> None:
         fh.write(data)
 
 
-def _data_rows(path, reader, width: int):
-    """(line number, row) for each row after the header, refusing a row
-    that does not have ``width`` fields."""
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != width:
-            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-        yield lineno, row
-
-
 def parse_report_csv(path) -> list:
     """The records of an emitted CSV, equal to the ``report_records`` it was
     written from."""
@@ -308,7 +318,7 @@ def parse_report_csv(path) -> list:
             raise ValueError(f"{path}: unexpected report columns")
         return [
             {col: parse(text) for (col, _, _, parse), text in zip(_REPORT_COLUMNS, row)}
-            for _, row in _data_rows(path, reader, len(CSV_COLUMNS))
+            for _, row in data_rows(path, reader, len(CSV_COLUMNS))
         ]
 
 

@@ -111,24 +111,20 @@ def estimate_risks(
     arch: MlpArchitecture,
     samples: PosteriorSampleSet,
     source_eval: LabeledSample,
-    target_x: UnlabeledSample,
+    target: LabeledSample | UnlabeledSample,
     *,
-    target_oracle: LabeledSample | None = None,
     oracle: bool = False,
 ) -> RiskEstimates:
     """Assemble every estimator the bounds consume from one posterior sample
-    set, evaluating each draw once on ``source_eval`` and once on
-    ``target_x``. ``target_oracle`` must hold ``target_x``'s rows; its labels
-    give ``oracle_target_gibbs_risk`` and, only with ``oracle=True``,
-    ``joint_error_target``."""
-    if oracle and target_oracle is None:
+    set, evaluating each draw once on ``source_eval`` and once on ``target``.
+    The estimable quantities read only ``target``'s features. A labeled
+    ``target`` also gives ``oracle_target_gibbs_risk`` and, only with
+    ``oracle=True``, ``joint_error_target``; an unlabeled one gives neither."""
+    if oracle and not isinstance(target, LabeledSample):
         raise OracleAccessError("oracle=True but no labeled target sample given")
-    # array_equal is False on a shape mismatch too
-    if target_oracle is not None and not np.array_equal(target_oracle.features, target_x.features):
-        raise ValueError("target_oracle must hold the same feature rows as target_x")
 
     source_preds = _predictions(arch, samples.draws, source_eval)
-    target_preds = _predictions(arch, samples.draws, target_x)
+    target_preds = _predictions(arch, samples.draws, target)
     source_errors = source_preds != source_eval.labels
     per_draw_or_pair = {
         "gibbs_risk": _row_means(source_errors),
@@ -140,8 +136,8 @@ def estimate_risks(
         per_draw_or_pair["gibbs_weighted_risk"] = _row_means(source_errors, source_eval.weights)
 
     oracle_risk = None
-    if target_oracle is not None:
-        target_errors = target_preds != target_oracle.labels
+    if isinstance(target, LabeledSample):
+        target_errors = target_preds != target.labels
         oracle_risk = _mean_and_mc_std(_row_means(target_errors))[0]
         if oracle:
             per_draw_or_pair["joint_error_target"] = _joint_error_per_pair(target_errors)

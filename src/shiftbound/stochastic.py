@@ -3,7 +3,7 @@ sampling, and the data-dependent prior/posterior learning procedure.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,16 +81,7 @@ class PriorPosteriorPair:
     prior: IsotropicGaussian
     posterior_checkpoints: list
     eval_set: LabeledSample
-    alpha: float
-    split_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    def __post_init__(self):
-        self.split_indices = np.asarray(self.split_indices, dtype=np.int64)
-        if not 0 <= self.alpha < 1:
-            raise ValueError("alpha must lie in [0, 1)")
-        for _, g in self.posterior_checkpoints:
-            if g.dim != self.prior.dim:
-                raise ValueError("posterior checkpoint dimension mismatch")
+    split_indices: np.ndarray
 
 
 def learn_prior_posterior(
@@ -136,7 +127,6 @@ def learn_prior_posterior(
         prior=prior,
         posterior_checkpoints=posteriors,
         eval_set=S.subset(eval_idx),
-        alpha=alpha,
         split_indices=prior_idx,
     )
 

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, asdict, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 
@@ -99,7 +99,9 @@ class SyntheticSpec:
 class TaskInstance:
     """A materialised task: weighted labeled source, unlabeled target, and the
     target labels held separately for oracle-only use. ``target_x`` is the
-    unlabeled view of the oracle sample, so both hold the same rows."""
+    unlabeled view of ``target_labeled_oracle``, so both hold the same rows;
+    only the latter carries labels, which give the evaluation column and,
+    in oracle mode, the ``add`` bound's lambda_rho."""
 
     source: LabeledSample
     target_x: UnlabeledSample = field(init=False)
@@ -391,6 +393,16 @@ def _read_table(path, fh, floats: int, stops: tuple, check_row, least: float = -
     return [np.ascontiguousarray(table[name]) for name in dtype.names]
 
 
+def data_rows(path, reader, width: int):
+    """(line number, row) for each row of the CSV ``reader`` after the
+    header, refusing a row that does not have ``width`` fields with its
+    ``path:line``."""
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        yield lineno, row
+
+
 def _walk_rows(path, floats: int, dtype, check_row):
     """Every row after the header, read by ``csv.reader`` and checked with
     the field count and ``check_row(lineno, row)``, which raise the
@@ -401,9 +413,7 @@ def _walk_rows(path, floats: int, dtype, check_row):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        for lineno, row in data_rows(path, reader, width):
             check_row(lineno, row)
             rows.append((tuple(map(float, row[:floats])), *map(int, row[floats:])))
     return np.array(rows, dtype)
@@ -552,14 +562,8 @@ def load_task(dirpath) -> TaskInstance:
             f"{manifest_path}: beta_inf {beta_inf!r} is below the largest weight "
             f"{float(weights.max())!r} in {weights_path}"
         )
-    source = LabeledSample(
-        features=source.features,
-        labels=source.labels,
-        origin=source.origin,
-        weights=weights,
-    )
     return TaskInstance(
-        source=source,
+        source=replace(source, weights=weights),
         target_labeled_oracle=target,
         spec=spec_from_json(kind, manifest["spec"]),
         beta_inf=float(beta_inf),

@@ -297,9 +297,7 @@ def _final_checkpoint_iw(seed):
     )
     final = pair.posterior_checkpoints[-1][1]
     draws = sample_posterior(final, pairs=5, seed=seed + 777)
-    est = estimate_risks(
-        ARCH, draws, pair.eval_set, task.target_x, target_oracle=task.target_labeled_oracle
-    )
+    est = estimate_risks(ARCH, draws, pair.eval_set, task.target_labeled_oracle)
     inputs = BoundInputs(
         m_source=len(pair.eval_set),
         n_target=len(task.target_x),
@@ -345,7 +343,7 @@ def test_criterion_07_data_dependent_prior_tightening():
     mmd_wins = sum(mins[(s, 0.3, "mmd")] < mins[(s, 0.0, "mmd")] for s in range(5))
     finals_vacuous = all(
         row.bounds["iw"].value > 1.0 and row.bounds["mmd"].value > 1.0
-        for row in report.rows
+        for row in report
         if row.alpha == 0.0 and row.checkpoint_index == 14
     )
     informed_nonvacuous = all(mins[(s, 0.3, "iw")] < 1.0 for s in range(5))
@@ -368,9 +366,7 @@ def test_criterion_08_importance_weighting_identity():
         task = build_synthetic_task(
             default_synthetic_spec(seed=5000 + rep, n_source=2000, n_target=2000)
         )
-        est = estimate_risks(
-            ARCH, draws, task.source, task.target_x, target_oracle=task.target_labeled_oracle
-        )
+        est = estimate_risks(ARCH, draws, task.source, task.target_labeled_oracle)
         weighted.append(est.gibbs_weighted_risk)
         target.append(est.oracle_target_gibbs_risk)
     weighted, target = np.array(weighted), np.array(target)

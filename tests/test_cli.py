@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import shiftbound
-from shiftbound import LabeledSample, RunReport, cli, emit, load_dataset, save_dataset
+from shiftbound import LabeledSample, cli, emit, load_dataset, save_dataset
 from shiftbound.cli import main
 from shiftbound.tasks import default_synthetic_spec, load_task
 
@@ -57,7 +57,7 @@ def test_make_task_run_summarize(tmp_path, capsys):
 
 def test_summarize_rejects_empty_report(tmp_path, capsys):
     path = tmp_path / "empty.csv"
-    emit(RunReport(rows=[]), "csv", path)
+    emit([], "csv", path)
     assert main(["summarize", str(path)]) != 0
     assert "error: report is empty" in capsys.readouterr().err
 
@@ -92,6 +92,27 @@ def test_run_checks_the_report_section_before_running(tmp_path, capsys, monkeypa
     path = tmp_path / "config.json"
     task = {"type": "synthetic", "spec": asdict(default_synthetic_spec(seed=1))}
     path.write_text(json.dumps({"task": task, "report": report}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"mmd": {"shuffles": 2.5}}, "mmd.shuffles must be an integer, got 2.5"),
+        ({"alpha": [0.3, 0.3]}, "alpha values must be distinct"),
+        ({"train": {"momentum": 1.5}}, "momentum must lie in [0, 1)"),
+    ],
+)
+def test_run_refuses_a_bad_setting_before_building_the_task(tmp_path, capsys, monkeypatch, doc, message):
+    def refuse(*args):
+        raise AssertionError("the task was built or the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    monkeypatch.setattr(cli.ExperimentConfig, "resolve_task", refuse)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"task": {"type": "manifest", "path": "task"}, **doc}))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [path]

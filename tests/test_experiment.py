@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from shiftbound import ExperimentConfig, RunReport, emit, report_records, report_summary, run_experiment
+from shiftbound import ExperimentConfig, emit, report_records, report_summary, run_experiment
 from shiftbound.experiment import (
     CSV_COLUMNS,
     format_summary,
@@ -37,8 +37,8 @@ def small_report():
 
 def test_checkpoint_row_count(small_report):
     # 10 first-epoch saves plus 5 epoch ends
-    assert len(small_report.rows) == 15
-    assert [r.checkpoint_index for r in small_report.rows] == list(range(15))
+    assert len(small_report) == 15
+    assert [r.checkpoint_index for r in small_report] == list(range(15))
 
 
 def test_config_validation():
@@ -56,14 +56,14 @@ def test_config_validation():
 
 
 def test_mmd_constant_across_checkpoints(small_report):
-    values = {r.mmd for r in small_report.rows}
+    values = {r.mmd for r in small_report}
     assert len(values) == 1
 
 
 def test_bound_rows_use_eval_set_size(small_report):
     # alpha = 0.3 of 2000 leaves 1400 evaluation rows; recompute one bound
     # from the logged fields to pin the m actually used
-    row = small_report.rows[3]
+    row = small_report[3]
     res = row.bounds["mcallester"]
     gamma = res.params["gamma"]
     m_eval = 1400
@@ -80,7 +80,7 @@ def test_bound_rows_use_eval_set_size(small_report):
 
 
 def test_oracle_target_risk_reported_but_not_used(small_report):
-    for row in small_report.rows:
+    for row in small_report:
         assert row.estimates.oracle_target_gibbs_risk is not None
         for res in row.bounds.values():
             assert not res.oracle_used
@@ -92,7 +92,7 @@ def test_emit_csv_roundtrip(tmp_path, small_report):
     records = parse_report_csv(path)
     assert len(records) == 15 * 3
     by_key = {(r["checkpoint_index"], r["bound_name"]): r for r in records}
-    for row in small_report.rows:
+    for row in small_report:
         for name, res in row.bounds.items():
             rec = by_key[(row.checkpoint_index, name)]
             assert rec["bound_value"] == res.value
@@ -130,7 +130,7 @@ def test_emit_csv_columns_exact(tmp_path, small_report):
 
 def test_emit_empty_report_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit(RunReport(rows=[]), "csv", path)
+    emit([], "csv", path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].split(",") == CSV_COLUMNS
@@ -169,18 +169,18 @@ def test_summary_single_group(small_report):
     rows = report_summary(report_records(small_report))
     assert {r.bound for r in rows} == {"mcallester", "iw", "mmd"}
     for r in rows:
-        values = [row.bounds[r.bound].value for row in small_report.rows]
+        values = [row.bounds[r.bound].value for row in small_report]
         assert r.min_value == min(values)
         assert r.argmin_checkpoint == int(np.argmin(values))
         assert r.best_oracle_risk == min(
-            row.estimates.oracle_target_gibbs_risk for row in small_report.rows
+            row.estimates.oracle_target_gibbs_risk for row in small_report
         )
     assert "min_bound" in format_summary(rows)
 
 
 def test_summary_empty_report_rejected():
     with pytest.raises(ValueError):
-        report_summary(report_records(RunReport(rows=[])))
+        report_summary(report_records([]))
 
 
 def test_summary_from_csv_matches_in_memory(tmp_path, small_report):
@@ -214,8 +214,8 @@ def test_config_from_json_dict(tmp_path):
     assert cfg.posterior_epochs == 2
     report = run_experiment(cfg)
     # two alphas, 10 + 2 checkpoints each
-    assert len(report.rows) == 2 * 12
-    deltas = {r.bounds["mcallester"].delta_effective for r in report.rows}
+    assert len(report) == 2 * 12
+    deltas = {r.bounds["mcallester"].delta_effective for r in report}
     assert deltas == {0.1 / 7}
 
 
@@ -253,6 +253,45 @@ def test_config_refuses_bad_sigma_and_shuffles(doc, message):
         ExperimentConfig.from_json_dict({"task": task, **doc})
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"posterior_pairs": 2.5}, "posterior_pairs must be an integer, got 2.5"),
+        ({"posterior_pairs": True}, "posterior_pairs must be an integer, got True"),
+        ({"mmd": {"shuffles": 2.5}}, "mmd.shuffles must be an integer, got 2.5"),
+        ({"train": {"batch_size": 2.5}}, "train.batch_size must be an integer, got 2.5"),
+        ({"train": {"prior_epochs": 1.5}}, "train.prior_epochs must be an integer, got 1.5"),
+        ({"train": {"posterior_epochs": "2"}}, "train.posterior_epochs must be an integer, got '2'"),
+        ({"arch": {"hidden": [4.7]}}, r"arch.hidden\[0\] must be an integer, got 4.7"),
+        ({"seeds": [0, 0.9]}, r"seeds\[1\] must be an integer, got 0.9"),
+        ({"seeds": ["1"]}, r"seeds\[0\] must be an integer, got '1'"),
+        ({"seeds": [False]}, r"seeds\[0\] must be an integer, got False"),
+        ({"posterior_pairs": 0.0}, "posterior_pairs must be >= 1"),
+        ({"train": {"momentum": 1.5}}, r"momentum must lie in \[0, 1\)"),
+        ({"train": {"prior_epochs": 0}}, "epochs must be >= 1"),
+        ({"arch": {"hidden": [0]}}, "all layer widths must be >= 1"),
+        ({"arch": {"activation": "gelu"}}, "activation must be one of .*"),
+        ({"alpha": []}, "need at least one alpha"),
+        ({"bounds": []}, "need at least one bound"),
+        ({"alpha": [0.3, 0.3]}, "alpha values must be distinct"),
+        ({"seeds": [0, 0.0]}, "seeds must be distinct"),
+    ],
+)
+def test_config_refuses_bad_counts_and_lists(doc, message):
+    task = {"type": "synthetic", "spec": asdict(default_synthetic_spec(seed=1))}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig.from_json_dict({"task": task, **doc})
+
+
+def test_config_stores_integral_counts_as_int():
+    task = {"type": "synthetic", "spec": asdict(default_synthetic_spec(seed=1))}
+    cfg = ExperimentConfig.from_json_dict(
+        {"task": task, "arch": {"hidden": [16.0]}, "seeds": [2.0], "mmd": {"shuffles": 3.0}}
+    )
+    assert (cfg.hidden, cfg.seeds, cfg.mmd_shuffles) == ((16,), (2,), 3)
+    assert all(type(v) is int for v in (*cfg.hidden, *cfg.seeds, cfg.mmd_shuffles))
+
+
 def test_config_section_must_be_an_object():
     with pytest.raises(ValueError, match="config key 'train' must be an object"):
         ExperimentConfig.from_json_dict({"task": {}, "train": ["learning_rate"]})
@@ -261,9 +300,9 @@ def test_config_section_must_be_an_object():
 def test_rows_sorted_and_alpha_sweep():
     cfg = small_config(alphas=(0.3, 0.0), seeds=(1, 0), bounds=("mcallester",))
     report = run_experiment(cfg)
-    keys = [(r.seed, r.alpha, r.checkpoint_index) for r in report.rows]
+    keys = [(r.seed, r.alpha, r.checkpoint_index) for r in report]
     assert keys == sorted(keys)
-    assert len(report.rows) == 2 * 2 * 15
+    assert len(report) == 2 * 2 * 15
 
 
 def test_weighted_bounds_need_weights():

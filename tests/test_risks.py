@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -264,7 +266,7 @@ def test_estimate_risks_assembly_and_ranges():
     )
     target_x = UnlabeledSample(features=rng.standard_normal((60, 2)) + 1.0)
     oracle = LabeledSample(features=target_x.features, labels=rng.integers(0, 2, 60))
-    est = estimate_risks(arch, samples, source, target_x, target_oracle=oracle, oracle=True)
+    est = estimate_risks(arch, samples, source, oracle, oracle=True)
     for v in (est.gibbs_risk, est.disagreement_source, est.disagreement_target,
               est.joint_error_source, est.joint_error_target):
         assert 0.0 <= v <= 1.0
@@ -329,27 +331,29 @@ def test_estimate_risks_evaluates_each_draw_once_per_sample(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(shiftbound.risks, "forward", counting_forward)
-    estimate_risks(arch, samples, source, target_x, target_oracle=oracle, oracle=True)
+    estimate_risks(arch, samples, source, oracle, oracle=True)
     assert len(calls) == 2
     assert sum(calls) == 2 * samples.draws.shape[0]
 
 
-def test_estimate_risks_rejects_mismatched_target_oracle():
+def test_estimate_risks_unlabeled_target_gives_no_oracle_values():
     arch, samples, source, target_x, oracle, _ = _estimate_risks_case()
-    shifted = LabeledSample(features=oracle.features + 1.0, labels=oracle.labels)
-    fewer = oracle.subset(np.arange(len(oracle) - 1))
-    for bad in (shifted, fewer):
-        for mode in (False, True):
-            with pytest.raises(ValueError):
-                estimate_risks(arch, samples, source, target_x, target_oracle=bad, oracle=mode)
+    with pytest.raises(OracleAccessError):
+        estimate_risks(arch, samples, source, target_x, oracle=True)
+    blind = estimate_risks(arch, samples, source, target_x)
+    labeled = estimate_risks(arch, samples, source, oracle)
+    assert blind.oracle_target_gibbs_risk is None and blind.joint_error_target is None
+    assert labeled.oracle_target_gibbs_risk is not None and labeled.joint_error_target is None
+    # the estimable values read only the target's features
+    assert replace(labeled, oracle_target_gibbs_risk=None) == blind
 
 
 def test_estimate_risks_blind_mode_ignores_target_labels():
     arch, samples, source, target_x, oracle, rng = _estimate_risks_case()
     relabeled = LabeledSample(features=oracle.features, labels=rng.integers(0, 2, len(oracle)))
     assert not np.array_equal(relabeled.labels, oracle.labels)
-    a = estimate_risks(arch, samples, source, target_x, target_oracle=oracle)
-    b = estimate_risks(arch, samples, source, target_x, target_oracle=relabeled)
+    a = estimate_risks(arch, samples, source, oracle)
+    b = estimate_risks(arch, samples, source, relabeled)
     assert a.joint_error_target is None and b.joint_error_target is None
     for name in ("gibbs_risk", "gibbs_weighted_risk", "disagreement_source",
                  "disagreement_target", "joint_error_source"):

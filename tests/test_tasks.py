@@ -162,9 +162,7 @@ def risks_of(arch, w, task):
     """``estimate_risks`` for the single classifier ``w`` (a pair of identical
     draws), with the task's labeled target as oracle."""
     draws = PosteriorSampleSet(draws=np.stack([w, w]))
-    return estimate_risks(
-        arch, draws, task.source, task.target_x, target_oracle=task.target_labeled_oracle
-    )
+    return estimate_risks(arch, draws, task.source, task.target_labeled_oracle)
 
 
 def test_one_sided_weighted_risk_ignores_out_of_support_rows():
