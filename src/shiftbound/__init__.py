@@ -37,7 +37,6 @@ from .nn import (
     DivergedError,
     MlpArchitecture,
     TrainConfig,
-    bce_gradient,
     forward,
     init_weights,
     predict,

@@ -62,17 +62,24 @@ def _cmd_make_task(args) -> int:
 
 def _report_settings(doc: dict):
     """(dir, stem, formats) of a run config's ``report`` section, which must
-    be an object with no key or format but these."""
+    be an object with no key or format but these: ``dir`` and ``stem``
+    strings, ``formats`` a list."""
     section = doc.get("report", {})
     if not isinstance(section, dict):
         raise ValueError("config key 'report' must be an object")
     unknown = [f"report.{key}" for key in section if key not in ("dir", "stem", "formats")]
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    out_dir, stem = section.get("dir", "."), section.get("stem", "report")
+    for key, value in (("dir", out_dir), ("stem", stem)):
+        if not isinstance(value, str):
+            raise ValueError(f"report.{key} must be a string, got {value!r}")
     formats = section.get("formats", ["csv"])
+    if not isinstance(formats, list):
+        raise ValueError(f"report.formats must be a list, got {formats!r}")
     if any(fmt not in ("csv", "json") for fmt in formats):
         raise ValueError("format must be 'csv' or 'json'")
-    return section.get("dir", "."), section.get("stem", "report"), formats
+    return out_dir, stem, formats
 
 
 def _cmd_run(args) -> int:

@@ -64,7 +64,6 @@ CSV_COLUMNS = [name for name, *_ in _REPORT_COLUMNS]
 _JSON_PATHS = {
     "alphas": ("alpha",),
     "hidden": ("arch", "hidden"),
-    "activation": ("arch", "activation"),
     "mmd_shuffles": ("mmd", "shuffles"),
     **{
         name: ("train", name)
@@ -81,11 +80,17 @@ def _integer(value, path: str) -> int:
     raise ValueError(f"{path} must be an integer, got {value!r}")
 
 
+def _number(value, path: str) -> float:
+    """``value`` as a float: a real number, not a bool or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{path} must be a number, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     task: dict
     hidden: tuple = (16, 16)
-    activation: str = "relu"
     alphas: tuple = (0.3,)
     sigma: float = 0.03
     delta: float = 0.05
@@ -102,11 +107,18 @@ class ExperimentConfig:
     base_dir: str = "."
 
     def __post_init__(self):
-        for name in ("posterior_pairs", "mmd_shuffles", "batch_size", "prior_epochs", "posterior_epochs"):
-            setattr(self, name, _integer(getattr(self, name), ".".join(_JSON_PATHS.get(name, (name,)))))
+        for check, names in (
+            (_integer, ("posterior_pairs", "mmd_shuffles", "batch_size", "prior_epochs", "posterior_epochs")),
+            (_number, ("sigma", "delta", "learning_rate", "momentum")),
+        ):
+            for name in names:
+                setattr(self, name, check(getattr(self, name), ".".join(_JSON_PATHS.get(name, (name,)))))
         self.hidden = tuple(_integer(w, f"arch.hidden[{i}]") for i, w in enumerate(self.hidden))
         self.seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(self.seeds))
-        self.alphas = tuple(float(a) for a in (self.alphas if hasattr(self.alphas, "__iter__") else [self.alphas]))
+        if isinstance(self.alphas, (list, tuple)):
+            self.alphas = tuple(_number(a, f"alpha[{i}]") for i, a in enumerate(self.alphas))
+        else:
+            self.alphas = (_number(self.alphas, "alpha"),)
         if not self.alphas:
             raise ValueError("need at least one alpha")
         if any(not 0 <= a < 1 for a in self.alphas):
@@ -119,6 +131,10 @@ class ExperimentConfig:
         unknown = set(self.bounds) - set(BOUND_NAMES)
         if unknown:
             raise ValueError(f"unknown bounds requested: {sorted(unknown)}")
+        if len(set(self.bounds)) < len(self.bounds):
+            raise ValueError("bounds must be distinct")
+        if not isinstance(self.oracle_mode, bool):
+            raise ValueError(f"oracle_mode must be true or false, got {self.oracle_mode!r}")
         oracle = [name for name in self.bounds if name in ORACLE_BOUNDS]
         if oracle and not self.oracle_mode:
             raise ValueError(f"the {oracle[0]} bound needs oracle_mode=true (it uses target labels)")
@@ -135,7 +151,7 @@ class ExperimentConfig:
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError("seeds must be distinct")
         # built here too, so that their own refusals come before any task
-        MlpArchitecture((1, *self.hidden, 1), self.activation)
+        MlpArchitecture((1, *self.hidden, 1))
         self._train_configs(self.seeds[0], 0)
 
     def _train_configs(self, seed: int, a_idx: int) -> tuple:
@@ -196,7 +212,7 @@ def run_experiment(cfg: ExperimentConfig, task: TaskInstance | None = None) -> l
     """One ``ReportRow`` per (seed, alpha, checkpoint), sorted by them."""
     if task is None:
         task = cfg.resolve_task()
-    arch = MlpArchitecture((task.source.dim, *cfg.hidden, 1), cfg.activation)
+    arch = MlpArchitecture((task.source.dim, *cfg.hidden, 1))
     rows = []
     for seed in cfg.seeds:
         for a_idx, alpha in enumerate(cfg.alphas):

@@ -1,9 +1,11 @@
-"""Minimal feedforward binary classifier: flat weight vectors, backprop,
-and deterministic SGD-momentum training with in-memory checkpoints.
+"""Minimal ReLU feedforward binary classifier: flat weight vectors,
+backprop, and deterministic SGD-momentum training with in-memory
+checkpoints.
 
 Weight vectors are plain 1-D float64 arrays laid out layer by layer,
-weight matrix (fan_in x fan_out, row-major) followed by bias. ``forward``
-and the gradient share one layer loop, ``_layers``.
+weight matrix (fan_in x fan_out, row-major) followed by bias. Every hidden
+layer applies ReLU; the output is one logit. ``forward`` and the gradient
+share one layer loop, ``_layers``.
 
 ``forward`` runs the hidden layers over blocks of ``BLOCK_ROWS`` rows, so
 only the last hidden layer is held at full height. The logits stay equal to
@@ -26,8 +28,6 @@ import numpy as np
 from .samples import LabeledSample
 from .seeding import stream_rng
 
-ACTIVATIONS = ("relu", "tanh")
-
 # evenly spaced snapshots over the first epoch, from zero seen samples;
 # ``train`` also saves every epoch end
 FIRST_EPOCH_CHECKPOINTS = 10
@@ -41,10 +41,10 @@ class DivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class MlpArchitecture:
-    """Layer widths from input to the single-logit output, plus the hidden activation."""
+    """Layer widths from input to the single-logit output; every hidden
+    layer applies ReLU."""
 
     layer_widths: tuple
-    activation: str = "relu"
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.layer_widths)
@@ -55,8 +55,6 @@ class MlpArchitecture:
             raise ValueError("all layer widths must be >= 1")
         if widths[-1] != 1:
             raise ValueError("output layer must be a single logit")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
     @property
     def input_dim(self) -> int:
@@ -122,20 +120,17 @@ def init_weights(arch: MlpArchitecture, seed: int) -> np.ndarray:
     return w
 
 
-def _layers(arch: MlpArchitecture, layers: list, a: np.ndarray, bufs: list, to_logit: bool = True) -> list:
+def _layers(layers: list, a: np.ndarray, bufs: list, to_logit: bool = True) -> list:
     """Apply ``layers``, consecutive (W, b) pairs of one weight vector, to
     the rows ``a``, writing each layer's output into its buffer of ``bufs``.
-    Every output goes through the activation except the logit, which is the
-    last when ``to_logit``. Returns ``bufs``."""
+    Every output goes through ReLU except the logit, which is the last when
+    ``to_logit``. Returns ``bufs``."""
     hidden = len(layers) - 1 if to_logit else len(layers)
     for i, ((W, b), buf) in enumerate(zip(layers, bufs)):
         np.matmul(a, W, out=buf)
         buf += b
         if i < hidden:
-            if arch.activation == "relu":
-                np.maximum(buf, 0.0, out=buf)
-            else:
-                np.tanh(buf, out=buf)
+            np.maximum(buf, 0.0, out=buf)
         a = buf
     return bufs
 
@@ -149,31 +144,25 @@ def _row_blocks(n: int) -> list:
     return list(zip(starts, [*starts[1:], n]))
 
 
-def forward(arch: MlpArchitecture, w, x):
-    """Logit(s) of the network at ``x``.
+def forward(arch: MlpArchitecture, w, x) -> np.ndarray:
+    """(k, n) logits of the k weight vectors stacked in ``w``, shape
+    (k, num_params), at the n rows of ``x``, shape (n, input_dim).
 
-    Accepts a single feature vector (returns a float) or an (n, d) matrix
-    (returns an (n,) array). A (k, num_params) weight stack returns (k,) or
-    (k, n) logits, equal to stacking per-draw calls: each draw runs alone
-    with the same matrix shapes. Pure. Batched rows agree with row-by-row
-    calls only up to rounding, since BLAS may reorder a row's sums.
+    Equal to stacking per-draw calls: each draw runs alone with the same
+    matrix shapes. Pure. Batched rows agree with row-by-row calls only up
+    to rounding, since BLAS may reorder a row's sums.
 
     The hidden layers run over row blocks (see the module docstring); the
     output layer runs once over the full-height last hidden layer. The
     logits equal an unblocked pass bit for bit.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim not in (1, 2) or w.shape[-1] != arch.num_params:
-        raise ValueError(
-            f"weights have shape {w.shape}, architecture needs {arch.num_params} per draw"
-        )
+    if w.ndim != 2 or w.shape[1] != arch.num_params:
+        raise ValueError(f"weights have shape {w.shape}, architecture needs (draws, {arch.num_params})")
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a0 = np.atleast_2d(x)
-    if a0.shape[1] != arch.input_dim:
-        raise ValueError(f"input width {a0.shape[1]} != architecture input {arch.input_dim}")
-    draws = np.atleast_2d(w)
-    n = len(a0)
+    if x.ndim != 2 or x.shape[1] != arch.input_dim:
+        raise ValueError(f"inputs have shape {x.shape}, architecture needs (rows, {arch.input_dim})")
+    n = len(x)
     hidden = arch.layer_widths[1:-1]
     blocks = _row_blocks(n) if hidden else []
     rows = max((stop - start for start, stop in blocks), default=0)
@@ -181,27 +170,25 @@ def forward(arch: MlpArchitecture, w, x):
     # layers, the full-height last hidden layer, and the logit column
     block_bufs = [np.empty((rows, width)) for width in hidden[:-1]]
     tiles = [np.empty((rows, width)) for width in hidden]
-    top = np.empty((n, hidden[-1])) if hidden else a0
+    top = np.empty((n, hidden[-1])) if hidden else x
     logit = np.empty((n, 1))
-    logits = np.empty((len(draws), n))
-    for k, wk in enumerate(draws):
+    logits = np.empty((len(w), n))
+    for k, wk in enumerate(w):
         *layers, output = _layer_views(arch, wk)
         for tile, (_, b) in zip(tiles, layers):
             tile[...] = b
         for start, stop in blocks:
             bufs = [buf[: stop - start] for buf in block_bufs] + [top[start:stop]]
             tiled = [(W, tile[: stop - start]) for (W, _), tile in zip(layers, tiles)]
-            _layers(arch, tiled, a0[start:stop], bufs, to_logit=False)
-        logits[k] = _layers(arch, [output], top, [logit])[0][:, 0]
-    out = logits[:, 0] if single else logits
-    return out if w.ndim == 2 else (float(out[0]) if single else out[0])
+            _layers(tiled, x[start:stop], bufs, to_logit=False)
+        logits[k] = _layers([output], top, [logit])[0][:, 0]
+    return logits
 
 
-def predict(logit):
-    """Hard label from a logit: 1 iff logit > 0 (a zero logit maps to 0)."""
-    if np.ndim(logit) == 0:
-        return int(logit > 0)
-    return (np.asarray(logit) > 0).astype(np.int64)
+def predict(logits: np.ndarray) -> np.ndarray:
+    """Hard labels from an array of logits: 1 iff logit > 0 (a zero logit
+    maps to 0)."""
+    return (logits > 0).astype(np.int64)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -219,9 +206,11 @@ def _require_binary(labels: np.ndarray):
 
 
 def _bce_gradient_arrays(arch: MlpArchitecture, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. ``w`` of the mean binary cross-entropy of the 0/1
+    labels ``y`` at the rows ``X``."""
     views = _layer_views(arch, w)
     bufs = [np.empty((len(X), width)) for width in arch.layer_widths[1:]]
-    *hidden, out = _layers(arch, views, X, bufs)
+    *hidden, out = _layers(views, X, bufs)
     acts = [X, *hidden]
     z = out[:, 0]
 
@@ -235,22 +224,8 @@ def _bce_gradient_arrays(arch: MlpArchitecture, w: np.ndarray, X: np.ndarray, y:
         gW[...] = acts[i].T @ delta
         gb[...] = delta.sum(axis=0)
         if i > 0:
-            delta = delta @ W.T
-            post = acts[i]
-            if arch.activation == "relu":
-                delta = delta * (post > 0)
-            else:
-                delta = delta * (1.0 - post * post)
+            delta = (delta @ W.T) * (acts[i] > 0)
     return grad
-
-
-def bce_gradient(arch: MlpArchitecture, w, batch: LabeledSample) -> np.ndarray:
-    """Gradient of the mean binary cross-entropy over the batch w.r.t. ``w``."""
-    w = _check_weights(arch, w)
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    _require_binary(batch.labels)
-    return _bce_gradient_arrays(arch, w, batch.features, batch.labels.astype(np.float64))
 
 
 def train(arch: MlpArchitecture, w0, data: LabeledSample, cfg: TrainConfig):

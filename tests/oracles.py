@@ -75,7 +75,7 @@ def mmd_linear_shuffled(X, Y, kappa: float, shuffles: int = 10, seed: int = 0) -
 def bce_loss(arch, w, data) -> float:
     """Mean binary cross-entropy of the batch, computed in logit space."""
     _require_binary(data.labels)
-    z = forward(arch, w, data.features)
+    z = forward(arch, w[None], data.features)[0]
     y = data.labels.astype(np.float64)
     # max(z, 0) + log1p(exp(-|z|)) is softplus(z), and never overflows for finite z
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))

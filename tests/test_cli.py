@@ -4,12 +4,13 @@ import subprocess
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shiftbound
-from shiftbound import LabeledSample, cli, emit, load_dataset, save_dataset
+from shiftbound import ExperimentConfig, LabeledSample, cli, emit, load_dataset, save_dataset
 from shiftbound.cli import main
 from shiftbound.tasks import default_synthetic_spec, load_task
 
@@ -17,7 +18,7 @@ from shiftbound.tasks import default_synthetic_spec, load_task
 def write_config(tmp_path, task_dir):
     doc = {
         "task": {"type": "manifest", "path": str(task_dir)},
-        "arch": {"hidden": [6], "activation": "relu"},
+        "arch": {"hidden": [6]},
         "alpha": 0.3,
         "bounds": ["mcallester", "iw"],
         "train": {"learning_rate": 0.003, "batch_size": 32, "posterior_epochs": 2},
@@ -82,6 +83,9 @@ def test_run_refuses_unknown_config_key(tmp_path, capsys):
         ({"formats": ["csv", "xml"]}, "format must be 'csv' or 'json'"),
         ({"format": ["json"], "stem": "run"}, "unknown config keys: report.format"),
         ("out", "config key 'report' must be an object"),
+        ({"dir": 5}, "report.dir must be a string, got 5"),
+        ({"stem": ["a"]}, "report.stem must be a string, got ['a']"),
+        ({"formats": "csv"}, "report.formats must be a list, got 'csv'"),
     ],
 )
 def test_run_checks_the_report_section_before_running(tmp_path, capsys, monkeypatch, report, message):
@@ -103,6 +107,10 @@ def test_run_checks_the_report_section_before_running(tmp_path, capsys, monkeypa
         ({"mmd": {"shuffles": 2.5}}, "mmd.shuffles must be an integer, got 2.5"),
         ({"alpha": [0.3, 0.3]}, "alpha values must be distinct"),
         ({"train": {"momentum": 1.5}}, "momentum must lie in [0, 1)"),
+        ({"arch": {"hidden": [6], "activation": "relu"}}, "unknown config keys: arch.activation"),
+        ({"oracle_mode": "false", "bounds": ["add"]}, "oracle_mode must be true or false, got 'false'"),
+        ({"sigma": "0.03"}, "sigma must be a number, got '0.03'"),
+        ({"bounds": ["iw", "iw"]}, "bounds must be distinct"),
     ],
 )
 def test_run_refuses_a_bad_setting_before_building_the_task(tmp_path, capsys, monkeypatch, doc, message):
@@ -116,6 +124,15 @@ def test_run_refuses_a_bad_setting_before_building_the_task(tmp_path, capsys, mo
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_readme_config_example_is_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("### Experiment config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(example)
+    cfg = ExperimentConfig.from_json_dict(doc)
+    assert (cfg.hidden, cfg.alphas, cfg.oracle_mode) == ((64, 64), (0.0, 0.3), True)
+    assert cli._report_settings(doc) == ("out", "report", ["csv", "json"])
 
 
 def test_make_task_mixture_requires_pools(tmp_path, capsys):

@@ -198,7 +198,7 @@ def test_config_from_json_dict(tmp_path):
     spec = default_synthetic_spec(seed=1, n_source=500, n_target=400)
     doc = {
         "task": {"type": "synthetic", "spec": asdict(spec)},
-        "arch": {"hidden": [4], "activation": "tanh"},
+        "arch": {"hidden": [4]},
         "alpha": [0.0, 0.25],
         "sigma": 0.05,
         "delta": 0.1,
@@ -209,7 +209,7 @@ def test_config_from_json_dict(tmp_path):
         "seeds": [3],
     }
     cfg = ExperimentConfig.from_json_dict(doc)
-    assert cfg.hidden == (4,) and cfg.activation == "tanh"
+    assert cfg.hidden == (4,)
     assert cfg.alphas == (0.0, 0.25)
     assert cfg.posterior_epochs == 2
     report = run_experiment(cfg)
@@ -270,11 +270,22 @@ def test_config_refuses_bad_sigma_and_shuffles(doc, message):
         ({"train": {"momentum": 1.5}}, r"momentum must lie in \[0, 1\)"),
         ({"train": {"prior_epochs": 0}}, "epochs must be >= 1"),
         ({"arch": {"hidden": [0]}}, "all layer widths must be >= 1"),
-        ({"arch": {"activation": "gelu"}}, "activation must be one of .*"),
+        ({"arch": {"activation": "relu"}}, "unknown config keys: arch.activation"),
         ({"alpha": []}, "need at least one alpha"),
         ({"bounds": []}, "need at least one bound"),
         ({"alpha": [0.3, 0.3]}, "alpha values must be distinct"),
         ({"seeds": [0, 0.0]}, "seeds must be distinct"),
+        ({"oracle_mode": "false", "bounds": ["add"]}, "oracle_mode must be true or false, got 'false'"),
+        ({"oracle_mode": 1}, "oracle_mode must be true or false, got 1"),
+        ({"sigma": "0.03"}, "sigma must be a number, got '0.03'"),
+        ({"sigma": True}, "sigma must be a number, got True"),
+        ({"delta": "0.05"}, "delta must be a number, got '0.05'"),
+        ({"train": {"learning_rate": "x"}}, "train.learning_rate must be a number, got 'x'"),
+        ({"train": {"momentum": False}}, "train.momentum must be a number, got False"),
+        ({"alpha": False}, "alpha must be a number, got False"),
+        ({"alpha": "0.3"}, "alpha must be a number, got '0.3'"),
+        ({"alpha": [0.0, "0.3"]}, r"alpha\[1\] must be a number, got '0.3'"),
+        ({"bounds": ["iw", "iw"]}, "bounds must be distinct"),
     ],
 )
 def test_config_refuses_bad_counts_and_lists(doc, message):

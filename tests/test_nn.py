@@ -8,13 +8,12 @@ from shiftbound import (
     LabeledSample,
     MlpArchitecture,
     TrainConfig,
-    bce_gradient,
     forward,
     init_weights,
     predict,
     train,
 )
-from shiftbound.nn import BLOCK_ROWS
+from shiftbound.nn import BLOCK_ROWS, _bce_gradient_arrays
 
 from oracles import bce_loss
 
@@ -34,13 +33,7 @@ def naive_forward(arch, w, x):
             s += w[pos + n_in * n_out + j]
             out.append(s)
         pos += n_in * n_out + n_out
-        if layer < len(widths) - 2:
-            if arch.activation == "relu":
-                a = [max(v, 0.0) for v in out]
-            else:
-                a = [math.tanh(v) for v in out]
-        else:
-            a = out
+        a = [max(v, 0.0) for v in out] if layer < len(widths) - 2 else out
     return a[0]
 
 
@@ -62,8 +55,6 @@ def test_architecture_validation():
         MlpArchitecture((2, 0, 1))
     with pytest.raises(ValueError):
         MlpArchitecture((2, 3, 2))
-    with pytest.raises(ValueError):
-        MlpArchitecture((2, 3, 1), activation="sigmoid")
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -87,48 +78,48 @@ def test_init_scale_and_zero_biases():
 
 def test_forward_zero_network():
     arch = MlpArchitecture((3, 4, 1))
-    assert forward(arch, np.zeros(arch.num_params), [1.0, -2.0, 0.5]) == 0.0
+    assert forward(arch, np.zeros((1, arch.num_params)), [[1.0, -2.0, 0.5]]).tolist() == [[0.0]]
 
 
 def test_forward_identity_single_layer():
     arch = MlpArchitecture((1, 1))
-    assert forward(arch, [1.0, 0.0], [0.5]) == 0.5
+    assert forward(arch, [[1.0, 0.0]], [[0.5]]).tolist() == [[0.5]]
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("activation", ["relu"])
 def test_forward_matches_naive_oracle(activation):
     rng = np.random.default_rng(42)
     for _ in range(20):
         widths = (int(rng.integers(1, 5)), int(rng.integers(1, 6)), 1)
-        arch = MlpArchitecture(widths, activation)
+        arch = MlpArchitecture(widths)
         w = rng.standard_normal(arch.num_params)
         x = rng.standard_normal(widths[0])
-        got = forward(arch, w, x)
+        got = forward(arch, w[None], x[None])[0, 0]
         want = naive_forward(arch, w, x)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_forward_batch_matches_rowwise():
-    arch = MlpArchitecture((3, 5, 1), "tanh")
+    arch = MlpArchitecture((3, 5, 1))
     rng = np.random.default_rng(0)
-    w = rng.standard_normal(arch.num_params)
+    w = rng.standard_normal((1, arch.num_params))
     X = rng.standard_normal((7, 3))
     batch = forward(arch, w, X)
-    assert batch.shape == (7,)
+    assert batch.shape == (1, 7)
     for i in range(7):
         # BLAS may reorder the row sums, so exact equality is not guaranteed
-        assert batch[i] == pytest.approx(forward(arch, w, X[i]), rel=1e-12, abs=1e-14)
+        assert batch[0, i] == pytest.approx(forward(arch, w, X[i : i + 1])[0, 0], rel=1e-12, abs=1e-14)
 
 
-@pytest.mark.parametrize("widths, activation", [((3, 5, 4, 1), "relu"), ((3, 5, 1), "tanh"), ((4, 1), "relu")])
+@pytest.mark.parametrize("widths, activation", [((3, 5, 4, 1), "relu"), ((3, 5, 1), "relu"), ((4, 1), "relu")])
 def test_forward_stack_equals_per_draw_calls(widths, activation):
-    arch = MlpArchitecture(widths, activation)
+    arch = MlpArchitecture(widths)
     rng = np.random.default_rng(3)
     draws = rng.standard_normal((4, arch.num_params))
-    for x in (rng.standard_normal((9, widths[0])), rng.standard_normal((1, widths[0])), rng.standard_normal(widths[0])):
+    for x in (rng.standard_normal((9, widths[0])), rng.standard_normal((1, widths[0]))):
         got = forward(arch, draws, x)
-        want = np.array([forward(arch, w, x) for w in draws])
-        assert got.shape == want.shape
+        want = np.array([forward(arch, draws[k : k + 1], x)[0] for k in range(len(draws))])
+        assert got.shape == want.shape == (4, len(x))
         assert np.array_equal(got, want)
 
 
@@ -148,19 +139,16 @@ def unblocked_forward(arch, draws, X):
             np.matmul(a, W, out=buf)
             buf += b
             if i < len(widths) - 2:
-                if arch.activation == "relu":
-                    np.maximum(buf, 0.0, out=buf)
-                else:
-                    np.tanh(buf, out=buf)
+                np.maximum(buf, 0.0, out=buf)
             a = buf
         logits.append(a[:, 0].copy())
     return np.array(logits)
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("activation", ["relu"])
 @pytest.mark.parametrize("hidden", [(64,), (64, 64), (16, 32, 8)])
 def test_blocked_forward_equals_the_unblocked_layer_loop(hidden, activation):
-    arch = MlpArchitecture((3, *hidden, 1), activation)
+    arch = MlpArchitecture((3, *hidden, 1))
     rng = np.random.default_rng(len(hidden))
     draws = rng.standard_normal((3, arch.num_params)) / 4
     B = BLOCK_ROWS
@@ -168,12 +156,12 @@ def test_blocked_forward_equals_the_unblocked_layer_loop(hidden, activation):
         X = rng.standard_normal((n, 3))
         want = unblocked_forward(arch, draws, X)
         assert np.array_equal(forward(arch, draws, X), want)
-        assert np.array_equal(forward(arch, draws[1], X), want[1])
+        assert np.array_equal(forward(arch, draws[1:2], X)[0], want[1])
 
 
 def test_forward_holds_one_full_height_hidden_layer(peak_traced_bytes):
     arch = MlpArchitecture((2, 64, 64, 1))
-    w = init_weights(arch, 0)
+    w = init_weights(arch, 0)[None]
     n = 20000
     X = np.random.default_rng(0).standard_normal((n, 2))
     assert peak_traced_bytes(forward, arch, w, X) < 1.5 * n * 64 * 8
@@ -182,35 +170,31 @@ def test_forward_holds_one_full_height_hidden_layer(peak_traced_bytes):
 def test_forward_refuses_bad_weight_stack():
     arch = MlpArchitecture((3, 2, 1))
     x = np.zeros((4, 3))
-    with pytest.raises(ValueError):
-        forward(arch, np.zeros((2, 1, arch.num_params)), x)
-    with pytest.raises(ValueError):
-        forward(arch, np.zeros((2, arch.num_params + 1)), x)
+    for w in (np.zeros(arch.num_params), np.zeros((2, 1, arch.num_params)), np.zeros((2, arch.num_params + 1))):
+        with pytest.raises(ValueError, match="^weights have shape"):
+            forward(arch, w, x)
 
 
 def test_forward_dim_mismatch():
     arch = MlpArchitecture((3, 1))
-    with pytest.raises(ValueError):
-        forward(arch, np.zeros(arch.num_params), [1.0, 2.0])
-    with pytest.raises(ValueError):
-        forward(arch, np.zeros(5), [1.0, 2.0, 3.0])
+    w = np.zeros((1, arch.num_params))
+    for x in ([[1.0, 2.0]], [1.0, 2.0, 3.0], np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match="^inputs have shape"):
+            forward(arch, w, x)
 
 
 def test_predict_tie_break():
-    assert predict(3.2) == 1
-    assert predict(0.0) == 0
-    assert predict(-0.001) == 0
-    assert list(predict(np.array([-1.0, 0.0, 1e-9]))) == [0, 0, 1]
+    assert predict(np.array([[3.2, 0.0, -0.001], [-1.0, 0.0, 1e-9]])).tolist() == [[1, 0, 0], [0, 0, 1]]
 
 
 def test_bce_gradient_near_stationary():
     arch = MlpArchitecture((1, 1))
-    data = LabeledSample(features=[[1.0]], labels=[1])
-    g = bce_gradient(arch, [0.0, 40.0], data)  # logit 40 on a positive label
+    # logit 40 on a positive label
+    g = _bce_gradient_arrays(arch, np.array([0.0, 40.0]), np.array([[1.0]]), np.array([1.0]))
     assert np.linalg.norm(g) < 1e-6
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("activation", ["relu"])
 def test_bce_gradient_finite_differences(activation):
     rng = np.random.default_rng(3)
     h = 1e-5
@@ -218,18 +202,17 @@ def test_bce_gradient_finite_differences(activation):
     attempts = 0
     while checked < 10 and attempts < 100:
         attempts += 1
-        arch = MlpArchitecture((3, int(rng.integers(2, 8)), 1), activation)
+        arch = MlpArchitecture((3, int(rng.integers(2, 8)), 1))
         w = 0.5 * rng.standard_normal(arch.num_params)
         data = LabeledSample(
             features=rng.standard_normal((4, 3)), labels=rng.integers(0, 2, 4)
         )
-        if activation == "relu":
-            # keep probes away from the activation kink where central
-            # differences are invalid
-            pre = data.features @ w[: 3 * arch.layer_widths[1]].reshape(3, -1)
-            if np.min(np.abs(pre)) < 1e-2:
-                continue
-        g = bce_gradient(arch, w, data)
+        # keep probes away from the ReLU kink where central differences are
+        # invalid
+        pre = data.features @ w[: 3 * arch.layer_widths[1]].reshape(3, -1)
+        if np.min(np.abs(pre)) < 1e-2:
+            continue
+        g = _bce_gradient_arrays(arch, w, data.features, data.labels)
         for idx in rng.choice(arch.num_params, size=5, replace=False):
             wp, wm = w.copy(), w.copy()
             wp[idx] += h
@@ -242,14 +225,14 @@ def test_bce_gradient_finite_differences(activation):
 
 
 def test_bce_gradient_batch_linearity():
-    arch = MlpArchitecture((2, 4, 1), "tanh")
+    arch = MlpArchitecture((2, 4, 1))
     rng = np.random.default_rng(8)
     w = rng.standard_normal(arch.num_params)
     X = rng.standard_normal((2, 2))
     y = np.array([0, 1])
-    g_batch = bce_gradient(arch, w, LabeledSample(features=X, labels=y))
-    g0 = bce_gradient(arch, w, LabeledSample(features=X[:1], labels=y[:1]))
-    g1 = bce_gradient(arch, w, LabeledSample(features=X[1:], labels=y[1:]))
+    g_batch = _bce_gradient_arrays(arch, w, X, y)
+    g0 = _bce_gradient_arrays(arch, w, X[:1], y[:1])
+    g1 = _bce_gradient_arrays(arch, w, X[1:], y[1:])
     np.testing.assert_allclose(g_batch, 0.5 * (g0 + g1), rtol=0, atol=1e-12)
 
 
@@ -288,7 +271,7 @@ def test_train_separable_blobs_reach_low_risk():
     w, _ = train(
         arch, w0, data, TrainConfig(learning_rate=3e-3, epochs=5, batch_size=32, seed=4)
     )
-    assert np.mean(predict(forward(arch, w, data.features)) != data.labels) <= 0.05
+    assert np.mean(predict(forward(arch, w[None], data.features)[0]) != data.labels) <= 0.05
 
 
 def test_train_deterministic_checkpoints():

@@ -30,6 +30,11 @@ def draws_from(*weight_vectors):
     return PosteriorSampleSet(draws=w)
 
 
+def logit(arch, w, x):
+    """The logit of the one weight vector ``w`` at the one row ``x``."""
+    return forward(arch, w[None], x[None])[0, 0]
+
+
 def col(values):
     return np.asarray(values, dtype=float)[:, None]
 
@@ -56,11 +61,11 @@ def test_empirical_risk_perfect_and_constant():
 
 def test_empirical_risk_matches_loop_oracle():
     rng = np.random.default_rng(0)
-    arch = MlpArchitecture((3, 4, 1), "tanh")
+    arch = MlpArchitecture((3, 4, 1))
     w = rng.standard_normal(arch.num_params)
     data = LabeledSample(features=rng.standard_normal((50, 3)), labels=rng.integers(0, 2, 50))
     naive = sum(
-        int((1 if forward(arch, w, data.features[i]) > 0 else 0) != data.labels[i])
+        int((1 if logit(arch, w, data.features[i]) > 0 else 0) != data.labels[i])
         for i in range(50)
     ) / 50
     assert risks(arch, draws_from(w, w), data).gibbs_risk == naive
@@ -161,7 +166,7 @@ def test_expected_disagreement_matches_loop_oracle():
     w1, w2 = rng.standard_normal((2, arch.num_params))
     X = rng.standard_normal((60, 2))
     naive = sum(
-        int((forward(arch, w1, X[i]) > 0) != (forward(arch, w2, X[i]) > 0)) for i in range(60)
+        int((logit(arch, w1, X[i]) > 0) != (logit(arch, w2, X[i]) > 0)) for i in range(60)
     ) / 60
     got = risks(arch, draws_from(w1, w2), UnlabeledSample(features=X)).disagreement_target
     assert got == naive
@@ -178,14 +183,14 @@ def test_expected_joint_error_cases():
 
 def test_expected_joint_error_matches_loop_oracle():
     rng = np.random.default_rng(5)
-    arch = MlpArchitecture((2, 3, 1), "tanh")
+    arch = MlpArchitecture((2, 3, 1))
     w1, w2 = rng.standard_normal((2, arch.num_params))
     X = rng.standard_normal((40, 2))
     y = rng.integers(0, 2, 40)
     naive = sum(
         int(
-            ((forward(arch, w1, X[i]) > 0) != y[i])
-            and ((forward(arch, w2, X[i]) > 0) != y[i])
+            ((logit(arch, w1, X[i]) > 0) != y[i])
+            and ((logit(arch, w2, X[i]) > 0) != y[i])
         )
         for i in range(40)
     ) / 40
@@ -277,8 +282,8 @@ def test_estimate_risks_assembly_and_ranges():
     }
     # agrees with straight-line references: one forward pass per draw, a
     # mean over rows per draw or pair, then a mean over draws or pairs
-    source_preds = np.stack([predict(forward(arch, w, source.features)) for w in samples.draws])
-    target_preds = np.stack([predict(forward(arch, w, target_x.features)) for w in samples.draws])
+    source_preds = np.stack([predict(forward(arch, w[None], source.features)[0]) for w in samples.draws])
+    target_preds = np.stack([predict(forward(arch, w[None], target_x.features)[0]) for w in samples.draws])
     source_errors = source_preds != source.labels
     target_errors = target_preds != oracle.labels
     assert est.gibbs_risk == source_errors.mean(axis=1).mean()
