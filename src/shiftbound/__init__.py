@@ -14,16 +14,7 @@ from .bounds import (
     default_grid,
     grid_search,
 )
-from .divergences import (
-    MixtureTaskSpec,
-    MmdConfig,
-    OverlapError,
-    beta_infinity,
-    median_heuristic_bandwidths,
-    mixture_weights,
-    mmd_estimate,
-    one_sided_weight,
-)
+from .divergences import MmdConfig, median_heuristic_bandwidths, mmd_estimate
 from .experiment import (
     ExperimentConfig,
     emit,
@@ -59,9 +50,12 @@ from .stochastic import (
     sample_posterior,
 )
 from .tasks import (
+    MixtureTaskSpec,
+    OverlapError,
     SyntheticSpec,
     TaskInstance,
     apply_label_rule,
+    beta_infinity,
     build_mixture_task,
     build_one_sided_task,
     build_synthetic_task,
@@ -69,6 +63,8 @@ from .tasks import (
     density_ratio,
     load_dataset,
     load_task,
+    mixture_weights,
+    one_sided_weight,
     save_dataset,
     save_task,
 )

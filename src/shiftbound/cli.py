@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundInputs, bound_terms, default_grid, grid_search
-from .divergences import MixtureTaskSpec, beta_infinity
 from .experiment import (
     ExperimentConfig,
     emit,
@@ -30,6 +29,8 @@ from .experiment import (
 )
 from .risks import RiskEstimates
 from .tasks import (
+    MixtureTaskSpec,
+    beta_infinity,
     build_mixture_task,
     build_synthetic_task,
     default_synthetic_spec,

@@ -1,7 +1,7 @@
 """Domain-shift quantities: a Gaussian-kernel MMD estimate (an O(n) paired
 linear statistic with shuffle averaging and a bandwidth sweep whose
-bandwidths share each shuffle's squared distances) and exact importance
-weights for mixture-constructed tasks.
+bandwidths share each shuffle's squared distances) and the median-heuristic
+bandwidths it is swept over.
 
 Everything here is numpy; nothing uses scipy. The median heuristic sums
 its pairwise squared distances over features in order (d0*d0, then
@@ -36,7 +36,6 @@ runs it once per feature.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -51,11 +50,6 @@ MEDIAN_POOL_ROWS = 2048
 # distances it gathers to partition (1 MiB)
 _TILE_ROWS = 32
 _CANDIDATE_CAP = 1 << 17
-
-
-class OverlapError(ValueError):
-    """A construction would put zero source mass where the target has mass
-    (or leave a domain empty), breaking the overlap requirement."""
 
 
 @dataclass(frozen=True)
@@ -286,101 +280,4 @@ def _median_distance(pool: np.ndarray) -> float:
     tiles = partial(_pair_tiles, np.asfortranarray(pool), np.empty((2, _TILE_ROWS * n)))
     middle = np.array(_middle_bits(tiles, n * (n - 1) // 2), dtype=np.int64).view(np.float64)
     return (math.sqrt(middle[0]) + math.sqrt(middle[1])) / 2
-
-
-@dataclass(frozen=True)
-class MixtureTaskSpec:
-    """Two-origin mixture construction: per class, ``source_share[c]`` of the
-    origin-1 rows (and the complementary share of origin-0 rows) go to the
-    source; the remainder is the target. Labels below
-    ``binary_relabel_threshold`` become 0, the rest 1.
-
-    Shares may be given as Fraction, str ("1/12"), int, or float; they are
-    held exactly as Fractions.
-    """
-
-    num_classes: int
-    source_share: tuple
-    per_class_counts: tuple  # per class: (origin-0 count, origin-1 count)
-    binary_relabel_threshold: int = 0
-
-    def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
-        shares = tuple(Fraction(s) for s in self.source_share)
-        object.__setattr__(self, "source_share", shares)
-        if len(shares) != self.num_classes:
-            raise ValueError("need one source share per class")
-        if any(not 0 <= s <= 1 for s in shares):
-            raise ValueError("shares must lie in [0, 1]")
-        counts = tuple((int(a), int(b)) for a, b in self.per_class_counts)
-        object.__setattr__(self, "per_class_counts", counts)
-        if len(counts) != self.num_classes:
-            raise ValueError("need per-origin counts for every class")
-        if any(a < 1 or b < 1 for a, b in counts):
-            raise ValueError("per-class counts must be >= 1")
-        threshold = int(self.binary_relabel_threshold)
-        if threshold == 0:
-            threshold = self.num_classes // 2
-        object.__setattr__(self, "binary_relabel_threshold", threshold)
-
-    def binary_label(self, cls: int) -> int:
-        return 0 if cls < self.binary_relabel_threshold else 1
-
-
-def mixture_counts(spec: MixtureTaskSpec):
-    """Integer (source, target) row counts per (class, origin) implied by the
-    shares; refuses any cell with zero mass on either side."""
-    src = []
-    tgt = []
-    for c in range(spec.num_classes):
-        n0, n1 = spec.per_class_counts[c]
-        share1 = spec.source_share[c]
-        s1 = round(share1 * n1)
-        s0 = round((1 - share1) * n0)
-        row_s = (s0, s1)
-        row_t = (n0 - s0, n1 - s1)
-        for o in range(2):
-            if row_s[o] == 0 or row_t[o] == 0:
-                raise OverlapError(
-                    f"class {c} origin {o}: source share {share1} leaves an empty "
-                    f"side; every (class, origin) cell needs mass in both domains"
-                )
-        src.append(row_s)
-        tgt.append(row_t)
-    return src, tgt
-
-
-def mixture_weights(spec: MixtureTaskSpec):
-    """Exact importance weights per (class, origin):
-
-        w[c][o] = (target count / #T) / (source count / #S)
-
-    returned as Fractions (convert with float() for numeric use)."""
-    src, tgt = mixture_counts(spec)
-    total_s = sum(a + b for a, b in src)
-    total_t = sum(a + b for a, b in tgt)
-    return [
-        [Fraction(tgt[c][o] * total_s, src[c][o] * total_t) for o in range(2)]
-        for c in range(spec.num_classes)
-    ]
-
-
-def beta_infinity(spec: MixtureTaskSpec) -> float:
-    """Largest importance weight of the mixture (exact arithmetic, then float)."""
-    table = mixture_weights(spec)
-    return float(max(w for row in table for w in row))
-
-
-def one_sided_weight(move_fraction: float, num_source: int, num_target: int) -> float:
-    """Importance weight for shared-pool rows when a ``move_fraction`` slice of
-    one dataset is moved into the source and its remainder is the target:
-
-        w = ((1 - f) / f) * (#S / #T)
-    """
-    if not 0 < move_fraction < 1:
-        raise ValueError("move_fraction must lie in (0, 1)")
-    if num_source < 1 or num_target < 1:
-        raise ValueError("counts must be positive")
-    return (1.0 - move_fraction) / move_fraction * (num_source / num_target)
 

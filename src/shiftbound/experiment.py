@@ -80,6 +80,13 @@ def _integer(value, path: str) -> int:
     raise ValueError(f"{path} must be an integer, got {value!r}")
 
 
+def _list(value, path: str) -> tuple:
+    """``value`` as a tuple: a list or a tuple, not a scalar or a string."""
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    raise ValueError(f"{path} must be a list, got {value!r}")
+
+
 def _number(value, path: str) -> float:
     """``value`` as a float: a real number, not a bool or a string."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -107,14 +114,23 @@ class ExperimentConfig:
     base_dir: str = "."
 
     def __post_init__(self):
+        if not isinstance(self.task, dict):
+            raise ValueError(f"task must be an object, got {self.task!r}")
+        kind = self.task.get("type")
+        if kind not in ("synthetic", "manifest"):
+            raise ValueError(f"task.type must be 'synthetic' or 'manifest', got {kind!r}")
+        if kind == "synthetic" and not isinstance(self.task.get("spec"), dict):
+            raise ValueError(f"task.spec must be an object, got {self.task.get('spec')!r}")
+        if kind == "manifest" and not isinstance(self.task.get("path"), str):
+            raise ValueError(f"task.path must be a string, got {self.task.get('path')!r}")
         for check, names in (
             (_integer, ("posterior_pairs", "mmd_shuffles", "batch_size", "prior_epochs", "posterior_epochs")),
             (_number, ("sigma", "delta", "learning_rate", "momentum")),
         ):
             for name in names:
                 setattr(self, name, check(getattr(self, name), ".".join(_JSON_PATHS.get(name, (name,)))))
-        self.hidden = tuple(_integer(w, f"arch.hidden[{i}]") for i, w in enumerate(self.hidden))
-        self.seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(self.seeds))
+        self.hidden = tuple(_integer(w, f"arch.hidden[{i}]") for i, w in enumerate(_list(self.hidden, "arch.hidden")))
+        self.seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(_list(self.seeds, "seeds")))
         if isinstance(self.alphas, (list, tuple)):
             self.alphas = tuple(_number(a, f"alpha[{i}]") for i, a in enumerate(self.alphas))
         else:
@@ -125,7 +141,7 @@ class ExperimentConfig:
             raise ValueError("alpha values must lie in [0, 1)")
         if len(set(self.alphas)) < len(self.alphas):
             raise ValueError("alpha values must be distinct")
-        self.bounds = tuple(self.bounds)
+        self.bounds = _list(self.bounds, "bounds")
         if not self.bounds:
             raise ValueError("need at least one bound")
         unknown = set(self.bounds) - set(BOUND_NAMES)
@@ -165,9 +181,10 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
         """Config from its JSON layout (see ``_JSON_PATHS``); absent keys keep
-        the dataclass defaults and JSON lists become tuples. A key that names
-        no field is refused, at the top level and in the ``arch``, ``train``
-        and ``mmd`` sections; the ``report`` section is the CLI's."""
+        the dataclass defaults and JSON lists become tuples; ``task`` has no
+        default. A key that names no field is refused, at the top level and
+        in the ``arch``, ``train`` and ``mmd`` sections; the ``report``
+        section is the CLI's."""
         paths = {f.name: _JSON_PATHS.get(f.name, (f.name,)) for f in fields(cls) if f.name != "base_dir"}
         sections = {path[0] for path in paths.values() if len(path) == 2}
         keys = list(doc)
@@ -179,21 +196,19 @@ class ExperimentConfig:
         unknown = [key for key in keys if key not in known]
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        if "task" not in doc:
+            raise ValueError("config key 'task' is missing")
         kwargs = {"base_dir": base_dir}
         for name, (*section, key) in paths.items():
             node = doc.get(section[0], {}) if section else doc
             if key in node:
-                value = node[key]
-                kwargs[name] = tuple(value) if isinstance(value, list) else value
+                kwargs[name] = node[key]
         return cls(**kwargs)
 
     def resolve_task(self) -> TaskInstance:
-        kind = self.task.get("type")
-        if kind == "synthetic":
+        if self.task["type"] == "synthetic":
             return build_synthetic_task(spec_from_json("synthetic", self.task["spec"]))
-        if kind == "manifest":
-            return load_task(os.path.join(self.base_dir, self.task["path"]))
-        raise ValueError("task.type must be 'synthetic' or 'manifest'")
+        return load_task(os.path.join(self.base_dir, self.task["path"]))
 
 
 @dataclass

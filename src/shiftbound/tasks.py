@@ -4,7 +4,10 @@ overlap by design, with exact importance weights attached to every source row.
 Three constructions are provided: the two-origin per-class mixture with
 complement target, a one-sided mixture where only part of one pool appears in
 the target, and a fully synthetic two-component Gaussian generator whose
-density ratio is available in closed form.
+density ratio is available in closed form. A construction that would leave
+target mass without source mass is refused with ``OverlapError``. The two
+pooled constructions' weights, and the mixture's worst-case weight
+beta_inf, are computed in exact ``Fraction`` arithmetic and rounded once.
 
 A task persists as a directory (``save_task`` / ``load_task``): source.csv
 and target.csv (header f0..f{d-1},label[,origin]), weights.csv (header
@@ -27,12 +30,15 @@ from itertools import chain
 
 import numpy as np
 
-from .divergences import MixtureTaskSpec, OverlapError, beta_infinity, mixture_counts, mixture_weights
 from .samples import LabeledSample, UnlabeledSample
 from .seeding import stream_rng
 
-LABEL_RULES = ("halfspace", "disk")
-TASK_KINDS = ("synthetic", "mixture", "one_sided")
+LABEL_RULES = ("halfspace",)
+
+
+class OverlapError(ValueError):
+    """A construction would put zero source mass where the target has mass
+    (or leave a domain empty), breaking the overlap requirement."""
 
 
 @dataclass(frozen=True)
@@ -42,8 +48,7 @@ class SyntheticSpec:
     closed-form two-term expression and its supremum is max_k target/source.
 
     Labels come from a deterministic rule applied identically in both
-    domains: "halfspace" labels 1 where x . rule_vector + rule_offset > 0,
-    "disk" labels 1 inside the ball of radius rule_offset around rule_vector.
+    domains: "halfspace" labels 1 where x . rule_vector + rule_offset > 0.
     """
 
     dim: int
@@ -127,10 +132,7 @@ def apply_label_rule(spec: SyntheticSpec, X) -> np.ndarray:
     """The shared class-conditional rule; identical in both domains, which is
     what makes the construction a covariate shift."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    v = np.asarray(spec.rule_vector)
-    if spec.label_rule == "halfspace":
-        return (X @ v + spec.rule_offset > 0).astype(np.int64)
-    return (np.sum((X - v) ** 2, axis=1) <= spec.rule_offset**2).astype(np.int64)
+    return (X @ np.asarray(spec.rule_vector) + spec.rule_offset > 0).astype(np.int64)
 
 
 def _logaddexp_columns(a: np.ndarray) -> np.ndarray:
@@ -200,8 +202,88 @@ def build_synthetic_task(spec: SyntheticSpec) -> TaskInstance:
     )
 
 
-def _class_indices(sample: LabeledSample, cls: int) -> np.ndarray:
-    return np.nonzero(sample.labels == cls)[0]
+@dataclass(frozen=True)
+class MixtureTaskSpec:
+    """Two-origin mixture construction: per class, ``source_share[c]`` of the
+    origin-1 rows (and the complementary share of origin-0 rows) go to the
+    source; the remainder is the target. Labels below
+    ``binary_relabel_threshold`` become 0, the rest 1.
+
+    Shares may be given as Fraction, str ("1/12"), int, or float; they are
+    held exactly as Fractions.
+    """
+
+    num_classes: int
+    source_share: tuple
+    per_class_counts: tuple  # per class: (origin-0 count, origin-1 count)
+    binary_relabel_threshold: int = 0
+
+    def __post_init__(self):
+        if self.num_classes < 1:
+            raise ValueError("num_classes must be >= 1")
+        shares = tuple(Fraction(s) for s in self.source_share)
+        object.__setattr__(self, "source_share", shares)
+        if len(shares) != self.num_classes:
+            raise ValueError("need one source share per class")
+        if any(not 0 <= s <= 1 for s in shares):
+            raise ValueError("shares must lie in [0, 1]")
+        counts = tuple((int(a), int(b)) for a, b in self.per_class_counts)
+        object.__setattr__(self, "per_class_counts", counts)
+        if len(counts) != self.num_classes:
+            raise ValueError("need per-origin counts for every class")
+        if any(a < 1 or b < 1 for a, b in counts):
+            raise ValueError("per-class counts must be >= 1")
+        threshold = int(self.binary_relabel_threshold)
+        if threshold == 0:
+            threshold = self.num_classes // 2
+        object.__setattr__(self, "binary_relabel_threshold", threshold)
+
+    def binary_label(self, cls: int) -> int:
+        return 0 if cls < self.binary_relabel_threshold else 1
+
+
+def mixture_counts(spec: MixtureTaskSpec):
+    """Integer (source, target) row counts per (class, origin) implied by the
+    shares; refuses any cell with zero mass on either side."""
+    src = []
+    tgt = []
+    for c in range(spec.num_classes):
+        n0, n1 = spec.per_class_counts[c]
+        share1 = spec.source_share[c]
+        s1 = round(share1 * n1)
+        s0 = round((1 - share1) * n0)
+        row_s = (s0, s1)
+        row_t = (n0 - s0, n1 - s1)
+        for o in range(2):
+            if row_s[o] == 0 or row_t[o] == 0:
+                raise OverlapError(
+                    f"class {c} origin {o}: source share {share1} leaves an empty "
+                    f"side; every (class, origin) cell needs mass in both domains"
+                )
+        src.append(row_s)
+        tgt.append(row_t)
+    return src, tgt
+
+
+def mixture_weights(spec: MixtureTaskSpec):
+    """Exact importance weights per (class, origin):
+
+        w[c][o] = (target count / #T) / (source count / #S)
+
+    returned as Fractions (convert with float() for numeric use)."""
+    src, tgt = mixture_counts(spec)
+    total_s = sum(a + b for a, b in src)
+    total_t = sum(a + b for a, b in tgt)
+    return [
+        [Fraction(tgt[c][o] * total_s, src[c][o] * total_t) for o in range(2)]
+        for c in range(spec.num_classes)
+    ]
+
+
+def beta_infinity(spec: MixtureTaskSpec) -> float:
+    """Largest importance weight of the mixture (exact arithmetic, then float)."""
+    table = mixture_weights(spec)
+    return float(max(w for row in table for w in row))
 
 
 def build_mixture_task(
@@ -210,25 +292,17 @@ def build_mixture_task(
     """Per class, route the spec's share of origin-1 rows (and the
     complementary share of origin-0 rows) to the source, the rest to the
     target; binarise labels and attach exact weights by (class, origin)."""
-    pools = (pool0, pool1)
-    src_counts, tgt_counts = mixture_counts(spec)
-    for c in range(spec.num_classes):
-        for o in range(2):
-            have = _class_indices(pools[o], c).size
-            want = spec.per_class_counts[c][o]
-            if have != want:
-                raise ValueError(
-                    f"pool{o} has {have} rows of class {c}, spec declares {want}"
-                )
-
+    src_counts, _ = mixture_counts(spec)
     table = mixture_weights(spec)
     src_parts, tgt_parts = [], []
     for c in range(spec.num_classes):
-        for o in range(2):
-            idx = _class_indices(pools[o], c)
+        for o, pool in enumerate((pool0, pool1)):
+            idx = np.nonzero(pool.labels == c)[0]
+            want = spec.per_class_counts[c][o]
+            if idx.size != want:
+                raise ValueError(f"pool{o} has {idx.size} rows of class {c}, spec declares {want}")
             idx = idx[stream_rng(seed, "task", c, o).permutation(idx.size)]
             k = src_counts[c][o]
-            pool = pools[o]
             y = spec.binary_label(c)
             w = float(table[c][o])
             for rows, part in ((idx[:k], src_parts), (idx[k:], tgt_parts)):
@@ -259,6 +333,22 @@ def build_mixture_task(
     )
 
 
+def one_sided_weight(move_fraction, num_source: int, num_target: int) -> float:
+    """Importance weight for shared-pool rows when a ``move_fraction`` slice of
+    one dataset is moved into the source and its remainder is the target:
+
+        w = ((1 - f) / f) * (#S / #T)
+
+    in exact arithmetic on ``Fraction(move_fraction)`` (a float fraction is
+    taken at its exact binary value), rounded to float once."""
+    if not 0 < move_fraction < 1:
+        raise ValueError("move_fraction must lie in (0, 1)")
+    if num_source < 1 or num_target < 1:
+        raise ValueError("counts must be positive")
+    f = Fraction(move_fraction)
+    return float((1 - f) / f * Fraction(num_source, num_target))
+
+
 def build_one_sided_task(
     pool_source_only: LabeledSample,
     pool_shared: LabeledSample,
@@ -287,7 +377,7 @@ def build_one_sided_task(
     moved, kept = order[:k], order[k:]
     n_source = len(pool_source_only) + k
     n_target = m1 - k
-    weight = float(Fraction(m1 - k, k) * Fraction(n_source, n_target))
+    weight = one_sided_weight(Fraction(k, m1), n_source, n_target)
 
     feats = np.vstack([pool_source_only.features, pool_shared.features[moved]])
     labels = np.concatenate([pool_source_only.labels, pool_shared.labels[moved]])
@@ -487,12 +577,17 @@ def _fraction_to_json(value):
     raise TypeError(f"cannot write {type(value).__name__} to a task manifest")
 
 
+# each task kind and the type its spec is read back as
+_SPEC_TYPES = {"synthetic": SyntheticSpec, "mixture": MixtureTaskSpec, "one_sided": dict}
+TASK_KINDS = tuple(_SPEC_TYPES)
+
+
 def spec_from_json(kind: str, d: dict):
     """The spec of a task of ``kind`` from its JSON object (a manifest's
     ``spec``, a ``make-task --spec`` file, an inline config spec); a key
     that names no spec field is refused. The spec classes convert lists,
     share strings and numbers themselves."""
-    return {"synthetic": SyntheticSpec, "mixture": MixtureTaskSpec}.get(kind, dict)(**d)
+    return _SPEC_TYPES[kind](**d)
 
 
 def save_task(task: TaskInstance, dirpath) -> None:

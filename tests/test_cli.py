@@ -111,6 +111,16 @@ def test_run_checks_the_report_section_before_running(tmp_path, capsys, monkeypa
         ({"oracle_mode": "false", "bounds": ["add"]}, "oracle_mode must be true or false, got 'false'"),
         ({"sigma": "0.03"}, "sigma must be a number, got '0.03'"),
         ({"bounds": ["iw", "iw"]}, "bounds must be distinct"),
+        ({"seeds": 3}, "seeds must be a list, got 3"),
+        ({"arch": {"hidden": 16}}, "arch.hidden must be a list, got 16"),
+        ({"bounds": "iw"}, "bounds must be a list, got 'iw'"),
+        ({"task": None}, "config key 'task' is missing"),
+        ({"task": "x"}, "task must be an object, got 'x'"),
+        ({"task": {"type": "csv", "path": "task"}}, "task.type must be 'synthetic' or 'manifest', got 'csv'"),
+        ({"task": {"type": "synthetic"}}, "task.spec must be an object, got None"),
+        ({"task": {"type": "synthetic", "spec": []}}, "task.spec must be an object, got []"),
+        ({"task": {"type": "manifest"}}, "task.path must be a string, got None"),
+        ({"task": {"type": "manifest", "path": 3}}, "task.path must be a string, got 3"),
     ],
 )
 def test_run_refuses_a_bad_setting_before_building_the_task(tmp_path, capsys, monkeypatch, doc, message):
@@ -120,7 +130,9 @@ def test_run_refuses_a_bad_setting_before_building_the_task(tmp_path, capsys, mo
     monkeypatch.setattr(cli, "run_experiment", refuse)
     monkeypatch.setattr(cli.ExperimentConfig, "resolve_task", refuse)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"task": {"type": "manifest", "path": "task"}, **doc}))
+    # a None value stands for an absent key
+    doc = {"task": {"type": "manifest", "path": "task"}, **doc}
+    path.write_text(json.dumps({key: value for key, value in doc.items() if value is not None}))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [path]

@@ -24,8 +24,8 @@ from shiftbound.divergences import (
     _shuffle_permutations,
     _sq_distances,
     _truncate_even,
-    mixture_counts,
 )
+from shiftbound.tasks import mixture_counts
 
 from oracles import (
     _kernel_matrix,

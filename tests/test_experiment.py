@@ -286,12 +286,22 @@ def test_config_refuses_bad_sigma_and_shuffles(doc, message):
         ({"alpha": "0.3"}, "alpha must be a number, got '0.3'"),
         ({"alpha": [0.0, "0.3"]}, r"alpha\[1\] must be a number, got '0.3'"),
         ({"bounds": ["iw", "iw"]}, "bounds must be distinct"),
+        ({"seeds": 3}, "seeds must be a list, got 3"),
+        ({"arch": {"hidden": 16}}, "arch.hidden must be a list, got 16"),
+        ({"bounds": "iw"}, "bounds must be a list, got 'iw'"),
+        ({"task": None}, "config key 'task' is missing"),
+        ({"task": "x"}, "task must be an object, got 'x'"),
+        ({"task": {"type": "mixture"}}, "task.type must be 'synthetic' or 'manifest', got 'mixture'"),
+        ({"task": {"type": "synthetic"}}, "task.spec must be an object, got None"),
+        ({"task": {"type": "manifest"}}, "task.path must be a string, got None"),
     ],
 )
 def test_config_refuses_bad_counts_and_lists(doc, message):
     task = {"type": "synthetic", "spec": asdict(default_synthetic_spec(seed=1))}
+    # a None value stands for an absent key
+    doc = {key: value for key, value in {"task": task, **doc}.items() if value is not None}
     with pytest.raises(ValueError, match=f"^{message}$"):
-        ExperimentConfig.from_json_dict({"task": task, **doc})
+        ExperimentConfig.from_json_dict(doc)
 
 
 def test_config_stores_integral_counts_as_int():

@@ -12,10 +12,17 @@ import importlib.util
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from shiftbound import experiment
-from shiftbound.tasks import SyntheticSpec, build_synthetic_task
+from shiftbound import LabeledSample, MixtureTaskSpec, experiment
+from shiftbound.tasks import (
+    SyntheticSpec,
+    build_mixture_task,
+    build_one_sided_task,
+    build_synthetic_task,
+    save_task,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 DELTA = 0.05  # the ExperimentConfig default both workloads run with
@@ -74,3 +81,46 @@ def test_nine_feature_report_is_pinned(tmp_path):
         experiment.emit(report, fmt, path)
         digest.update(path.read_bytes())
     assert digest.hexdigest() == WIDE_REPORT_SHA256
+
+
+# sha256 of the source.csv, target.csv, weights.csv and manifest.json bytes,
+# in that order, of the two pooled tasks below
+TASK_SHA256 = {
+    "mixture": "27ff92a510fcb9acc48f353e0cc7e20f06cc04623c89f378fa34832dcf1b98bb",
+    "one_sided": "ef6cafd4b2498b6719521b1e1445db69f3696ba8ab0f6bb30b2a5d09f37ee926",
+}
+
+
+def _pool(rng, labels, dim, origin=None):
+    labels = np.asarray(labels, dtype=np.int64)
+    origin = None if origin is None else np.full(len(labels), origin, dtype=np.int64)
+    return LabeledSample(features=rng.standard_normal((len(labels), dim)), labels=labels, origin=origin)
+
+
+def _mixture_task():
+    """A 10-class, 16-feature mixture with unequal shares and cell counts."""
+    rng = np.random.default_rng(16)
+    counts = [(20 + 3 * c, 41 - 2 * c) for c in range(10)]
+    spec = MixtureTaskSpec(
+        num_classes=10, source_share=[f"{c + 1}/12" for c in range(10)], per_class_counts=counts
+    )
+    pools = [
+        _pool(rng, rng.permutation(np.repeat(np.arange(10), [n[o] for n in counts])), 16, o) for o in range(2)
+    ]
+    return build_mixture_task(*pools, spec, seed=3)
+
+
+def _one_sided_task():
+    rng = np.random.default_rng(37)
+    source_only = _pool(rng, rng.integers(0, 2, 50), 4)
+    shared = _pool(rng, rng.integers(0, 2, 200), 4)
+    return build_one_sided_task(source_only, shared, 0.37, seed=5)
+
+
+@pytest.mark.parametrize("kind, build", [("mixture", _mixture_task), ("one_sided", _one_sided_task)])
+def test_saved_task_bytes_are_pinned(tmp_path, kind, build):
+    save_task(build(), tmp_path)
+    digest = hashlib.sha256()
+    for name in ("source.csv", "target.csv", "weights.csv", "manifest.json"):
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == TASK_SHA256[kind]

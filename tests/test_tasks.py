@@ -28,7 +28,6 @@ from shiftbound import (
     save_dataset,
     save_task,
 )
-from shiftbound.divergences import mixture_weights
 from shiftbound.tasks import (
     CHUNK,
     TaskInstance,
@@ -36,6 +35,7 @@ from shiftbound.tasks import (
     _logaddexp_columns,
     _write_csv,
     default_synthetic_spec,
+    mixture_weights,
     synthetic_beta_infinity,
 )
 
@@ -126,15 +126,17 @@ def test_one_sided_task_weights_and_counts():
     shared = LabeledSample(
         features=rng.standard_normal((200, 2)), labels=rng.integers(0, 2, 200)
     )
-    task = build_one_sided_task(pool0, shared, move_fraction=0.2, seed=1)
-    # 40 shared rows move to the source: weight 4 * (#S/#T)
-    assert len(task.source) == 340
-    assert len(task.target_labeled_oracle) == 160
-    want = 4.0 * 340 / 160
-    shared_rows = task.source.origin == 1
-    assert np.all(task.source.weights[shared_rows] == pytest.approx(want))
-    assert np.all(task.source.weights[~shared_rows] == 0.0)
-    assert task.beta_inf == pytest.approx(want)
+    # 40 (then 70) shared rows move to the source: weight ((1 - f)/f) * (#S/#T),
+    # rounded once from exact arithmetic (float arithmetic misses at 0.35)
+    for move_fraction, k in ((0.2, 40), (0.35, 70)):
+        task = build_one_sided_task(pool0, shared, move_fraction=move_fraction, seed=1)
+        assert len(task.source) == 300 + k
+        assert len(task.target_labeled_oracle) == 200 - k
+        want = float(Fraction(200 - k, k) * Fraction(300 + k, 200 - k))
+        shared_rows = task.source.origin == 1
+        assert np.all(task.source.weights[shared_rows] == want)
+        assert np.all(task.source.weights[~shared_rows] == 0.0)
+        assert task.beta_inf == want
 
 
 def test_one_sided_task_balanced_gives_unit_weight():
