@@ -42,11 +42,16 @@ from .tasks import (
 
 def _cmd_make_task(args) -> int:
     if args.kind == "synthetic":
+        unread = [flag for flag, value in (("--pool0", args.pool0), ("--pool1", args.pool1)) if value is not None]
+        if args.spec and args.seed is not None:  # the spec file holds its own seed
+            unread.append("--seed with --spec")
+        if unread:
+            raise ValueError(f"make-task synthetic does not read {', '.join(unread)}")
         if args.spec:
             with open(args.spec) as fh:
                 spec = spec_from_json("synthetic", json.load(fh))
         else:
-            spec = default_synthetic_spec(seed=args.seed)
+            spec = default_synthetic_spec(seed=args.seed or 0)
         task = build_synthetic_task(spec)
     else:
         if not (args.pool0 and args.pool1 and args.spec):
@@ -55,45 +60,21 @@ def _cmd_make_task(args) -> int:
             spec = spec_from_json("mixture", json.load(fh))
         pool0 = load_dataset(args.pool0, num_classes=spec.num_classes)
         pool1 = load_dataset(args.pool1, num_classes=spec.num_classes)
-        task = build_mixture_task(pool0, pool1, spec, seed=args.seed)
+        task = build_mixture_task(pool0, pool1, spec, seed=args.seed or 0)
     save_task(task, args.out)
     print(f"wrote task ({task.kind}, beta_inf={task.beta_inf:.6g}) to {args.out}")
     return 0
 
 
-def _report_settings(doc: dict):
-    """(dir, stem, formats) of a run config's ``report`` section, which must
-    be an object with no key or format but these: ``dir`` and ``stem``
-    strings, ``formats`` a list."""
-    section = doc.get("report", {})
-    if not isinstance(section, dict):
-        raise ValueError("config key 'report' must be an object")
-    unknown = [f"report.{key}" for key in section if key not in ("dir", "stem", "formats")]
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    out_dir, stem = section.get("dir", "."), section.get("stem", "report")
-    for key, value in (("dir", out_dir), ("stem", stem)):
-        if not isinstance(value, str):
-            raise ValueError(f"report.{key} must be a string, got {value!r}")
-    formats = section.get("formats", ["csv"])
-    if not isinstance(formats, list):
-        raise ValueError(f"report.formats must be a list, got {formats!r}")
-    if any(fmt not in ("csv", "json") for fmt in formats):
-        raise ValueError("format must be 'csv' or 'json'")
-    return out_dir, stem, formats
-
-
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    cfg = ExperimentConfig.from_json_dict(doc, base_dir=base_dir)
-    out_dir, stem, formats = _report_settings(doc)
+    with open(args.config) as fh:
+        cfg = ExperimentConfig.from_json_dict(json.load(fh), base_dir=base_dir)
     report = run_experiment(cfg)
-    out_dir = os.path.join(base_dir, out_dir)
+    out_dir = os.path.join(base_dir, cfg.report_dir)
     os.makedirs(out_dir, exist_ok=True)
-    for fmt in formats:
-        path = os.path.join(out_dir, f"{stem}.{fmt}")
+    for fmt in cfg.report_formats:
+        path = os.path.join(out_dir, f"{cfg.report_stem}.{fmt}")
         emit(report, fmt, path)
         print(f"wrote {path}")
     print(format_summary(report_summary(report_records(report))))
@@ -178,7 +159,7 @@ def main(argv=None) -> int:
     p.add_argument("--spec", help="JSON spec file")
     p.add_argument("--pool0", help="CSV pool with origin-0 rows (mixture)")
     p.add_argument("--pool1", help="CSV pool with origin-1 rows (mixture)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default 0; a synthetic --spec holds its own")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_make_task)
 

@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
 
 from .bounds import BOUND_NAMES, ORACLE_BOUNDS, BoundInputs, grid_search
@@ -59,19 +59,6 @@ _REPORT_COLUMNS = (
 CSV_COLUMNS = [name for name, *_ in _REPORT_COLUMNS]
 
 
-# JSON location of each config field that is not a top-level key of its own
-# name; ``alpha`` may be a scalar or a list
-_JSON_PATHS = {
-    "alphas": ("alpha",),
-    "hidden": ("arch", "hidden"),
-    "mmd_shuffles": ("mmd", "shuffles"),
-    **{
-        name: ("train", name)
-        for name in ("learning_rate", "momentum", "batch_size", "prior_epochs", "posterior_epochs")
-    },
-}
-
-
 def _integer(value, path: str) -> int:
     """``value`` as an int: an integral number, not a bool or a string."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -80,18 +67,76 @@ def _integer(value, path: str) -> int:
     raise ValueError(f"{path} must be an integer, got {value!r}")
 
 
-def _list(value, path: str) -> tuple:
-    """``value`` as a tuple: a list or a tuple, not a scalar or a string."""
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    raise ValueError(f"{path} must be a list, got {value!r}")
-
-
 def _number(value, path: str) -> float:
     """``value`` as a float: a real number, not a bool or a string."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"{path} must be a number, got {value!r}")
+
+
+def _instance(cls, what: str):
+    """Reader of a ``cls`` value, refusing any other as not ``what``."""
+    def read(value, path: str):
+        if isinstance(value, cls):
+            return value
+        raise ValueError(f"{path} must be {what}, got {value!r}")
+    return read
+
+
+_flag, _string, _object = _instance(bool, "true or false"), _instance(str, "a string"), _instance(dict, "an object")
+
+
+def _list(read):
+    """Reader of a list or a tuple as a tuple, entry i read by ``read`` at ``path[i]``."""
+    def read_list(value, path: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{path} must be a list, got {value!r}")
+        return tuple(read(entry, f"{path}[{i}]") for i, entry in enumerate(value))
+    return read_list
+
+
+def _alphas(value, path: str) -> tuple:
+    return _list(_number)(value, path) if isinstance(value, (list, tuple)) else (_number(value, path),)
+
+
+def _task(value, path: str) -> dict:
+    """A ``manifest`` task with a ``path`` string, or a ``synthetic`` one with a valid ``spec``."""
+    kind = _object(value, path).get("type")
+    if kind == "manifest":
+        _string(value.get("path"), f"{path}.path")
+    elif kind != "synthetic":
+        raise ValueError(f"{path}.type must be 'synthetic' or 'manifest', got {kind!r}")
+    else:
+        spec = _object(value.get("spec"), f"{path}.spec")
+        try:
+            spec_from_json("synthetic", spec)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}.spec: {exc}") from exc
+    return value
+
+
+# The run config's JSON layout: each key's path ("section.key" inside a section),
+# the field it sets, and the reader that converts its value or refuses it by path
+_KEYS = (
+    ("task", "task", _task),
+    ("arch.hidden", "hidden", _list(_integer)),
+    ("alpha", "alphas", _alphas),
+    ("sigma", "sigma", _number),
+    ("delta", "delta", _number),
+    ("posterior_pairs", "posterior_pairs", _integer),
+    ("bounds", "bounds", _list(_string)),
+    ("oracle_mode", "oracle_mode", _flag),
+    ("mmd.shuffles", "mmd_shuffles", _integer),
+    ("train.learning_rate", "learning_rate", _number),
+    ("train.momentum", "momentum", _number),
+    ("train.batch_size", "batch_size", _integer),
+    ("train.prior_epochs", "prior_epochs", _integer),
+    ("train.posterior_epochs", "posterior_epochs", _integer),
+    ("seeds", "seeds", _list(_integer)),
+    ("report.dir", "report_dir", _string),
+    ("report.stem", "report_stem", _string),
+    ("report.formats", "report_formats", _list(_string)),
+)
 
 
 @dataclass
@@ -112,45 +157,25 @@ class ExperimentConfig:
     posterior_epochs: int = 5
     seeds: tuple = (0, 1, 2, 3, 4)
     base_dir: str = "."
+    report_dir: str = "."
+    report_stem: str = "report"
+    report_formats: tuple = ("csv",)
 
     def __post_init__(self):
-        if not isinstance(self.task, dict):
-            raise ValueError(f"task must be an object, got {self.task!r}")
-        kind = self.task.get("type")
-        if kind not in ("synthetic", "manifest"):
-            raise ValueError(f"task.type must be 'synthetic' or 'manifest', got {kind!r}")
-        if kind == "synthetic" and not isinstance(self.task.get("spec"), dict):
-            raise ValueError(f"task.spec must be an object, got {self.task.get('spec')!r}")
-        if kind == "manifest" and not isinstance(self.task.get("path"), str):
-            raise ValueError(f"task.path must be a string, got {self.task.get('path')!r}")
-        for check, names in (
-            (_integer, ("posterior_pairs", "mmd_shuffles", "batch_size", "prior_epochs", "posterior_epochs")),
-            (_number, ("sigma", "delta", "learning_rate", "momentum")),
-        ):
-            for name in names:
-                setattr(self, name, check(getattr(self, name), ".".join(_JSON_PATHS.get(name, (name,)))))
-        self.hidden = tuple(_integer(w, f"arch.hidden[{i}]") for i, w in enumerate(_list(self.hidden, "arch.hidden")))
-        self.seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(_list(self.seeds, "seeds")))
-        if isinstance(self.alphas, (list, tuple)):
-            self.alphas = tuple(_number(a, f"alpha[{i}]") for i, a in enumerate(self.alphas))
-        else:
-            self.alphas = (_number(self.alphas, "alpha"),)
-        if not self.alphas:
-            raise ValueError("need at least one alpha")
+        for path, name, read in _KEYS:
+            setattr(self, name, read(getattr(self, name), path))
+        for name, what, repeated in (("alphas", "alpha", "alpha values"), ("bounds", "bound", "bounds"),
+                                     ("seeds", "seed", "seeds")):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"need at least one {what}")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{repeated} must be distinct")
         if any(not 0 <= a < 1 for a in self.alphas):
             raise ValueError("alpha values must lie in [0, 1)")
-        if len(set(self.alphas)) < len(self.alphas):
-            raise ValueError("alpha values must be distinct")
-        self.bounds = _list(self.bounds, "bounds")
-        if not self.bounds:
-            raise ValueError("need at least one bound")
         unknown = set(self.bounds) - set(BOUND_NAMES)
         if unknown:
             raise ValueError(f"unknown bounds requested: {sorted(unknown)}")
-        if len(set(self.bounds)) < len(self.bounds):
-            raise ValueError("bounds must be distinct")
-        if not isinstance(self.oracle_mode, bool):
-            raise ValueError(f"oracle_mode must be true or false, got {self.oracle_mode!r}")
         oracle = [name for name in self.bounds if name in ORACLE_BOUNDS]
         if oracle and not self.oracle_mode:
             raise ValueError(f"the {oracle[0]} bound needs oracle_mode=true (it uses target labels)")
@@ -162,10 +187,8 @@ class ExperimentConfig:
             raise ValueError("sigma must be finite and > 0")
         if self.mmd_shuffles < 1:
             raise ValueError("shuffles must be >= 1")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if len(set(self.seeds)) < len(self.seeds):
-            raise ValueError("seeds must be distinct")
+        if any(fmt not in ("csv", "json") for fmt in self.report_formats):
+            raise ValueError("format must be 'csv' or 'json'")
         # built here too, so that their own refusals come before any task
         MlpArchitecture((1, *self.hidden, 1))
         self._train_configs(self.seeds[0], 0)
@@ -180,30 +203,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
-        """Config from its JSON layout (see ``_JSON_PATHS``); absent keys keep
-        the dataclass defaults and JSON lists become tuples; ``task`` has no
-        default. A key that names no field is refused, at the top level and
-        in the ``arch``, ``train`` and ``mmd`` sections; the ``report``
-        section is the CLI's."""
-        paths = {f.name: _JSON_PATHS.get(f.name, (f.name,)) for f in fields(cls) if f.name != "base_dir"}
-        sections = {path[0] for path in paths.values() if len(path) == 2}
-        keys = list(doc)
+        """Config from its JSON layout (see ``_KEYS``); absent keys keep their
+        defaults, ``task`` has none. Keys that name no row, at the top level or
+        in a section, are refused together, top-level keys first."""
+        names = {tuple(path.split(".")): name for path, name, _ in _KEYS}
+        sections = {path[0] for path in names if len(path) == 2}
+        items = [((key,), value) for key, value in _object(doc, "config").items() if key not in sections]
         for section in [key for key in doc if key in sections]:
             if not isinstance(doc[section], dict):
                 raise ValueError(f"config key {section!r} must be an object")
-            keys += [f"{section}.{key}" for key in doc[section]]
-        known = {"report", *sections, *map(".".join, paths.values())}
-        unknown = [key for key in keys if key not in known]
+            items += [((section, key), value) for key, value in doc[section].items()]
+        unknown = [".".join(path) for path, _ in items if path not in names]
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "task" not in doc:
             raise ValueError("config key 'task' is missing")
-        kwargs = {"base_dir": base_dir}
-        for name, (*section, key) in paths.items():
-            node = doc.get(section[0], {}) if section else doc
-            if key in node:
-                kwargs[name] = node[key]
-        return cls(**kwargs)
+        return cls(base_dir=base_dir, **{names[path]: value for path, value in items})
 
     def resolve_task(self) -> TaskInstance:
         if self.task["type"] == "synthetic":

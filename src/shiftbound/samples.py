@@ -72,7 +72,7 @@ class LabeledSample:
         )
 
     def unlabeled(self) -> "UnlabeledSample":
-        return UnlabeledSample(features=self.features, origin=self.origin)
+        return UnlabeledSample(features=self.features)
 
 
 @dataclass
@@ -80,14 +80,9 @@ class UnlabeledSample:
     """Feature matrix without labels (the observable view of a target sample)."""
 
     features: np.ndarray
-    origin: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = _as_features(self.features)
-        if self.origin is not None:
-            self.origin = np.asarray(self.origin, dtype=np.int64)
-            if self.origin.shape != (self.features.shape[0],):
-                raise ValueError("origin length does not match features")
 
     def __len__(self) -> int:
         return self.features.shape[0]

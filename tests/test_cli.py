@@ -121,6 +121,16 @@ def test_run_checks_the_report_section_before_running(tmp_path, capsys, monkeypa
         ({"task": {"type": "synthetic", "spec": []}}, "task.spec must be an object, got []"),
         ({"task": {"type": "manifest"}}, "task.path must be a string, got None"),
         ({"task": {"type": "manifest", "path": 3}}, "task.path must be a string, got 3"),
+        ({"bounds": [["iw"]]}, "bounds[0] must be a string, got ['iw']"),
+        ({"bounds": [1]}, "bounds[0] must be a string, got 1"),
+        ({"task": {"type": "synthetic", "spec": {"dim": 2}}},
+         "task.spec: SyntheticSpec.__init__() missing 7 required positional arguments: 'component_means', "
+         "'component_std', 'source_mix', 'target_mix', 'n_source', 'n_target', and 'seed'"),
+        (3, "config must be an object, got 3"),
+        (None, "config must be an object, got None"),
+        ("abc", "config must be an object, got 'abc'"),
+        ([], "config must be an object, got []"),
+        ({"posterior_pair": 1, "report": {"x": 1}}, "unknown config keys: posterior_pair, report.x"),
     ],
 )
 def test_run_refuses_a_bad_setting_before_building_the_task(tmp_path, capsys, monkeypatch, doc, message):
@@ -130,9 +140,11 @@ def test_run_refuses_a_bad_setting_before_building_the_task(tmp_path, capsys, mo
     monkeypatch.setattr(cli, "run_experiment", refuse)
     monkeypatch.setattr(cli.ExperimentConfig, "resolve_task", refuse)
     path = tmp_path / "config.json"
-    # a None value stands for an absent key
-    doc = {"task": {"type": "manifest", "path": "task"}, **doc}
-    path.write_text(json.dumps({key: value for key, value in doc.items() if value is not None}))
+    # a None value stands for an absent key; a document that is not an object is written as it is
+    if isinstance(doc, dict):
+        doc = {key: value for key, value in {"task": {"type": "manifest", "path": "task"}, **doc}.items()
+               if value is not None}
+    path.write_text(json.dumps(doc))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [path]
@@ -144,7 +156,24 @@ def test_readme_config_example_is_accepted():
     doc = json.loads(example)
     cfg = ExperimentConfig.from_json_dict(doc)
     assert (cfg.hidden, cfg.alphas, cfg.oracle_mode) == ((64, 64), (0.0, 0.3), True)
-    assert cli._report_settings(doc) == ("out", "report", ["csv", "json"])
+    assert (cfg.report_dir, cfg.report_stem, cfg.report_formats) == ("out", "report", ("csv", "json"))
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--spec", "spec.json", "--seed", "7"], "make-task synthetic does not read --seed with --spec"),
+        (["--seed", "0", "--spec", "spec.json"], "make-task synthetic does not read --seed with --spec"),
+        (["--pool0", "x.csv"], "make-task synthetic does not read --pool0"),
+        (["--pool1", "y.csv", "--seed", "1"], "make-task synthetic does not read --pool1"),
+    ],
+)
+def test_make_task_synthetic_refuses_a_flag_it_does_not_read(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps(asdict(default_synthetic_spec(seed=4, n_source=40, n_target=30))))
+    assert main(["make-task", "synthetic", *flags, "--out", "task"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("task").exists()
 
 
 def test_make_task_mixture_requires_pools(tmp_path, capsys):

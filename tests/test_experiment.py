@@ -229,6 +229,8 @@ def test_config_from_json_dict(tmp_path):
         # typos of keys it has
         ({"posterior_pair": 3, "train": {"learningrate": 1.0}}, "posterior_pair, train.learningrate"),
         ({"arch": {"hiden": [4]}, "seed": [0]}, "seed, arch.hiden"),
+        # a section key written as a top-level dotted key
+        ({"arch.hidden": [4]}, "arch.hidden"),
     ],
 )
 def test_config_unknown_keys_refused(doc, keys):
@@ -294,12 +296,23 @@ def test_config_refuses_bad_sigma_and_shuffles(doc, message):
         ({"task": {"type": "mixture"}}, "task.type must be 'synthetic' or 'manifest', got 'mixture'"),
         ({"task": {"type": "synthetic"}}, "task.spec must be an object, got None"),
         ({"task": {"type": "manifest"}}, "task.path must be a string, got None"),
+        ({"bounds": [["iw"]]}, r"bounds\[0\] must be a string, got \['iw'\]"),
+        ({"bounds": [1]}, r"bounds\[0\] must be a string, got 1"),
+        ({"task": {"type": "synthetic", "spec": {"dim": 2}}},
+         r"task.spec: SyntheticSpec.__init__\(\) missing 7 required positional arguments: 'component_means', "
+         r"'component_std', 'source_mix', 'target_mix', 'n_source', 'n_target', and 'seed'"),
+        (3, "config must be an object, got 3"),
+        (None, "config must be an object, got None"),
+        ("abc", "config must be an object, got 'abc'"),
+        ([], r"config must be an object, got \[\]"),
+        ({"posterior_pair": 1, "report": {"x": 1}}, "unknown config keys: posterior_pair, report.x"),
     ],
 )
 def test_config_refuses_bad_counts_and_lists(doc, message):
     task = {"type": "synthetic", "spec": asdict(default_synthetic_spec(seed=1))}
-    # a None value stands for an absent key
-    doc = {key: value for key, value in {"task": task, **doc}.items() if value is not None}
+    # a None value stands for an absent key; a document that is not an object is read as it is
+    if isinstance(doc, dict):
+        doc = {key: value for key, value in {"task": task, **doc}.items() if value is not None}
     with pytest.raises(ValueError, match=f"^{message}$"):
         ExperimentConfig.from_json_dict(doc)
 

@@ -445,7 +445,6 @@ def _small_task():
 def test_task_target_x_is_the_oracle_view():
     task = _small_task()
     assert task.target_x.features is task.target_labeled_oracle.features
-    assert task.target_x.origin is task.target_labeled_oracle.origin
     views = {k: getattr(task, k) for k in ("source", "target_labeled_oracle", "spec", "beta_inf", "kind")}
     with pytest.raises(TypeError):  # no separate target view can be passed in
         TaskInstance(target_x=task.target_x, **views)
