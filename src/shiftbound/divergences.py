@@ -25,13 +25,11 @@ The shuffled linear statistic runs in a working set that does not grow with
 the number of shuffles: each permutation is drawn only when its shuffle is
 evaluated (the same RNG stream, in the same order), and each shuffle's four
 paired squared-distance rows are written into buffers reused by every
-shuffle. Those rows are summed column by column (``_row_sums``), adding
-whole columns in the order ``np.sum(..., axis=1)`` adds each row's entries,
-so the statistics equal a reference that reorders both samples in full,
-pairs them through strided views and sums with ``np.sum`` bit for bit (the
-tests compare the two). ``np.sum`` over a row of a few features runs numpy's
-inner loop once per row, which costs more than the arithmetic; a column pass
-runs it once per feature.
+shuffle. Each row equals ``np.sum((a - b) ** 2, axis=1)`` bit for bit
+(``_paired_sq_distances``): numpy adds a row of fewer than 8 entries in
+order, so below 8 features ``_sq_distances`` adds whole columns in that
+order instead of running numpy's inner loop once per row; from 8 features
+the rows are summed by ``np.sum`` itself.
 """
 
 import math
@@ -102,40 +100,15 @@ def _shuffle_permutations(n: int, shuffles: int, seed: int):
         yield rng.permutation(n)
 
 
-def _row_sums(A: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.sum(A, axis=1)`` of a row-major 2-D ``A``, written into ``out``
-    bit for bit, but added up over whole columns, in the order numpy adds
-    up each row:
-
-    - below 8 columns, in order;
-    - from 8 to 128 columns, eight accumulators seeded with columns 0-7,
-      each adding every eighth later column of the whole groups of eight,
-      combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover
-      columns in order;
-    - above 128 columns, the sums of the two halves split at half the
-      columns rounded down to a multiple of 8.
-    """
-    d = A.shape[1]
-    if d > 128:
-        split = d // 2 - d // 2 % 8
-        _row_sums(A[:, :split], out)
-        out += _row_sums(A[:, split:], np.empty_like(out))
-        return out
-    if d < 8:
-        np.copyto(out, A[:, 0])
-        rest = range(1, d)
-    else:
-        whole = d - d % 8
-        r = A[:, :8].T.copy()
-        for j in range(8, whole):
-            r[j % 8] += A[:, j]
-        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6)):
-            r[i] += r[j]
-        np.add(r[0], r[4], out=out)
-        rest = range(whole, d)
-    for j in rest:
-        out += A[:, j]
-    return out
+def _paired_sq_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """``np.sum((a - b) ** 2, axis=1)`` of two (rows, features) blocks,
+    written into ``out`` bit for bit. ``diff``, of the blocks' shape, is
+    scratch space."""
+    if a.shape[1] < 8:
+        return _sq_distances(a, b, out=out, scratch=diff.reshape(-1)[: len(out)])
+    np.subtract(a, b, out=diff)
+    diff *= diff
+    return np.sum(diff, axis=1, out=out)
 
 
 def _linear_statistics(X, Y, kappas, perms) -> np.ndarray:
@@ -155,9 +128,7 @@ def _linear_statistics(X, Y, kappas, perms) -> np.ndarray:
             # them, and unlike "raise" lets take write into the block directly
             sample.take(rows, axis=0, out=block, mode="clip")
         for row, (a, b) in zip(sq, ((x1, x2), (y1, y2), (x1, y2), (x2, y1))):
-            np.subtract(a, b, out=diff)
-            diff *= diff
-            _row_sums(diff, row)
+            _paired_sq_distances(a, b, row, diff)
         column = []
         for kappa in kappas:
             np.exp(np.divide(sq, -2.0 * kappa**2, out=kern), out=kern)

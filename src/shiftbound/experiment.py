@@ -95,6 +95,13 @@ def _list(read):
     return read_list
 
 
+def _file_name(value, path: str) -> str:
+    """A string that names a file: not empty, and no path separator in it."""
+    if _string(value, path) and not any(sep and sep in value for sep in (os.sep, os.altsep)):
+        return value
+    raise ValueError(f"{path} must be a file name, got {value!r}")
+
+
 def _alphas(value, path: str) -> tuple:
     return _list(_number)(value, path) if isinstance(value, (list, tuple)) else (_number(value, path),)
 
@@ -134,7 +141,7 @@ _KEYS = (
     ("train.posterior_epochs", "posterior_epochs", _integer),
     ("seeds", "seeds", _list(_integer)),
     ("report.dir", "report_dir", _string),
-    ("report.stem", "report_stem", _string),
+    ("report.stem", "report_stem", _file_name),
     ("report.formats", "report_formats", _list(_string)),
 )
 
@@ -165,7 +172,8 @@ class ExperimentConfig:
         for path, name, read in _KEYS:
             setattr(self, name, read(getattr(self, name), path))
         for name, what, repeated in (("alphas", "alpha", "alpha values"), ("bounds", "bound", "bounds"),
-                                     ("seeds", "seed", "seeds")):
+                                     ("seeds", "seed", "seeds"),
+                                     ("report_formats", "report format", "report formats")):
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"need at least one {what}")
@@ -242,6 +250,11 @@ def run_experiment(cfg: ExperimentConfig, task: TaskInstance | None = None) -> l
     """One ``ReportRow`` per (seed, alpha, checkpoint), sorted by them."""
     if task is None:
         task = cfg.resolve_task()
+    n_target = len(task.target_x)
+    if n_target < 2:
+        raise ValueError(
+            f"the target sample has {n_target} row{'s' * (n_target != 1)}; the MMD needs at least 2"
+        )
     arch = MlpArchitecture((task.source.dim, *cfg.hidden, 1))
     rows = []
     for seed in cfg.seeds:

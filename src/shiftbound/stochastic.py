@@ -108,6 +108,12 @@ def learn_prior_posterior(
     n_prior = int(math.floor(alpha * m + 1e-9))
     if alpha > 0 and n_prior < 1:
         raise ValueError(f"alpha={alpha} with m={m} leaves no rows for the prior split")
+    held_out = m - n_prior
+    if held_out < 2:
+        raise ValueError(
+            f"alpha={alpha} with m={m} leaves {held_out} held-out row{'s' * (held_out != 1)}; "
+            "the bounds need at least 2"
+        )
 
     perm = stream_rng(seed, "split").permutation(m)
     prior_idx = np.sort(perm[:n_prior])

@@ -86,6 +86,10 @@ def test_run_refuses_unknown_config_key(tmp_path, capsys):
         ({"dir": 5}, "report.dir must be a string, got 5"),
         ({"stem": ["a"]}, "report.stem must be a string, got ['a']"),
         ({"formats": "csv"}, "report.formats must be a list, got 'csv'"),
+        ({"formats": []}, "need at least one report format"),
+        ({"formats": ["csv", "csv"]}, "report formats must be distinct"),
+        ({"stem": ""}, "report.stem must be a file name, got ''"),
+        ({"stem": "sub/report"}, "report.stem must be a file name, got 'sub/report'"),
     ],
 )
 def test_run_checks_the_report_section_before_running(tmp_path, capsys, monkeypatch, report, message):

@@ -20,7 +20,7 @@ from shiftbound.divergences import (
     MEDIAN_POOL_ROWS,
     _linear_statistics,
     _median_distance,
-    _row_sums,
+    _paired_sq_distances,
     _shuffle_permutations,
     _sq_distances,
     _truncate_even,
@@ -292,13 +292,15 @@ def test_kernel_matrix_equals_cdist(dim):
 
 @pytest.mark.parametrize("dim", [*range(1, 41), 127, 128, 129, 255, 256, 257, 300])
 def test_row_sums_equal_np_sum_bit_for_bit(dim):
-    # non-negative columns on scales from 1e-8 to 1e8, so any other order of
-    # the additions rounds differently
+    # the MMD's paired squared distances; columns on scales from 1e-4 to 1e4,
+    # so their squares span 1e-8 to 1e8 and any other order of the additions
+    # rounds differently
     rng = np.random.default_rng(dim)
-    A = rng.uniform(0.0, 1.0, (203, dim)) * 10.0 ** rng.uniform(-8.0, 8.0, dim)
-    out = np.empty(len(A))
-    assert _row_sums(A, out) is out
-    assert np.array_equal(out, np.sum(A, axis=1))
+    scale = 10.0 ** rng.uniform(-4.0, 4.0, dim)
+    a, b = rng.standard_normal((2, 203, dim)) * scale
+    out = np.empty(len(a))
+    assert _paired_sq_distances(a, b, out, np.empty_like(a)) is out
+    assert np.array_equal(out, np.sum((a - b) ** 2, axis=1))
 
 
 def _linear_statistics_reference(X, Y, kappas, perms):
@@ -314,10 +316,11 @@ def _linear_statistics_reference(X, Y, kappas, perms):
     return stats
 
 
-# 7 and 8 straddle the width from which numpy sums a row pairwise with
-# eight accumulators instead of in order, 16 and 17 end on a whole group of
-# eight and one past it, and 130 splits into two halves
-@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 17, 130])
+# 7 and 8 straddle the width from which the squared distances are summed by
+# np.sum instead of in order; 16 and 17 end on one of numpy's whole groups of
+# eight and one past it, and 130 is above the width at which numpy splits a
+# row into two halves
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 17, 64, 130])
 def test_linear_statistics_equal_the_reorder_then_stride_reference(dim):
     rng = np.random.default_rng(dim)
     X, Y, n = _truncate_even(rng.standard_normal((101, dim)), rng.standard_normal((133, dim)) + 0.3)

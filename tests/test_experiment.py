@@ -6,13 +6,13 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from shiftbound import ExperimentConfig, emit, report_records, report_summary, run_experiment
+from shiftbound import ExperimentConfig, emit, experiment, report_records, report_summary, run_experiment
 from shiftbound.experiment import (
     CSV_COLUMNS,
     format_summary,
     parse_report_csv,
 )
-from shiftbound.tasks import default_synthetic_spec
+from shiftbound.tasks import build_synthetic_task, default_synthetic_spec
 
 
 def small_config(**overrides):
@@ -53,6 +53,16 @@ def test_config_validation():
         small_config(seeds=())
     cfg = small_config(bounds=("add", "iw"), oracle_mode=True)
     assert cfg.oracle_mode
+
+
+def test_run_refuses_a_one_row_target_before_training(monkeypatch):
+    def learn_prior_posterior(*args):
+        raise AssertionError("a network was trained")
+
+    monkeypatch.setattr(experiment, "learn_prior_posterior", learn_prior_posterior)
+    task = build_synthetic_task(default_synthetic_spec(seed=11, n_source=400, n_target=1))
+    with pytest.raises(ValueError, match="^the target sample has 1 row; the MMD needs at least 2$"):
+        run_experiment(small_config(), task)
 
 
 def test_mmd_constant_across_checkpoints(small_report):
@@ -306,6 +316,10 @@ def test_config_refuses_bad_sigma_and_shuffles(doc, message):
         ("abc", "config must be an object, got 'abc'"),
         ([], r"config must be an object, got \[\]"),
         ({"posterior_pair": 1, "report": {"x": 1}}, "unknown config keys: posterior_pair, report.x"),
+        ({"report": {"formats": []}}, "need at least one report format"),
+        ({"report": {"formats": ["csv", "csv"]}}, "report formats must be distinct"),
+        ({"report": {"stem": ""}}, "report.stem must be a file name, got ''"),
+        ({"report": {"stem": "sub/report"}}, "report.stem must be a file name, got 'sub/report'"),
     ],
 )
 def test_config_refuses_bad_counts_and_lists(doc, message):

@@ -13,6 +13,7 @@ from shiftbound import (
     kl_isotropic,
     learn_prior_posterior,
     sample_posterior,
+    stochastic,
 )
 
 
@@ -136,10 +137,22 @@ def test_learn_prior_posterior_split_arithmetic():
     assert len(eval_rows | prior_rows) == 1000
 
 
-def test_learn_prior_posterior_degenerate_split_rejected():
-    S = _toy_sample(np.random.default_rng(2), m=100)
-    with pytest.raises(ValueError):
-        learn_prior_posterior(S, 0.005, ARCH, CFG_PRIOR, CFG_POST, sigma=0.03, seed=0)
+@pytest.mark.parametrize(
+    "m, alpha, message",
+    [
+        pytest.param(100, 0.005, "alpha=0.005 with m=100 leaves no rows for the prior split", id="prior"),
+        pytest.param(400, 0.999, "alpha=0.999 with m=400 leaves 1 held-out row; the bounds need at least 2",
+                     id="held-out"),
+    ],
+)
+def test_learn_prior_posterior_degenerate_split_rejected(monkeypatch, m, alpha, message):
+    def train(*args):
+        raise AssertionError("a network was trained")
+
+    monkeypatch.setattr(stochastic, "train", train)
+    S = _toy_sample(np.random.default_rng(2), m=m)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        learn_prior_posterior(S, alpha, ARCH, CFG_PRIOR, CFG_POST, sigma=0.03, seed=0)
 
 
 def test_posterior_trained_on_all_rows():
