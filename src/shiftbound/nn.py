@@ -7,17 +7,18 @@ weight matrix (fan_in x fan_out, row-major) followed by bias. Every hidden
 layer applies ReLU; the output is one logit. ``forward`` and the gradient
 share one layer loop, ``_layers``.
 
-``forward`` runs the hidden layers over blocks of ``BLOCK_ROWS`` rows, so
-only the last hidden layer is held at full height. The logits stay equal to
-an unblocked pass bit for bit (the tests compare the two): a block of rows
-goes through the same BLAS matrix-matrix product as the full matrix, which
-gives each row the same sums. The width-1 output layer is a matrix-vector
-product instead, and BLAS rounds each of its rows according to how it splits
-the rows across threads, so it runs once over all rows. A 1-row block would
-be a matrix-vector product too, so a 1-row tail joins the block before it.
-Each hidden layer's bias is copied to block height once per draw, so adding
-it to a block adds two arrays of one shape rather than broadcasting a row
-over every block row; the sums are the same.
+``forward`` runs every layer, the output logit included, over blocks of
+``BLOCK_ROWS`` rows, so no layer is held at full height. A block of rows goes
+through the same BLAS product as a 1-thread pass over all rows, which gives
+each row the same sums; the tests compare the two bit for bit. The width-1
+output layer is a matrix-vector product, which BLAS rounds per row according
+to how it splits the rows across threads; over one block it rounds as the
+1-thread pass does, so the logits do not depend on the BLAS thread count. A
+1-row block would turn a hidden layer's matrix-matrix product into a
+matrix-vector product, so a 1-row tail joins the block before it. Each
+layer's bias is copied to block height once per draw, so adding it to a block
+adds two arrays of one shape rather than broadcasting a row over every block
+row; the sums are the same.
 """
 
 import math
@@ -31,7 +32,7 @@ from .seeding import stream_rng
 # evenly spaced snapshots over the first epoch, from zero seen samples;
 # ``train`` also saves every epoch end
 FIRST_EPOCH_CHECKPOINTS = 10
-# rows per block of the hidden layers in ``forward``
+# rows per block of every layer in ``forward``
 BLOCK_ROWS = 512
 
 
@@ -120,16 +121,14 @@ def init_weights(arch: MlpArchitecture, seed: int) -> np.ndarray:
     return w
 
 
-def _layers(layers: list, a: np.ndarray, bufs: list, to_logit: bool = True) -> list:
-    """Apply ``layers``, consecutive (W, b) pairs of one weight vector, to
-    the rows ``a``, writing each layer's output into its buffer of ``bufs``.
-    Every output goes through ReLU except the logit, which is the last when
-    ``to_logit``. Returns ``bufs``."""
-    hidden = len(layers) - 1 if to_logit else len(layers)
+def _layers(layers: list, a: np.ndarray, bufs: list) -> list:
+    """Apply ``layers``, the (W, b) pairs of one weight vector, to the rows
+    ``a``, writing each layer's output into its buffer of ``bufs``. Every
+    output goes through ReLU except the last, the logit. Returns ``bufs``."""
     for i, ((W, b), buf) in enumerate(zip(layers, bufs)):
         np.matmul(a, W, out=buf)
         buf += b
-        if i < hidden:
+        if i < len(layers) - 1:
             np.maximum(buf, 0.0, out=buf)
         a = buf
     return bufs
@@ -152,9 +151,10 @@ def forward(arch: MlpArchitecture, w, x) -> np.ndarray:
     matrix shapes. Pure. Batched rows agree with row-by-row calls only up
     to rounding, since BLAS may reorder a row's sums.
 
-    The hidden layers run over row blocks (see the module docstring); the
-    output layer runs once over the full-height last hidden layer. The
-    logits equal an unblocked pass bit for bit.
+    Every layer runs over row blocks (see the module docstring), and each
+    block's logits go straight into the result, so the only array with n
+    rows is the result. The logits equal a 1-thread unblocked pass bit for
+    bit, whatever the BLAS thread count.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] != arch.num_params:
@@ -162,33 +162,27 @@ def forward(arch: MlpArchitecture, w, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ValueError(f"inputs have shape {x.shape}, architecture needs (rows, {arch.input_dim})")
-    n = len(x)
-    hidden = arch.layer_widths[1:-1]
-    blocks = _row_blocks(n) if hidden else []
+    blocks = _row_blocks(len(x))
     rows = max((stop - start for start, stop in blocks), default=0)
-    # reused by every draw: the block buffers and bias tiles of the hidden
-    # layers, the full-height last hidden layer, and the logit column
-    block_bufs = [np.empty((rows, width)) for width in hidden[:-1]]
-    tiles = [np.empty((rows, width)) for width in hidden]
-    top = np.empty((n, hidden[-1])) if hidden else x
-    logit = np.empty((n, 1))
-    logits = np.empty((len(w), n))
+    # reused by every draw: one block buffer and one bias tile per layer
+    block_bufs = [np.empty((rows, width)) for width in arch.layer_widths[1:]]
+    tiles = [np.empty((rows, width)) for width in arch.layer_widths[1:]]
+    logits = np.empty((len(w), len(x)))
     for k, wk in enumerate(w):
-        *layers, output = _layer_views(arch, wk)
+        layers = _layer_views(arch, wk)
         for tile, (_, b) in zip(tiles, layers):
             tile[...] = b
         for start, stop in blocks:
-            bufs = [buf[: stop - start] for buf in block_bufs] + [top[start:stop]]
+            bufs = [buf[: stop - start] for buf in block_bufs]
             tiled = [(W, tile[: stop - start]) for (W, _), tile in zip(layers, tiles)]
-            _layers(tiled, x[start:stop], bufs, to_logit=False)
-        logits[k] = _layers([output], top, [logit])[0][:, 0]
+            logits[k, start:stop] = _layers(tiled, x[start:stop], bufs)[-1][:, 0]
     return logits
 
 
 def predict(logits: np.ndarray) -> np.ndarray:
-    """Hard labels from an array of logits: 1 iff logit > 0 (a zero logit
-    maps to 0)."""
-    return (logits > 0).astype(np.int64)
+    """Hard labels from an array of logits, as a bool array of the same
+    shape: True (label 1) iff logit > 0, so a zero logit maps to label 0."""
+    return logits > 0
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ joint error on the source (and, under oracle access, on the target).
 
 Every estimate is a reduction of one prediction matrix per (draw set,
 sample): ``_predictions`` evaluates all draws in one stacked ``forward``
-call and returns the (2P, n) matrix of hard labels; nothing else here calls
-``forward``. Gibbs risks reduce each draw's row over the sample, then
+call and returns the (2P, n) bool matrix of hard labels; nothing else here
+calls ``forward``. Gibbs risks reduce each draw's row over the sample, then
 average over all 2P draws; pairwise quantities reduce the rows of each
 consecutive draw pair (2i, 2i+1) over the sample, then average over the P
 pairs. Means and Monte-Carlo standard deviations over draws or pairs come
@@ -55,7 +55,9 @@ def _mean_and_mc_std(values: np.ndarray) -> tuple[float, float]:
 
 
 def _predictions(arch: MlpArchitecture, draws, data) -> np.ndarray:
-    """(len(draws), n) hard labels: row k is draw k evaluated on the sample."""
+    """(len(draws), n) hard labels as bools (True is label 1): row k is draw
+    k evaluated on the sample. Comparing them with 0/1 labels gives bool
+    error indicators."""
     if len(data) == 0:
         raise ValueError("data must be non-empty")
     return predict(forward(arch, draws, data.features))

@@ -1,8 +1,9 @@
 """Reference quantities that only the tests use: the Gaussian kernel of one
 pair, the biased quadratic-time MMD estimate over all pairs, the linear
 statistic on a single row order or averaged over shuffles (thin wrappers of
-the estimator the experiment runs), and the mean binary cross-entropy that
-the gradient checks difference."""
+the estimator the experiment runs), the mean binary cross-entropy that the
+gradient checks difference, and the layer loop run over all rows at once
+that ``forward`` is compared with."""
 
 import math
 
@@ -80,3 +81,25 @@ def bce_loss(arch, w, data) -> float:
     # max(z, 0) + log1p(exp(-|z|)) is softplus(z), and never overflows for finite z
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     return float(np.mean(softplus - y * z))
+
+
+def unblocked_forward(arch, draws, X):
+    """Reference: the layer loop run over all rows at once, every layer
+    written at full height, one draw after another."""
+    widths = arch.layer_widths
+    logits = []
+    for w in draws:
+        a, pos = X, 0
+        for i in range(len(widths) - 1):
+            n_in, n_out = widths[i], widths[i + 1]
+            W = w[pos : pos + n_in * n_out].reshape(n_in, n_out)
+            b = w[pos + n_in * n_out : pos + n_in * n_out + n_out]
+            pos += n_in * n_out + n_out
+            buf = np.empty((len(X), n_out))
+            np.matmul(a, W, out=buf)
+            buf += b
+            if i < len(widths) - 2:
+                np.maximum(buf, 0.0, out=buf)
+            a = buf
+        logits.append(a[:, 0].copy())
+    return np.array(logits)

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import shiftbound
 from shiftbound import (
     DivergedError,
     LabeledSample,
@@ -123,48 +127,77 @@ def test_forward_stack_equals_per_draw_calls(widths, activation):
         assert np.array_equal(got, want)
 
 
-def unblocked_forward(arch, draws, X):
-    """Reference: the layer loop run over all rows at once, every layer
-    written at full height, one draw after another."""
-    widths = arch.layer_widths
-    logits = []
-    for w in draws:
-        a, pos = X, 0
-        for i in range(len(widths) - 1):
-            n_in, n_out = widths[i], widths[i + 1]
-            W = w[pos : pos + n_in * n_out].reshape(n_in, n_out)
-            b = w[pos + n_in * n_out : pos + n_in * n_out + n_out]
-            pos += n_in * n_out + n_out
-            buf = np.empty((len(X), n_out))
-            np.matmul(a, W, out=buf)
-            buf += b
-            if i < len(widths) - 2:
-                np.maximum(buf, 0.0, out=buf)
-            a = buf
-        logits.append(a[:, 0].copy())
-    return np.array(logits)
+# a fresh interpreter that evaluates ``sys.argv[1]`` (``forward`` or
+# ``unblocked_forward``) at the architecture, draw stack and inputs saved in
+# the .npz file ``sys.argv[2]``, saving the results to ``sys.argv[3]``
+CHILD = """
+import sys
+import numpy as np
+from oracles import unblocked_forward
+from shiftbound import MlpArchitecture, forward
+fn = {"forward": forward, "unblocked_forward": unblocked_forward}[sys.argv[1]]
+with np.load(sys.argv[2]) as case:
+    arch = MlpArchitecture(tuple(case["widths"]))
+    np.savez(sys.argv[3], *(fn(arch, case["draws"], case[f"x{i}"]) for i in range(case["count"])))
+"""
+
+
+def in_one_thread(tmp_path, fn_name, arch, draws, xs):
+    """``fn_name(arch, draws, x)`` for each ``x`` of ``xs``, computed in a
+    fresh interpreter whose BLAS runs one thread; the arrays go through .npz
+    files in ``tmp_path``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftbound.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    case, out = tmp_path / "case.npz", tmp_path / "out.npz"
+    np.savez(case, widths=arch.layer_widths, draws=draws, count=len(xs), **{f"x{i}": x for i, x in enumerate(xs)})
+    subprocess.run(
+        [sys.executable, "-c", CHILD, fn_name, str(case), str(out)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    with np.load(out) as got:
+        return [got[f"arr_{i}"] for i in range(len(xs))]
 
 
 @pytest.mark.parametrize("activation", ["relu"])
 @pytest.mark.parametrize("hidden", [(64,), (64, 64), (16, 32, 8)])
-def test_blocked_forward_equals_the_unblocked_layer_loop(hidden, activation):
+def test_blocked_forward_equals_the_unblocked_layer_loop(hidden, activation, tmp_path):
+    """The reference runs in one BLAS thread: a full-height matrix-vector
+    product rounds each row according to how BLAS splits the rows across
+    threads, so only its 1-thread result is fixed."""
     arch = MlpArchitecture((3, *hidden, 1))
     rng = np.random.default_rng(len(hidden))
     draws = rng.standard_normal((3, arch.num_params)) / 4
     B = BLOCK_ROWS
-    for n in (0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 14001):
-        X = rng.standard_normal((n, 3))
-        want = unblocked_forward(arch, draws, X)
+    xs = [rng.standard_normal((n, 3)) for n in (0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 14001)]
+    for X, want in zip(xs, in_one_thread(tmp_path, "unblocked_forward", arch, draws, xs)):
         assert np.array_equal(forward(arch, draws, X), want)
         assert np.array_equal(forward(arch, draws[1:2], X)[0], want[1])
 
 
-def test_forward_holds_one_full_height_hidden_layer(peak_traced_bytes):
+@pytest.mark.parametrize("hidden", [(16,), (64,), (64, 64)])
+def test_forward_gives_the_same_bits_at_any_blas_thread_count(hidden, tmp_path):
+    arch = MlpArchitecture((2, *hidden, 1))
+    rng = np.random.default_rng(7)
+    draws = rng.standard_normal((2, arch.num_params)) / 4
+    xs = [rng.standard_normal((n, 2)) for n in (BLOCK_ROWS + 1, 5000, 14001, 33333)]
+    for X, want in zip(xs, in_one_thread(tmp_path, "forward", arch, draws, xs)):
+        assert np.array_equal(forward(arch, draws, X), want)
+
+
+def test_forward_holds_no_full_height_layer(peak_traced_bytes):
+    """The logits are the only array with a row per input row."""
     arch = MlpArchitecture((2, 64, 64, 1))
     w = init_weights(arch, 0)[None]
-    n = 20000
-    X = np.random.default_rng(0).standard_normal((n, 2))
-    assert peak_traced_bytes(forward, arch, w, X) < 1.5 * n * 64 * 8
+    for n in (20000, 100000):
+        X = np.random.default_rng(0).standard_normal((n, 2))
+        assert peak_traced_bytes(forward, arch, w, X) < 8 * len(w) * n + 2 * 2**20
 
 
 def test_forward_refuses_bad_weight_stack():

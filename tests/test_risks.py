@@ -374,3 +374,20 @@ def test_estimate_risks_blind_mode_ignores_target_labels():
         return [grid_search(name, inputs).value for name in ("mcallester", "iw", "mmd", "mult")]
 
     assert bound_values(a) == bound_values(b)
+
+
+def test_estimate_risks_peak_memory_at_170k_rows(peak_traced_bytes):
+    """Two draws of a (2, 16, 1) net on a 70,000-row weighted source and a
+    100,000-row labeled target hold one sample's logits and bool labels at a
+    time, under 3 MiB; a full-height hidden layer alone would take 12.2 MiB."""
+    rng = np.random.default_rng(0)
+    arch = MlpArchitecture((2, 16, 1))
+    samples = sample_posterior(IsotropicGaussian(rng.standard_normal(arch.num_params) / 4, 0.03), 1, 0)
+    source = LabeledSample(
+        features=rng.standard_normal((70000, 2)),
+        labels=rng.integers(0, 2, 70000),
+        weights=rng.uniform(0.0, 9.0, 70000),
+    )
+    target = LabeledSample(features=rng.standard_normal((100000, 2)), labels=rng.integers(0, 2, 100000))
+    peak = peak_traced_bytes(lambda: estimate_risks(arch, samples, source, target, oracle=True))
+    assert peak < 3 * 2**20
