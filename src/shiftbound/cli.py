@@ -152,6 +152,7 @@ def _cmd_check(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="shiftbound", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--debug", action="store_true", help="raise errors with their traceback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-task", help="build and persist a task directory")
@@ -178,6 +179,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except Exception as exc:  # surface refusals with a diagnostic, nonzero exit
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -260,7 +260,7 @@ def train(arch: MlpArchitecture, w0, data: LabeledSample, cfg: TrainConfig):
 
     rng = stream_rng(cfg.seed, "shuffle")
     velocity = np.zeros_like(w)
-    X, y = data.features, data.labels.astype(np.float64)
+    X, y = data.features, data.labels
     snapshot(1, 0)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(m)

@@ -180,6 +180,14 @@ def test_make_task_synthetic_refuses_a_flag_it_does_not_read(tmp_path, capsys, m
     assert not Path("task").exists()
 
 
+def test_debug_flag_raises_instead_of_printing_the_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(FileNotFoundError):
+        main(["--debug", "run", missing])
+    assert main(["run", missing]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_make_task_mixture_requires_pools(tmp_path, capsys):
     assert main(["make-task", "mixture", "--out", str(tmp_path / "t")]) != 0
     assert "pool" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from shiftbound import (
 from shiftbound.divergences import (
     BANDWIDTH_SCALES,
     MEDIAN_POOL_ROWS,
+    _PAIR_ROWS,
     _linear_statistics,
     _median_distance,
     _paired_sq_distances,
@@ -275,6 +276,18 @@ def test_mmd_estimate_memory_does_not_grow_with_the_shuffles(dim, peak_traced_by
     assert peaks[50] <= 1.5 * peaks[1]
 
 
+def test_mmd_estimate_peak_memory_at_170k_rows(peak_traced_bytes):
+    """A 70,000-row sample against a 100,000-row one, 2 features, five
+    bandwidths: one block of pairs and one summand row per bandwidth, under
+    4 MiB; full-height paired blocks and their distance and kernel rows alone
+    would take 4.3 MiB."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((70000, 2))
+    Y = rng.standard_normal((100000, 2)) + 0.3
+    cfg = MmdConfig(median_heuristic_bandwidths(X, Y), shuffles=3)
+    assert peak_traced_bytes(mmd_estimate, X, Y, cfg) < 4 * 2**20
+
+
 def test_median_distance_needs_two_rows():
     with pytest.raises(ValueError, match="at least 2"):
         _median_distance(np.zeros((1, 3)))
@@ -332,6 +345,20 @@ def test_linear_statistics_equal_the_reorder_then_stride_reference(dim):
     )
     identity = _linear_statistics_reference(X, Y, (1.0,), [slice(None)])[0, 0]
     assert mmd_linear_statistic(X, Y, 1.0) == identity
+
+
+# 2 and 9 features take both branches of _paired_sq_distances
+@pytest.mark.parametrize("dim", [2, 9])
+def test_linear_statistics_across_pair_blocks_equal_the_reference(dim):
+    """Two full blocks of pairs and a partial third."""
+    rng = np.random.default_rng(dim)
+    n = 2 * (2 * _PAIR_ROWS + 3)
+    X, Y = rng.standard_normal((n, dim)), rng.standard_normal((n, dim)) + 0.3
+    kappas = (0.5, 2.0)
+    perms = list(_shuffle_permutations(n, 2, seed=3))
+    assert np.array_equal(
+        _linear_statistics(X, Y, kappas, perms), _linear_statistics_reference(X, Y, kappas, perms)
+    )
 
 
 def test_mmd_estimate_monotone_under_added_bandwidths():

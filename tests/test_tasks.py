@@ -468,6 +468,13 @@ def test_save_task_writes_pinned_bytes(tmp_path):
     assert (tmp_path / "data.csv").read_bytes() == files["source.csv"]
 
 
+def test_save_task_peak_memory_at_40k_rows(tmp_path, peak_traced_bytes):
+    """A 20,000 + 20,000-row synthetic task is written a CHUNK of rows at a
+    time, under 1.5 MiB; its source features alone take 0.3 MiB."""
+    task = build_synthetic_task(default_synthetic_spec(seed=0, n_source=20000, n_target=20000))
+    assert peak_traced_bytes(save_task, task, tmp_path / "task") < 1.5 * 2**20
+
+
 @pytest.mark.parametrize("with_origin", [True, False])
 def test_dataset_csv_roundtrip_across_chunks(tmp_path, with_origin):
     n = 2 * CHUNK + 3
@@ -489,9 +496,10 @@ def test_dataset_csv_roundtrip_across_chunks(tmp_path, with_origin):
 
 
 # Refusals as `path<suffix>`, each the exact message the row-by-row parser
-# gave; the files hold more rows than one CHUNK, so a fault can sit on either
-# side of a chunk boundary.
-LAST_OF_FIRST_CHUNK = CHUNK + 1  # data rows start on line 2
+# gave; the files hold a little more than SPAN rows, four whole CHUNKs, so a
+# fault can sit on either side of a chunk boundary.
+SPAN = 4 * CHUNK
+LAST_OF_SPAN = SPAN + 1  # data rows start on line 2
 DATASET_FAULTS = [
     ({3: "1.0,2.0,0"}, ":3: expected 4 fields, got 3"),
     ({3: "1.0,2.0,0,1,5"}, ":3: expected 4 fields, got 5"),
@@ -509,13 +517,13 @@ DATASET_FAULTS = [
     ({3: "1.0,2.0,0,1.0"}, ":3: bad origin '1.0'"),
     ({3: "1.0,2.0,0,2"}, ":3: origin must be 0 or 1"),
     ({3: "1.0,2.0,0,99999999999999999999"}, ":3: origin must be 0 or 1"),
-    ({LAST_OF_FIRST_CHUNK: "nan,1,0,1"}, f":{LAST_OF_FIRST_CHUNK}: non-finite feature value"),
-    ({LAST_OF_FIRST_CHUNK + 1: "1,1,0,7"}, f":{LAST_OF_FIRST_CHUNK + 1}: origin must be 0 or 1"),
-    ({CHUNK + 10: "1,1"}, f":{CHUNK + 10}: expected 4 fields, got 2"),
+    ({LAST_OF_SPAN: "nan,1,0,1"}, f":{LAST_OF_SPAN}: non-finite feature value"),
+    ({LAST_OF_SPAN + 1: "1,1,0,7"}, f":{LAST_OF_SPAN + 1}: origin must be 0 or 1"),
+    ({SPAN + 10: "1,1"}, f":{SPAN + 10}: expected 4 fields, got 2"),
     ({3: "nan,1,0,1", 4: "1,1"}, ":3: non-finite feature value"),
     ({3: "1,1", 4: "nan,1,0,1"}, ":3: expected 4 fields, got 2"),
     ({3: "1,1,0,2", 6: "1,1,0,1,1"}, ":3: origin must be 0 or 1"),
-    ({CHUNK: "1,1,5,1", CHUNK + 15: "1,1"}, f":{CHUNK}: label 5 outside declared 2 classes"),
+    ({SPAN: "1,1,5,1", SPAN + 15: "1,1"}, f":{SPAN}: label 5 outside declared 2 classes"),
 ]
 # A blank line and an extra field are in
 # test_task_weights_csv_malformed_row_refused_with_line.
@@ -523,20 +531,20 @@ WEIGHTS_FAULTS = [
     ({3: "abc"}, ":3: bad weight value (could not convert string to float: 'abc')"),
     ({3: "nan"}, ":3: non-finite weight value"),
     ({3: "-inf"}, ":3: non-finite weight value"),
-    ({LAST_OF_FIRST_CHUNK: "inf"}, f":{LAST_OF_FIRST_CHUNK}: non-finite weight value"),
+    ({LAST_OF_SPAN: "inf"}, f":{LAST_OF_SPAN}: non-finite weight value"),
     (
-        {LAST_OF_FIRST_CHUNK + 1: "x"},
-        f":{LAST_OF_FIRST_CHUNK + 1}: bad weight value (could not convert string to float: 'x')",
+        {LAST_OF_SPAN + 1: "x"},
+        f":{LAST_OF_SPAN + 1}: bad weight value (could not convert string to float: 'x')",
     ),
-    ({CHUNK + 10: "1,1"}, f":{CHUNK + 10}: expected 1 fields, got 2"),
+    ({SPAN + 10: "1,1"}, f":{SPAN + 10}: expected 1 fields, got 2"),
     ({3: "inf", 4: "1,1"}, ":3: non-finite weight value"),
     ({3: "1,1", 4: "inf"}, ":3: expected 1 fields, got 2"),
     (
-        {CHUNK: "abc", CHUNK + 15: ""},
-        f":{CHUNK}: bad weight value (could not convert string to float: 'abc')",
+        {SPAN: "abc", SPAN + 15: ""},
+        f":{SPAN}: bad weight value (could not convert string to float: 'abc')",
     ),
     ({3: "-1.0"}, ":3: negative weight value"),
-    ({LAST_OF_FIRST_CHUNK + 1: "-5e-324"}, f":{LAST_OF_FIRST_CHUNK + 1}: negative weight value"),
+    ({LAST_OF_SPAN + 1: "-5e-324"}, f":{LAST_OF_SPAN + 1}: negative weight value"),
     ({3: "-1.0", 4: "nan"}, ":3: negative weight value"),
     ({3: "nan", 4: "-1.0"}, ":3: non-finite weight value"),
 ]
@@ -563,9 +571,9 @@ def _edit_lines(path, edits):
 
 @pytest.fixture(scope="module")
 def chunked_task(tmp_path_factory):
-    """A task directory whose source holds more rows than one CHUNK."""
+    """A task directory whose source holds a little more than SPAN rows."""
     path = tmp_path_factory.mktemp("chunked") / "task"
-    spec = default_synthetic_spec(seed=3, n_source=CHUNK + 20, n_target=40)
+    spec = default_synthetic_spec(seed=3, n_source=SPAN + 20, n_target=40)
     save_task(build_synthetic_task(spec), path)
     return path
 
@@ -579,7 +587,7 @@ def _refusal(load, path):
 @pytest.mark.parametrize("edits, suffix", DATASET_FAULTS)
 def test_dataset_csv_refusal_names_first_faulty_line(tmp_path, edits, suffix):
     path = tmp_path / "data.csv"
-    path.write_text("f0,f1,label,origin\n" + "0.5,1.5,0,1\n" * (CHUNK + 20))
+    path.write_text("f0,f1,label,origin\n" + "0.5,1.5,0,1\n" * (SPAN + 20))
     _edit_lines(path, edits)
     assert _refusal(lambda: load_dataset(path), path) == suffix
 
@@ -603,12 +611,12 @@ def test_task_csv_whole_file_refusals(tmp_path, chunked_task, kind, text, suffix
     assert _refusal(lambda: load_task(task), path) == suffix
 
 
-@pytest.mark.parametrize("num_weights", [0, CHUNK + 19, CHUNK + 21])
+@pytest.mark.parametrize("num_weights", [0, SPAN + 19, SPAN + 21])
 def test_task_weights_count_must_match_source_rows(tmp_path, chunked_task, num_weights):
     task = tmp_path / "task"
     shutil.copytree(chunked_task, task)
     (task / "weights.csv").write_text("weight\n" + "1.0\n" * num_weights)
-    message = f": {num_weights} weights for {CHUNK + 20} source rows"
+    message = f": {num_weights} weights for {SPAN + 20} source rows"
     assert _refusal(lambda: load_task(task), task / "weights.csv") == message
 
 
@@ -809,16 +817,16 @@ def test_weights_reader_parity_on_edge_cases(tmp_path, two_row_task, text, expec
 @pytest.mark.parametrize(
     "lineno, text, suffix",
     [
-        (LAST_OF_FIRST_CHUNK, "", f":{LAST_OF_FIRST_CHUNK}: expected 3 fields, got 0"),
-        (LAST_OF_FIRST_CHUNK + 1, "", f":{LAST_OF_FIRST_CHUNK + 1}: expected 3 fields, got 0"),
-        (LAST_OF_FIRST_CHUNK, "0.5,1.0,0", f":{LAST_OF_FIRST_CHUNK}: bad label '1.0'"),
-        (LAST_OF_FIRST_CHUNK + 1, "0.5,1,1.0", f":{LAST_OF_FIRST_CHUNK + 1}: bad origin '1.0'"),
-        (LAST_OF_FIRST_CHUNK + 1, "0.5,\x1d1,0", f":{LAST_OF_FIRST_CHUNK + 1}: bad label '\\x1d1'"),
+        (LAST_OF_SPAN, "", f":{LAST_OF_SPAN}: expected 3 fields, got 0"),
+        (LAST_OF_SPAN + 1, "", f":{LAST_OF_SPAN + 1}: expected 3 fields, got 0"),
+        (LAST_OF_SPAN, "0.5,1.0,0", f":{LAST_OF_SPAN}: bad label '1.0'"),
+        (LAST_OF_SPAN + 1, "0.5,1,1.0", f":{LAST_OF_SPAN + 1}: bad origin '1.0'"),
+        (LAST_OF_SPAN + 1, "0.5,\x1d1,0", f":{LAST_OF_SPAN + 1}: bad label '\\x1d1'"),
     ],
 )
 def test_dataset_reader_parity_across_chunk_boundary(tmp_path, lineno, text, suffix):
     path = tmp_path / "data.csv"
-    path.write_text("f0,label,origin\n" + "0.5,1,0\n" * (CHUNK + 2))
+    path.write_text("f0,label,origin\n" + "0.5,1,0\n" * (SPAN + 2))
     _edit_lines(path, {lineno: text})
     assert _refusal(lambda: load_dataset(path), path) == suffix
 
@@ -826,10 +834,10 @@ def test_dataset_reader_parity_across_chunk_boundary(tmp_path, lineno, text, suf
 @pytest.mark.parametrize(
     "lineno, text, suffix",
     [
-        (LAST_OF_FIRST_CHUNK, "", f":{LAST_OF_FIRST_CHUNK}: expected 1 fields, got 0"),
-        (LAST_OF_FIRST_CHUNK + 1, "", f":{LAST_OF_FIRST_CHUNK + 1}: expected 1 fields, got 0"),
-        (LAST_OF_FIRST_CHUNK, "nan", f":{LAST_OF_FIRST_CHUNK}: non-finite weight value"),
-        (LAST_OF_FIRST_CHUNK + 1, "-0.5", f":{LAST_OF_FIRST_CHUNK + 1}: negative weight value"),
+        (LAST_OF_SPAN, "", f":{LAST_OF_SPAN}: expected 1 fields, got 0"),
+        (LAST_OF_SPAN + 1, "", f":{LAST_OF_SPAN + 1}: expected 1 fields, got 0"),
+        (LAST_OF_SPAN, "nan", f":{LAST_OF_SPAN}: non-finite weight value"),
+        (LAST_OF_SPAN + 1, "-0.5", f":{LAST_OF_SPAN + 1}: negative weight value"),
     ],
 )
 def test_weights_reader_parity_across_chunk_boundary(tmp_path, chunked_task, lineno, text, suffix):
@@ -841,13 +849,13 @@ def test_weights_reader_parity_across_chunk_boundary(tmp_path, chunked_task, lin
 
 def test_dataset_reader_accepts_spellings_only_python_parses_across_chunks(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text("f0,label\n" + "0.5,1\n" * (CHUNK + 2))
-    _edit_lines(path, {3: '"0.5",1', LAST_OF_FIRST_CHUNK + 1: "1_0.5,1"})
+    path.write_text("f0,label\n" + "0.5,1\n" * (SPAN + 2))
+    _edit_lines(path, {3: '"0.5",1', LAST_OF_SPAN + 1: "1_0.5,1"})
     loaded = load_dataset(path)
-    expected = np.full((CHUNK + 2, 1), 0.5)
-    expected[LAST_OF_FIRST_CHUNK - 1] = 10.5
+    expected = np.full((SPAN + 2, 1), 0.5)
+    expected[LAST_OF_SPAN - 1] = 10.5
     assert _same_bits(loaded.features, expected, np.float64)
-    assert _same_bits(loaded.labels, np.ones(CHUNK + 2), np.int64)
+    assert _same_bits(loaded.labels, np.ones(SPAN + 2), np.int64)
 
 
 EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
