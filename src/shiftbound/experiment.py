@@ -23,7 +23,7 @@ from operator import attrgetter
 from .bounds import BOUND_NAMES, ORACLE_BOUNDS, BoundInputs, grid_search
 from .divergences import MmdConfig, median_heuristic_bandwidths, mmd_estimate
 from .nn import MlpArchitecture, TrainConfig
-from .risks import RiskEstimates, estimate_risks
+from .risks import RiskEstimates, estimate_risks, lambda_rho_oracle
 from .seeding import derive_seed
 from .stochastic import kl_isotropic, learn_prior_posterior, sample_posterior
 from .tasks import TaskInstance, build_synthetic_task, data_rows, load_task, spec_from_json
@@ -286,9 +286,7 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
     rows = []
     for ck_idx, ((frac, posterior), est) in enumerate(zip(pair.posterior_checkpoints, estimates)):
         kl = kl_isotropic(posterior, pair.prior)
-        lam = None
-        if cfg.oracle_mode:
-            lam = abs(est.joint_error_target - est.joint_error_source)
+        lam = lambda_rho_oracle(est) if cfg.oracle_mode else None
         inputs = BoundInputs(
             m_source=len(eval_set),
             n_target=len(target_x),

@@ -10,8 +10,8 @@ calls ``forward``. Gibbs risks reduce each draw's row over the sample, then
 average over all 2P draws; pairwise quantities reduce the rows of each
 consecutive draw pair (2i, 2i+1) over the sample, then average over the P
 pairs. Means and Monte-Carlo standard deviations over draws or pairs come
-from ``_mean_and_mc_std``. ``gibbs_risk`` and ``lambda_rho_oracle`` remain
-only as spans for the benchmark tracer.
+from ``_mean_and_mc_std``; ``gibbs_risk`` is that reduction for a Gibbs
+risk. ``lambda_rho_oracle`` forms lambda_rho from oracle-mode estimates.
 """
 
 import math
@@ -76,37 +76,21 @@ def _joint_error_per_pair(errors: np.ndarray) -> np.ndarray:
     return _row_means(errors[0::2] & errors[1::2])
 
 
-def gibbs_risk(arch: MlpArchitecture, samples: PosteriorSampleSet, data: LabeledSample):
-    """Mean empirical risk over all posterior draws; returns (estimate, mc_std).
+def gibbs_risk(errors: np.ndarray, weights=None) -> tuple[float, float]:
+    """Mean over draws of each draw's empirical risk, optionally weighted
+    per row, and its Monte-Carlo standard deviation: ``errors`` is one
+    sample's (draws, n) error matrix."""
+    return _mean_and_mc_std(_row_means(errors, weights))
 
-    Kept only for the benchmark tracer's spans, until the benchmark drops
-    them; runs get this value from :func:`estimate_risks`."""
-    return _mean_and_mc_std(_row_means(_predictions(arch, samples.draws, data) != data.labels))
 
-
-def lambda_rho_oracle(
-    arch: MlpArchitecture,
-    samples: PosteriorSampleSet,
-    source: LabeledSample,
-    target_labeled: LabeledSample,
-    *,
-    oracle: bool = False,
-) -> float:
-    """|joint error on target - joint error on source|, computable only with
-    target labels. Refuses unless ``oracle=True`` so non-estimable quantities
-    cannot slip into reported bounds unnoticed.
-
-    Kept only for the benchmark tracer's spans, until the benchmark drops
-    them; runs compute it from :func:`estimate_risks`."""
-    if not oracle:
-        raise OracleAccessError(
-            "lambda_rho needs target labels; pass oracle=True to acknowledge"
-        )
-    target_joint, source_joint = (
-        _joint_error_per_pair(_predictions(arch, samples.draws, data) != data.labels).mean()
-        for data in (target_labeled, source)
-    )
-    return float(abs(target_joint - source_joint))
+def lambda_rho_oracle(estimates: RiskEstimates) -> float:
+    """|joint error on target - joint error on source|, the add bound's
+    lambda_rho. Refuses estimates made without ``oracle=True``, which carry
+    no target joint error, so non-estimable quantities cannot slip into
+    reported bounds unnoticed."""
+    if estimates.joint_error_target is None:
+        raise OracleAccessError("lambda_rho needs estimates made with oracle=True")
+    return abs(estimates.joint_error_target - estimates.joint_error_source)
 
 
 def estimate_risks(
@@ -128,23 +112,23 @@ def estimate_risks(
     source_preds = _predictions(arch, samples.draws, source_eval)
     target_preds = _predictions(arch, samples.draws, target)
     source_errors = source_preds != source_eval.labels
-    per_draw_or_pair = {
-        "gibbs_risk": _row_means(source_errors),
+    per_pair = {
         "disagreement_source": _disagreement_per_pair(source_preds),
         "disagreement_target": _disagreement_per_pair(target_preds),
         "joint_error_source": _joint_error_per_pair(source_errors),
     }
+    stats = {"gibbs_risk": gibbs_risk(source_errors)}
     if source_eval.weights is not None:
-        per_draw_or_pair["gibbs_weighted_risk"] = _row_means(source_errors, source_eval.weights)
+        stats["gibbs_weighted_risk"] = gibbs_risk(source_errors, source_eval.weights)
 
     oracle_risk = None
     if isinstance(target, LabeledSample):
         target_errors = target_preds != target.labels
-        oracle_risk = _mean_and_mc_std(_row_means(target_errors))[0]
+        oracle_risk = gibbs_risk(target_errors)[0]
         if oracle:
-            per_draw_or_pair["joint_error_target"] = _joint_error_per_pair(target_errors)
+            per_pair["joint_error_target"] = _joint_error_per_pair(target_errors)
 
-    stats = {name: _mean_and_mc_std(v) for name, v in per_draw_or_pair.items()}
+    stats.update({name: _mean_and_mc_std(v) for name, v in per_pair.items()})
     return RiskEstimates(
         **{name: mean for name, (mean, _) in stats.items()},
         oracle_target_gibbs_risk=oracle_risk,

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,19 +318,23 @@ def test_required_field_errors():
         gibbs_risk=0.1, disagreement_source=0.0, disagreement_target=0.0, joint_error_source=0.0
     )
     no_extras = BoundInputs(m_source=100, n_target=100, kl=1.0, delta=0.05, estimates=est)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="iw bound needs beta_inf"):
         bound("iw", no_extras, gamma=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="iw bound needs a weighted Gibbs risk"):
+        bound("iw", replace(no_extras, beta_inf=2.0), gamma=0.5)
+    with pytest.raises(ValueError, match="mult bound needs beta_inf"):
         bound("mult", no_extras, a=1.0, b=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mmd bound needs an mmd_value"):
         bound("mmd", no_extras, gamma=0.5)
     with pytest.raises(OracleAccessError):
         bound("add", make_inputs(lam=None), omega=1.0, gamma=1.0)
-    with pytest.raises(ValueError):
-        bound("mcallester", make_inputs(), gamma=1.0)
-    with pytest.raises(ValueError):
-        bound("mcallester", make_inputs(), gamma=0.0)
-    with pytest.raises(ValueError):
+    for omega, gamma in ((0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="omega and gamma must be positive"):
+            bound("add", make_inputs(lam=0.1), omega=omega, gamma=gamma)
+    for gamma in (1.0, 0.0):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\)"):
+            bound("mcallester", make_inputs(), gamma=gamma)
+    with pytest.raises(ValueError, match="a and b must be positive"):
         bound("mult", make_inputs(), a=-1.0, b=1.0)
 
 

@@ -238,12 +238,29 @@ def test_lambda_rho_oracle_refusal_and_values():
     # both wrong simultaneously exactly on rows with x > 10 labeled 0
     source = LabeledSample(features=col([20] + [-1] * 19), labels=[0] + [0] * 19)  # 1/20
     target = LabeledSample(features=col([20, 20] + [-1] * 8), labels=[0, 0] + [0] * 8)  # 2/10
-    with pytest.raises(OracleAccessError):
-        lambda_rho_oracle(UNIT, pair, source, target)
-    lam = lambda_rho_oracle(UNIT, pair, source, target, oracle=True)
+    for blind in (
+        estimate_risks(UNIT, pair, source, target),
+        estimate_risks(UNIT, pair, source, UnlabeledSample(features=target.features)),
+    ):
+        with pytest.raises(OracleAccessError, match="oracle=True"):
+            lambda_rho_oracle(blind)
+    lam = lambda_rho_oracle(estimate_risks(UNIT, pair, source, target, oracle=True))
     assert lam == pytest.approx(abs(0.2 - 0.05))
     same = LabeledSample(features=col([1, -1]), labels=[1, 0])
-    assert lambda_rho_oracle(UNIT, pair, same, same, oracle=True) == 0.0
+    assert lambda_rho_oracle(estimate_risks(UNIT, pair, same, same, oracle=True)) == 0.0
+
+
+def test_gibbs_risk_reduces_an_error_matrix():
+    # draw 0 errs on 1 of 4 rows, draw 1 on 2 of 4
+    errors = np.array([[True, False, False, False], [True, True, False, False]])
+    mean, mc_std = gibbs_risk(errors)
+    assert mean == 0.375 and mc_std == pytest.approx(0.125)
+    # weighted: draw 0 reads 2/4, draw 1 reads 4/4
+    mean, mc_std = gibbs_risk(errors, np.array([2.0, 2.0, 0.0, 0.0]))
+    assert mean == 0.75 and mc_std == pytest.approx(0.25)
+    # one draw gives no Monte-Carlo spread
+    assert gibbs_risk(errors[1:]) == (0.5, 0.0)
+    assert gibbs_risk(errors[:1], np.array([4.0, 0.0, 0.0, 0.0])) == (1.0, 0.0)
 
 
 def test_gibbs_decomposition_over_disjoint_union():
@@ -292,10 +309,14 @@ def test_estimate_risks_assembly_and_ranges():
     assert est.gibbs_weighted_risk == (source.weights * source_errors).mean(axis=1).mean()
     assert est.joint_error_target == (target_errors[0::2] & target_errors[1::2]).mean(axis=1).mean()
     assert est.oracle_target_gibbs_risk == target_errors.mean(axis=1).mean()
-    # the two estimators kept beside estimate_risks agree with it
-    assert gibbs_risk(arch, samples, source) == (est.gibbs_risk, est.mc_std["gibbs_risk"])
-    assert abs(est.joint_error_target - est.joint_error_source) == lambda_rho_oracle(
-        arch, samples, source, oracle, oracle=True
+    # the Gibbs risks' Monte-Carlo spreads, and lambda_rho formed from est
+    for weights, name in ((None, "gibbs_risk"), (source.weights, "gibbs_weighted_risk")):
+        per_draw = (source_errors if weights is None else weights * source_errors).mean(axis=1)
+        assert gibbs_risk(source_errors, weights) == (getattr(est, name), est.mc_std[name])
+        assert est.mc_std[name] == per_draw.std(ddof=1) / np.sqrt(len(per_draw))
+    assert lambda_rho_oracle(est) == abs(
+        (target_errors[0::2] & target_errors[1::2]).mean(axis=1).mean()
+        - (source_errors[0::2] & source_errors[1::2]).mean(axis=1).mean()
     )
 
     est_blind = estimate_risks(arch, samples, source, target_x)

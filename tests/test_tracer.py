@@ -62,3 +62,9 @@ def test_small_workload_runs_traced(tmp_path, workload):
     metrics = traced.metrics()
     assert list(metrics) == [name for name, _ in tracer.METRICS]
     assert metrics["nn.forward.calls"] > 0
+    # both workloads run in oracle mode, so every checkpoint reduces its
+    # Gibbs risks with gibbs_risk and forms lambda_rho with lambda_rho_oracle
+    assert metrics["risks.gibbs_risk.time_s"] > 0
+    assert metrics["risks.lambda_rho_oracle.time_s"] > 0
+    # one prediction matrix per sample: source and target
+    assert metrics["risks.forward_per_row"] == 2
