@@ -4,11 +4,10 @@ per-checkpoint risk estimation and bound evaluation -> report emission.
 Every bound is evaluated with m equal to the held-out evaluation split size
 (never the full source sample) and n equal to the unlabeled target sample
 size. The input-space MMD does not depend on the hypothesis, so it is
-computed once per (seed, alpha) and repeated across checkpoints. The
-checkpoints' risks are estimated before the bandwidths and the MMD, so the
-forward passes run before the MMD's shuffle buffers are allocated; each
-step draws from its own seed stream, so the order changes no reported
-digit.
+computed once per (seed, alpha), before the checkpoints, and repeated
+across them. Each checkpoint then samples its draws, estimates its risks
+and searches each bound's grid in one pass. Each step draws from its own
+seed stream, so the order changes no reported digit.
 """
 
 import csv
@@ -271,20 +270,14 @@ def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: 
     )
     eval_set = pair.eval_set
     target_x = task.target_x
-
-    estimates = []
-    for ck_idx, (_, posterior) in enumerate(pair.posterior_checkpoints):
-        draws = sample_posterior(posterior, cfg.posterior_pairs, derive_seed(seed, 4, a_idx, ck_idx))
-        estimates.append(estimate_risks(
-            arch, draws, eval_set, task.target_labeled_oracle, oracle=cfg.oracle_mode
-        ))
-
     bandwidths = median_heuristic_bandwidths(eval_set.features, target_x.features)
     mmd_cfg = MmdConfig(bandwidths, shuffles=cfg.mmd_shuffles, seed=derive_seed(seed, 3, a_idx))
     mmd_val = mmd_estimate(eval_set.features, target_x.features, mmd_cfg)
 
     rows = []
-    for ck_idx, ((frac, posterior), est) in enumerate(zip(pair.posterior_checkpoints, estimates)):
+    for ck_idx, (frac, posterior) in enumerate(pair.posterior_checkpoints):
+        draws = sample_posterior(posterior, cfg.posterior_pairs, derive_seed(seed, 4, a_idx, ck_idx))
+        est = estimate_risks(arch, draws, eval_set, task.target_labeled_oracle, oracle=cfg.oracle_mode)
         kl = kl_isotropic(posterior, pair.prior)
         lam = lambda_rho_oracle(est) if cfg.oracle_mode else None
         inputs = BoundInputs(

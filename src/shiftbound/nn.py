@@ -8,7 +8,8 @@ layer applies ReLU; the output is one logit. ``forward`` and the gradient
 share one layer loop, ``_layers``.
 
 ``forward`` runs every layer, the output logit included, over blocks of
-``BLOCK_ROWS`` rows, so no layer is held at full height. A block of rows goes
+``BLOCK_ROWS`` rows, so no layer is held at full height; the output layer
+writes each block into its rows of the result. A block of rows goes
 through the same BLAS product as a 1-thread pass over all rows, which gives
 each row the same sums; the tests compare the two bit for bit. The width-1
 output layer is a matrix-vector product, which BLAS rounds per row according
@@ -151,10 +152,10 @@ def forward(arch: MlpArchitecture, w, x) -> np.ndarray:
     matrix shapes. Pure. Batched rows agree with row-by-row calls only up
     to rounding, since BLAS may reorder a row's sums.
 
-    Every layer runs over row blocks (see the module docstring), and each
-    block's logits go straight into the result, so the only array with n
-    rows is the result. The logits equal a 1-thread unblocked pass bit for
-    bit, whatever the BLAS thread count.
+    Every layer runs over row blocks (see the module docstring), and the
+    output layer writes each block's logits into its rows of the result, so
+    the only array with n rows is the result. The logits equal a 1-thread
+    unblocked pass bit for bit, whatever the BLAS thread count.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] != arch.num_params:
@@ -164,19 +165,20 @@ def forward(arch: MlpArchitecture, w, x) -> np.ndarray:
         raise ValueError(f"inputs have shape {x.shape}, architecture needs (rows, {arch.input_dim})")
     blocks = _row_blocks(len(x))
     rows = max((stop - start for start, stop in blocks), default=0)
-    # reused by every draw: one block buffer and one bias tile per layer
-    block_bufs = [np.empty((rows, width)) for width in arch.layer_widths[1:]]
+    # reused by every draw: one block buffer per hidden layer and one bias
+    # tile per layer; the output layer writes into its rows of ``logits``
+    block_bufs = [np.empty((rows, width)) for width in arch.layer_widths[1:-1]]
     tiles = [np.empty((rows, width)) for width in arch.layer_widths[1:]]
-    logits = np.empty((len(w), len(x)))
+    logits = np.empty((len(w), len(x), 1))
     for k, wk in enumerate(w):
         layers = _layer_views(arch, wk)
         for tile, (_, b) in zip(tiles, layers):
             tile[...] = b
         for start, stop in blocks:
-            bufs = [buf[: stop - start] for buf in block_bufs]
+            bufs = [buf[: stop - start] for buf in block_bufs] + [logits[k, start:stop]]
             tiled = [(W, tile[: stop - start]) for (W, _), tile in zip(layers, tiles)]
-            logits[k, start:stop] = _layers(tiled, x[start:stop], bufs)[-1][:, 0]
-    return logits
+            _layers(tiled, x[start:stop], bufs)
+    return logits[:, :, 0]
 
 
 def predict(logits: np.ndarray) -> np.ndarray:

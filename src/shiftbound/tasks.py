@@ -611,29 +611,50 @@ def save_task(task: TaskInstance, dirpath) -> None:
 
 
 def load_task(dirpath) -> TaskInstance:
-    """Read back a directory written by ``save_task``, refusing a manifest
-    without one of its keys (``files.source`` and the other file names
-    included), with a ``kind`` outside ``TASK_KINDS`` or a ``beta_inf`` that
-    is not a finite number > 0, a malformed CSV row or a negative weight
-    (with its ``path:line``), a ``target.csv`` whose feature count differs
-    from ``source.csv``'s, a ``weights.csv`` whose row count differs from
+    """Read back a directory written by ``save_task``.
+
+    The manifest is checked by key before any CSV is read. It is refused if
+    it is not an object or lacks one of its keys (``files.source`` and the
+    other file names included), if ``files`` is not an object or one of its
+    names is not the name of a file in the directory (a non-empty string
+    with no path separator, not "." or ".."), if ``kind`` is outside
+    ``TASK_KINDS``, if ``beta_inf`` is not a finite number > 0, or if its
+    spec class refuses ``spec``. Then come a malformed CSV row or a negative weight (with its
+    ``path:line``), a ``target.csv`` whose feature count differs from
+    ``source.csv``'s, a ``weights.csv`` whose row count differs from
     ``source.csv``'s, and a ``beta_inf`` below the largest weight."""
     manifest_path = os.path.join(dirpath, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+
+    def refuse(message):
+        return ValueError(f"{manifest_path}: {message}")
+
+    if not isinstance(manifest, dict):
+        raise refuse(f"manifest must be an object, got {manifest!r}")
     for key in ("kind", "spec", "beta_inf", "files"):
         if key not in manifest:
-            raise ValueError(f"{manifest_path}: missing key {key!r}")
+            raise refuse(f"missing key {key!r}")
     files = manifest["files"]
+    if not isinstance(files, dict):
+        raise refuse(f"files must be an object, got {files!r}")
     for key in ("source", "target", "weights"):
         if key not in files:
-            raise ValueError(f"{manifest_path}: missing key 'files.{key}'")
+            raise refuse(f"missing key 'files.{key}'")
+        name = files[key]
+        # a file in the task directory: no directory part, and not "." or ".."
+        if not isinstance(name, str) or name in ("", ".", "..") or os.path.dirname(name):
+            raise refuse(f"files.{key} must be a file name, got {name!r}")
     kind, beta_inf = manifest["kind"], manifest["beta_inf"]
     if kind not in TASK_KINDS:
-        raise ValueError(f"{manifest_path}: kind must be one of {', '.join(TASK_KINDS)}, got {kind!r}")
+        raise refuse(f"kind must be one of {', '.join(TASK_KINDS)}, got {kind!r}")
     # comparisons, not math.isfinite: an integer beyond the float range is refused too
     if type(beta_inf) not in (int, float) or not 0 < beta_inf <= sys.float_info.max:
-        raise ValueError(f"{manifest_path}: beta_inf must be a finite number > 0, got {beta_inf!r}")
+        raise refuse(f"beta_inf must be a finite number > 0, got {beta_inf!r}")
+    try:
+        spec = spec_from_json(kind, manifest["spec"])
+    except (TypeError, ValueError) as exc:
+        raise refuse(f"spec: {exc}") from exc
     source_path = os.path.join(dirpath, files["source"])
     target_path = os.path.join(dirpath, files["target"])
     source = load_dataset(source_path, num_classes=2)
@@ -662,7 +683,7 @@ def load_task(dirpath) -> TaskInstance:
     return TaskInstance(
         source=replace(source, weights=weights),
         target_labeled_oracle=target,
-        spec=spec_from_json(kind, manifest["spec"]),
+        spec=spec,
         beta_inf=float(beta_inf),
         kind=kind,
     )

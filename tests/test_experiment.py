@@ -353,6 +353,25 @@ def test_rows_sorted_and_alpha_sweep():
     assert len(report) == 2 * 2 * 15
 
 
+def test_bandwidths_and_mmd_run_once_before_each_pairs_checkpoints(monkeypatch):
+    calls = []
+
+    def record(name):
+        original = getattr(experiment, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, wrapped)
+
+    for name in ("learn_prior_posterior", "median_heuristic_bandwidths", "mmd_estimate", "estimate_risks"):
+        record(name)
+    run_experiment(small_config(alphas=(0.3, 0.0), seeds=(1, 0), bounds=("mcallester",)))
+    one_pair = ["learn_prior_posterior", "median_heuristic_bandwidths", "mmd_estimate"] + ["estimate_risks"] * 15
+    assert calls == one_pair * 4
+
+
 def test_weighted_bounds_need_weights():
     spec = default_synthetic_spec(seed=2, n_source=300, n_target=300)
     cfg = small_config()

@@ -21,6 +21,7 @@ from shiftbound.tasks import (
     build_mixture_task,
     build_one_sided_task,
     build_synthetic_task,
+    default_synthetic_spec,
     save_task,
 )
 
@@ -84,10 +85,12 @@ def test_nine_feature_report_is_pinned(tmp_path):
 
 
 # sha256 of the source.csv, target.csv, weights.csv and manifest.json bytes,
-# in that order, of the two pooled tasks below
+# in that order, of the three tasks below; the synthetic one is the task
+# ``make-task synthetic`` writes, at a small size
 TASK_SHA256 = {
     "mixture": "27ff92a510fcb9acc48f353e0cc7e20f06cc04623c89f378fa34832dcf1b98bb",
     "one_sided": "ef6cafd4b2498b6719521b1e1445db69f3696ba8ab0f6bb30b2a5d09f37ee926",
+    "synthetic": "a471a2e137702f746bbf8b02daa23556ab4f26f3b97a070bc083223ac19258f8",
 }
 
 
@@ -117,7 +120,13 @@ def _one_sided_task():
     return build_one_sided_task(source_only, shared, 0.37, seed=5)
 
 
-@pytest.mark.parametrize("kind, build", [("mixture", _mixture_task), ("one_sided", _one_sided_task)])
+def _synthetic_task():
+    return build_synthetic_task(default_synthetic_spec(seed=0, n_source=200, n_target=150))
+
+
+@pytest.mark.parametrize(
+    "kind, build", [("mixture", _mixture_task), ("one_sided", _one_sided_task), ("synthetic", _synthetic_task)]
+)
 def test_saved_task_bytes_are_pinned(tmp_path, kind, build):
     save_task(build(), tmp_path)
     digest = hashlib.sha256()

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
 import warnings
 from fractions import Fraction
@@ -27,6 +28,7 @@ from shiftbound import (
     load_task,
     save_dataset,
     save_task,
+    tasks,
 )
 from shiftbound.tasks import (
     CHUNK,
@@ -620,42 +622,101 @@ def test_task_weights_count_must_match_source_rows(tmp_path, chunked_task, num_w
     assert _refusal(lambda: load_task(task), task / "weights.csv") == message
 
 
-@pytest.mark.parametrize(
-    "key", ["kind", "spec", "beta_inf", "files", "files.source", "files.target", "files.weights"]
-)
-def test_task_manifest_missing_key_refused(tmp_path, chunked_task, key):
+def _edited_manifest_task(tmp_path, chunked_task, edit):
+    """A copy of ``chunked_task`` whose manifest is ``edit(manifest)``."""
     task = tmp_path / "task"
     shutil.copytree(chunked_task, task)
     manifest = json.loads((task / "manifest.json").read_text())
-    *parents, leaf = key.split(".")
-    node = manifest
-    for parent in parents:
-        node = node[parent]
-    del node[leaf]
-    (task / "manifest.json").write_text(json.dumps(manifest))
+    (task / "manifest.json").write_text(json.dumps(edit(manifest)))
+    return task
+
+
+def _set_key(key, value=None, delete=False):
+    """A manifest edit that sets, or deletes, the dotted ``key``."""
+    def edit(manifest):
+        *parents, leaf = key.split(".")
+        node = manifest
+        for parent in parents:
+            node = node[parent]
+        if delete:
+            del node[leaf]
+        else:
+            node[leaf] = value
+        return manifest
+    return edit
+
+
+MANIFEST_MISSING_KEYS = ["kind", "spec", "beta_inf", "files", "files.source", "files.target", "files.weights"]
+
+
+@pytest.mark.parametrize("key", MANIFEST_MISSING_KEYS)
+def test_task_manifest_missing_key_refused(tmp_path, chunked_task, key):
+    task = _edited_manifest_task(tmp_path, chunked_task, _set_key(key, delete=True))
     assert _refusal(lambda: load_task(task), task / "manifest.json") == f": missing key {key!r}"
 
 
-@pytest.mark.parametrize(
-    "key, value, suffix",
-    [
-        ("beta_inf", math.nan, ": beta_inf must be a finite number > 0, got nan"),
-        ("beta_inf", math.inf, ": beta_inf must be a finite number > 0, got inf"),
-        ("beta_inf", 0, ": beta_inf must be a finite number > 0, got 0"),
-        ("beta_inf", "9", ": beta_inf must be a finite number > 0, got '9'"),
-        ("beta_inf", True, ": beta_inf must be a finite number > 0, got True"),
-        ("beta_inf", 10**309, f": beta_inf must be a finite number > 0, got {10**309}"),
-        ("kind", "bogus", ": kind must be one of synthetic, mixture, one_sided, got 'bogus'"),
-    ],
-    ids=["nan", "inf", "zero", "string", "bool", "beyond-float-range", "kind"],
-)
+MANIFEST_BAD_VALUES = {
+    "nan": ("beta_inf", math.nan, ": beta_inf must be a finite number > 0, got nan"),
+    "inf": ("beta_inf", math.inf, ": beta_inf must be a finite number > 0, got inf"),
+    "zero": ("beta_inf", 0, ": beta_inf must be a finite number > 0, got 0"),
+    "string": ("beta_inf", "9", ": beta_inf must be a finite number > 0, got '9'"),
+    "bool": ("beta_inf", True, ": beta_inf must be a finite number > 0, got True"),
+    "beyond-float-range": ("beta_inf", 10**309, f": beta_inf must be a finite number > 0, got {10**309}"),
+    "kind": ("kind", "bogus", ": kind must be one of synthetic, mixture, one_sided, got 'bogus'"),
+    "files-null": ("files", None, ": files must be an object, got None"),
+    "files-string": ("files", "x", ": files must be an object, got 'x'"),
+    "files-list": ("files", ["source"], ": files must be an object, got ['source']"),
+    "name-number": ("files.source", 5, ": files.source must be a file name, got 5"),
+    "name-null": ("files.target", None, ": files.target must be a file name, got None"),
+    "name-empty": ("files.source", "", ": files.source must be a file name, got ''"),
+    "name-dot": ("files.weights", ".", ": files.weights must be a file name, got '.'"),
+    "name-dotdot": ("files.weights", "..", ": files.weights must be a file name, got '..'"),
+    "name-absolute": ("files.target", "/source.csv", ": files.target must be a file name, got '/source.csv'"),
+    "name-parent": ("files.source", "../source.csv", ": files.source must be a file name, got '../source.csv'"),
+    "name-subdir": ("files.weights", "sub/weights.csv", ": files.weights must be a file name, got 'sub/weights.csv'"),
+    "spec-missing-fields": (
+        "spec",
+        {"dim": 2},
+        ": spec: SyntheticSpec.__init__() missing 7 required positional arguments: 'component_means', "
+        "'component_std', 'source_mix', 'target_mix', 'n_source', 'n_target', and 'seed'",
+    ),
+    "spec-unknown-field": ("spec.bogus", 1, ": spec: SyntheticSpec.__init__() got an unexpected keyword argument 'bogus'"),
+    "spec-bad-field": ("spec.dim", 0, ": spec: dim must be >= 1"),
+    "spec-null": (
+        "spec", None, ": spec: shiftbound.tasks.SyntheticSpec() argument after ** must be a mapping, not NoneType"
+    ),
+}
+
+
+@pytest.mark.parametrize("key, value, suffix", MANIFEST_BAD_VALUES.values(), ids=MANIFEST_BAD_VALUES)
 def test_task_manifest_bad_value_refused(tmp_path, chunked_task, key, value, suffix):
-    task = tmp_path / "task"
-    shutil.copytree(chunked_task, task)
-    manifest = json.loads((task / "manifest.json").read_text())
-    manifest[key] = value
-    (task / "manifest.json").write_text(json.dumps(manifest))
+    task = _edited_manifest_task(tmp_path, chunked_task, _set_key(key, value))
     assert _refusal(lambda: load_task(task), task / "manifest.json") == suffix
+
+
+MANIFEST_NOT_OBJECTS = {"list": [1], "key-names": "kind spec beta_inf files", "null": None}
+
+
+@pytest.mark.parametrize("doc", MANIFEST_NOT_OBJECTS.values(), ids=MANIFEST_NOT_OBJECTS)
+def test_task_manifest_not_an_object_refused(tmp_path, chunked_task, doc):
+    task = _edited_manifest_task(tmp_path, chunked_task, lambda manifest: doc)
+    assert _refusal(lambda: load_task(task), task / "manifest.json") == f": manifest must be an object, got {doc!r}"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_set_key(key, delete=True) for key in MANIFEST_MISSING_KEYS]
+    + [_set_key(key, value) for key, value, _ in MANIFEST_BAD_VALUES.values()]
+    + [lambda manifest, doc=doc: doc for doc in MANIFEST_NOT_OBJECTS.values()],
+)
+def test_task_manifest_refused_before_any_csv_is_read(tmp_path, chunked_task, monkeypatch, edit):
+    def load_dataset(path, num_classes=2):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(tasks, "load_dataset", load_dataset)
+    task = _edited_manifest_task(tmp_path, chunked_task, edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(task / 'manifest.json'))}: "):
+        load_task(task)
 
 
 def test_task_target_feature_count_must_match_source(tmp_path, chunked_task):
