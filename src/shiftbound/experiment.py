@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
@@ -25,7 +24,8 @@ from .nn import MlpArchitecture, TrainConfig
 from .risks import RiskEstimates, estimate_risks, lambda_rho_oracle
 from .seeding import derive_seed
 from .stochastic import kl_isotropic, learn_prior_posterior, sample_posterior
-from .tasks import TaskInstance, build_synthetic_task, data_rows, load_task, spec_from_json
+from .tasks import (TaskInstance, _file_name, _flag, _integer, _list, _number, _object, _string,
+                    build_synthetic_task, data_rows, load_task, spec_from_json)
 
 
 def _optional_float(text: str) -> float | None:
@@ -56,49 +56,6 @@ _REPORT_COLUMNS = (
     ("oracle_used", "bound", attrgetter("oracle_used"), lambda text: text == "true"),
 )
 CSV_COLUMNS = [name for name, *_ in _REPORT_COLUMNS]
-
-
-def _integer(value, path: str) -> int:
-    """``value`` as an int: an integral number, not a bool or a string."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    raise ValueError(f"{path} must be an integer, got {value!r}")
-
-
-def _number(value, path: str) -> float:
-    """``value`` as a float: a real number, not a bool or a string."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{path} must be a number, got {value!r}")
-
-
-def _instance(cls, what: str):
-    """Reader of a ``cls`` value, refusing any other as not ``what``."""
-    def read(value, path: str):
-        if isinstance(value, cls):
-            return value
-        raise ValueError(f"{path} must be {what}, got {value!r}")
-    return read
-
-
-_flag, _string, _object = _instance(bool, "true or false"), _instance(str, "a string"), _instance(dict, "an object")
-
-
-def _list(read):
-    """Reader of a list or a tuple as a tuple, entry i read by ``read`` at ``path[i]``."""
-    def read_list(value, path: str) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{path} must be a list, got {value!r}")
-        return tuple(read(entry, f"{path}[{i}]") for i, entry in enumerate(value))
-    return read_list
-
-
-def _file_name(value, path: str) -> str:
-    """A string that names a file: not empty, and no path separator in it."""
-    if _string(value, path) and not any(sep and sep in value for sep in (os.sep, os.altsep)):
-        return value
-    raise ValueError(f"{path} must be a file name, got {value!r}")
 
 
 def _alphas(value, path: str) -> tuple:

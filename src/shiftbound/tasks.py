@@ -13,14 +13,18 @@ A task persists as a directory (``save_task`` / ``load_task``): source.csv
 and target.csv (header f0..f{d-1},label[,origin]), weights.csv (header
 weight, one row per source row) and manifest.json. The CSVs hold floats as
 ``repr`` with CRLF line endings, written one join per ``CHUNK`` of rows.
-Reading parses a file's rows with one ``np.loadtxt`` call and falls back to
-a ``csv.reader`` row walk, which refuses a malformed row with its
-``path:line`` and otherwise accepts what Python's ``float`` and ``int`` do.
+Each CSV is read by one column declaration (its float and integer columns
+and their ranges): one ``np.loadtxt`` call parses the rows, and where numpy
+fails or disagrees a ``csv.reader`` row walk checks them by the same
+declaration, refusing a malformed row with its ``path:line`` and otherwise
+accepting what Python's ``float`` and ``int`` do. JSON values (specs,
+manifests, the run config) are read by one set of readers below.
 """
 
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -39,6 +43,54 @@ LABEL_RULES = ("halfspace",)
 class OverlapError(ValueError):
     """A construction would put zero source mass where the target has mass
     (or leave a domain empty), breaking the overlap requirement."""
+
+
+# Readers of JSON values: each converts ``value`` or refuses it by ``path``.
+def _integer(value, path: str) -> int:
+    """``value`` as an int: an integral number, not a bool or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{path} must be an integer, got {value!r}")
+
+
+def _number(value, path: str) -> float:
+    """``value`` as a float: a real number within the float range (NaN and
+    infinities included), not a bool or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{path} must be a number, got {value!r}")
+
+
+def _instance(cls, what: str):
+    """Reader of a ``cls`` value, refusing any other as not ``what``."""
+    def read(value, path: str):
+        if isinstance(value, cls):
+            return value
+        raise ValueError(f"{path} must be {what}, got {value!r}")
+    return read
+
+
+_flag, _string, _object = _instance(bool, "true or false"), _instance(str, "a string"), _instance(dict, "an object")
+
+
+def _list(read):
+    """Reader of a list or a tuple as a tuple, entry i read by ``read`` at ``path[i]``."""
+    def read_list(value, path: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{path} must be a list, got {value!r}")
+        return tuple(read(entry, f"{path}[{i}]") for i, entry in enumerate(value))
+    return read_list
+
+
+def _file_name(value, path: str) -> str:
+    """A string that names a file: not empty, and no path separator in it."""
+    if _string(value, path) and not any(sep and sep in value for sep in (os.sep, os.altsep)):
+        return value
+    raise ValueError(f"{path} must be a file name, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,26 +116,27 @@ class SyntheticSpec:
     rule_offset: float = 0.0
 
     def __post_init__(self):
+        for name, read in (
+            ("dim", _integer), ("component_means", _list(_list(_number))), ("component_std", _number),
+            ("source_mix", _list(_number)), ("target_mix", _list(_number)), ("n_source", _integer),
+            ("n_target", _integer), ("seed", _integer), ("label_rule", _string),
+            ("rule_vector", _list(_number)), ("rule_offset", _number),
+        ):
+            object.__setattr__(self, name, read(getattr(self, name), name))
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        means = tuple(tuple(float(v) for v in m) for m in self.component_means)
-        object.__setattr__(self, "component_means", means)
-        if len(means) != 2:
+        if len(self.component_means) != 2:
             raise ValueError("exactly two mixture components are supported")
-        if any(len(m) != self.dim for m in means):
+        if any(len(m) != self.dim for m in self.component_means):
             raise ValueError("component means must have length dim")
-        if means[0] == means[1]:
+        if self.component_means[0] == self.component_means[1]:
             raise ValueError("component means must be distinct")
         if not self.component_std > 0:
             raise ValueError("component_std must be positive")
-        src = tuple(float(p) for p in self.source_mix)
-        tgt = tuple(float(q) for q in self.target_mix)
-        object.__setattr__(self, "source_mix", src)
-        object.__setattr__(self, "target_mix", tgt)
-        for mix in (src, tgt):
+        for mix in (self.source_mix, self.target_mix):
             if len(mix) != 2 or any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-9:
                 raise ValueError("mixes must be two nonnegative weights summing to 1")
-        if any(p == 0 for p in src):
+        if any(p == 0 for p in self.source_mix):
             raise OverlapError(
                 "source mix has a zero component: the density ratio would be "
                 "unbounded and the worst-case weight infinite"
@@ -92,11 +145,9 @@ class SyntheticSpec:
             raise ValueError("sample sizes must be positive")
         if self.label_rule not in LABEL_RULES:
             raise ValueError(f"label_rule must be one of {LABEL_RULES}")
-        vec = tuple(float(v) for v in self.rule_vector)
-        if not vec:
-            vec = (1.0,) + (0.0,) * (self.dim - 1)
-        object.__setattr__(self, "rule_vector", vec)
-        if len(vec) != self.dim:
+        if not self.rule_vector:
+            object.__setattr__(self, "rule_vector", (1.0,) + (0.0,) * (self.dim - 1))
+        if len(self.rule_vector) != self.dim:
             raise ValueError("rule_vector must have length dim")
 
 
@@ -219,6 +270,11 @@ class MixtureTaskSpec:
     binary_relabel_threshold: int = 0
 
     def __post_init__(self):
+        for name, read in (
+            ("num_classes", _integer), ("per_class_counts", _list(_list(_integer))),
+            ("binary_relabel_threshold", _integer),
+        ):
+            object.__setattr__(self, name, read(getattr(self, name), name))
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         shares = tuple(Fraction(s) for s in self.source_share)
@@ -227,16 +283,16 @@ class MixtureTaskSpec:
             raise ValueError("need one source share per class")
         if any(not 0 <= s <= 1 for s in shares):
             raise ValueError("shares must lie in [0, 1]")
-        counts = tuple((int(a), int(b)) for a, b in self.per_class_counts)
-        object.__setattr__(self, "per_class_counts", counts)
+        counts = self.per_class_counts
+        for c, pair in enumerate(counts):
+            if len(pair) != 2:
+                raise ValueError(f"per_class_counts[{c}] must be a pair, got {list(pair)}")
         if len(counts) != self.num_classes:
             raise ValueError("need per-origin counts for every class")
         if any(a < 1 or b < 1 for a, b in counts):
             raise ValueError("per-class counts must be >= 1")
-        threshold = int(self.binary_relabel_threshold)
-        if threshold == 0:
-            threshold = self.num_classes // 2
-        object.__setattr__(self, "binary_relabel_threshold", threshold)
+        if self.binary_relabel_threshold == 0:
+            object.__setattr__(self, "binary_relabel_threshold", self.num_classes // 2)
 
     def binary_label(self, cls: int) -> int:
         return 0 if cls < self.binary_relabel_threshold else 1
@@ -434,12 +490,13 @@ def _write_csv(path, header, columns) -> None:
             fh.write("".join(cells))
 
 
-def _read_table(path, fh, floats: int, stops: tuple, check_row, least: float = -math.inf):
+def _read_table(path, fh, what: str, floats: int, ints=(), least: float = -math.inf):
     """The data rows of ``path``, open as ``fh`` with universal newlines just
-    past its header line: ``floats`` float columns, then one integer column
-    per entry of ``stops``. Returns the floats as an (n, floats) array and
-    the integer columns, each C-contiguous. Every float must be finite and
-    >= ``least``, and integer column j in [0, stops[j]).
+    past its header line, by the column declaration: ``floats`` columns of
+    ``what`` values (each finite and >= ``least``), then one integer column
+    per (name, stop, message) of ``ints`` (each in [0, stop)). Returns the
+    floats as an (n, floats) array and the integer columns, each
+    C-contiguous.
 
     One ``np.loadtxt`` call parses the rows while the lines it reads are
     counted. Where it raises or warns, skips blank lines (its row count then
@@ -448,7 +505,7 @@ def _read_table(path, fh, floats: int, stops: tuple, check_row, least: float = -
     again the way the ``csv`` module and ``float``/``int`` do: it raises the
     ``path:line`` diagnostic of the first faulty row, or returns the rows'
     values when none is faulty (quoted fields, ``1_000``, non-ASCII digits)."""
-    dtype = np.dtype([("x", np.float64, (floats,))] + [(f"i{j}", np.int64) for j in range(len(stops))])
+    dtype = np.dtype([("x", np.float64, (floats,))] + [(name, np.int64) for name, _, _ in ints])
     lines = 0
 
     def blocks():
@@ -479,9 +536,9 @@ def _read_table(path, fh, floats: int, stops: tuple, check_row, least: float = -
         table is None
         or len(table) != lines
         or not (np.isfinite(table["x"]) & (table["x"] >= least)).all()
-        or not all(((table[name] >= 0) & (table[name] < stop)).all() for name, stop in zip(dtype.names[1:], stops))
+        or not all(((table[name] >= 0) & (table[name] < stop)).all() for name, stop, _ in ints)
     ):
-        table = _walk_rows(path, floats, dtype, check_row)
+        table = np.array(_walk_rows(path, what, floats, ints, least), dtype)
     return [np.ascontiguousarray(table[name]) for name in dtype.names]
 
 
@@ -495,29 +552,36 @@ def data_rows(path, reader, width: int):
         yield lineno, row
 
 
-def _walk_rows(path, floats: int, dtype, check_row):
-    """Every row after the header, read by ``csv.reader`` and checked with
-    the field count and ``check_row(lineno, row)``, which raise the
-    ``path:line`` diagnostic of the first faulty row; the rows' ``float``
-    and ``int`` values as a ``dtype`` table when none is faulty."""
-    width = floats + len(dtype.names) - 1
+def _walk_rows(path, what: str, floats: int, ints, least: float) -> list:
+    """Every row after the header, read by ``csv.reader`` and checked by the
+    column declaration of ``_read_table``: the field count, then each float
+    converted, finite and >= ``least``, then each integer column converted
+    and in range. Raises the ``path:line`` diagnostic of the first faulty
+    row; returns each row's converted values when none is faulty."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for lineno, row in data_rows(path, reader, width):
-            check_row(lineno, row)
-            rows.append((tuple(map(float, row[:floats])), *map(int, row[floats:])))
-    return np.array(rows, dtype)
-
-
-def _check_floats(path, lineno: int, fields, what: str) -> None:
-    try:
-        values = list(map(float, fields))
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: bad {what} value ({exc})") from None
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{path}:{lineno}: non-finite {what} value")
+        for lineno, row in data_rows(path, reader, floats + len(ints)):
+            try:
+                values = tuple(map(float, row[:floats]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {what} value ({exc})") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: non-finite {what} value")
+            if not all(v >= least for v in values):
+                raise ValueError(f"{path}:{lineno}: negative {what} value")
+            codes = []
+            for (name, stop, message), text in zip(ints, row[floats:]):
+                try:
+                    code = int(text)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad {name} {text!r}") from None
+                if not 0 <= code < stop:
+                    raise ValueError(f"{path}:{lineno}: " + message.format(code))
+                codes.append(code)
+            rows.append((values, *codes))
+    return rows
 
 
 def save_dataset(sample: LabeledSample, path) -> None:
@@ -547,25 +611,10 @@ def load_dataset(path, num_classes: int = 2) -> LabeledSample:
         expected = [f"f{i}" for i in range(len(feat_names))]
         if feat_names != expected or header[label_pos : label_pos + 1] != ["label"]:
             raise ValueError(f"{path}: header must be f0..f{{d-1}},label[,origin]")
-
-        def check_row(lineno, row):
-            _check_floats(path, lineno, row[:label_pos], "feature")
-            try:
-                y = int(row[label_pos])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad label {row[label_pos]!r}") from None
-            if not 0 <= y < num_classes:
-                raise ValueError(f"{path}:{lineno}: label {y} outside declared {num_classes} classes")
-            if has_origin:
-                try:
-                    o = int(row[label_pos + 1])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad origin {row[label_pos+1]!r}") from None
-                if o not in (0, 1):
-                    raise ValueError(f"{path}:{lineno}: origin must be 0 or 1")
-
-        stops = (num_classes, 2) if has_origin else (num_classes,)
-        features, labels, *origin = _read_table(path, fh, label_pos, stops, check_row)
+        ints = [("label", num_classes, f"label {{}} outside declared {num_classes} classes")]
+        if has_origin:
+            ints.append(("origin", 2, "origin must be 0 or 1"))
+        features, labels, *origin = _read_table(path, fh, "feature", label_pos, ints)
     if not len(labels):
         raise ValueError(f"{path}: no data rows")
     return LabeledSample(features=features, labels=labels, origin=origin[0] if origin else None)
@@ -587,8 +636,8 @@ TASK_KINDS = tuple(_SPEC_TYPES)
 def spec_from_json(kind: str, d: dict):
     """The spec of a task of ``kind`` from its JSON object (a manifest's
     ``spec``, a ``make-task --spec`` file, an inline config spec); a key
-    that names no spec field is refused. The spec classes convert lists,
-    share strings and numbers themselves."""
+    that names no spec field is refused. The spec classes read each field
+    with the JSON readers, refusing a wrong type by the field's name."""
     return _SPEC_TYPES[kind](**d)
 
 
@@ -613,48 +662,44 @@ def save_task(task: TaskInstance, dirpath) -> None:
 def load_task(dirpath) -> TaskInstance:
     """Read back a directory written by ``save_task``.
 
-    The manifest is checked by key before any CSV is read. It is refused if
-    it is not an object or lacks one of its keys (``files.source`` and the
-    other file names included), if ``files`` is not an object or one of its
-    names is not the name of a file in the directory (a non-empty string
-    with no path separator, not "." or ".."), if ``kind`` is outside
-    ``TASK_KINDS``, if ``beta_inf`` is not a finite number > 0, or if its
-    spec class refuses ``spec``. Then come a malformed CSV row or a negative weight (with its
+    The manifest is checked by key before any CSV is read, and each of its
+    refusals names it. It is refused if it is not readable JSON, if it is
+    not an object or lacks one of its keys (``files.source`` and the other
+    file names included), if ``files`` is not an object or one of its names
+    is not the name of a file in the directory (a non-empty string with no
+    path separator, not "." or ".."), if ``kind`` is outside ``TASK_KINDS``,
+    if ``beta_inf`` is not a finite number > 0, or if its spec class refuses
+    ``spec``. Then come a malformed CSV row or a negative weight (with its
     ``path:line``), a ``target.csv`` whose feature count differs from
     ``source.csv``'s, a ``weights.csv`` whose row count differs from
     ``source.csv``'s, and a ``beta_inf`` below the largest weight."""
     manifest_path = os.path.join(dirpath, "manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-
-    def refuse(message):
-        return ValueError(f"{manifest_path}: {message}")
-
-    if not isinstance(manifest, dict):
-        raise refuse(f"manifest must be an object, got {manifest!r}")
-    for key in ("kind", "spec", "beta_inf", "files"):
-        if key not in manifest:
-            raise refuse(f"missing key {key!r}")
-    files = manifest["files"]
-    if not isinstance(files, dict):
-        raise refuse(f"files must be an object, got {files!r}")
-    for key in ("source", "target", "weights"):
-        if key not in files:
-            raise refuse(f"missing key 'files.{key}'")
-        name = files[key]
-        # a file in the task directory: no directory part, and not "." or ".."
-        if not isinstance(name, str) or name in ("", ".", "..") or os.path.dirname(name):
-            raise refuse(f"files.{key} must be a file name, got {name!r}")
-    kind, beta_inf = manifest["kind"], manifest["beta_inf"]
-    if kind not in TASK_KINDS:
-        raise refuse(f"kind must be one of {', '.join(TASK_KINDS)}, got {kind!r}")
-    # comparisons, not math.isfinite: an integer beyond the float range is refused too
-    if type(beta_inf) not in (int, float) or not 0 < beta_inf <= sys.float_info.max:
-        raise refuse(f"beta_inf must be a finite number > 0, got {beta_inf!r}")
     try:
-        spec = spec_from_json(kind, manifest["spec"])
-    except (TypeError, ValueError) as exc:
-        raise refuse(f"spec: {exc}") from exc
+        with open(manifest_path) as fh:
+            manifest = _object(json.load(fh), "manifest")
+        for key in ("kind", "spec", "beta_inf", "files"):
+            if key not in manifest:
+                raise ValueError(f"missing key {key!r}")
+        files = _object(manifest["files"], "files")
+        for key in ("source", "target", "weights"):
+            if key not in files:
+                raise ValueError(f"missing key 'files.{key}'")
+            name = files[key]
+            # a file in the task directory: no directory part, and not "." or ".."
+            if not isinstance(name, str) or name in ("", ".", "..") or os.path.dirname(name):
+                raise ValueError(f"files.{key} must be a file name, got {name!r}")
+        kind, beta_inf = manifest["kind"], manifest["beta_inf"]
+        if kind not in TASK_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(TASK_KINDS)}, got {kind!r}")
+        # comparisons, not math.isfinite: an integer beyond the float range is refused too
+        if type(beta_inf) not in (int, float) or not 0 < beta_inf <= sys.float_info.max:
+            raise ValueError(f"beta_inf must be a finite number > 0, got {beta_inf!r}")
+        try:
+            spec = spec_from_json(kind, manifest["spec"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"spec: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+        raise ValueError(f"{manifest_path}: {exc}") from exc
     source_path = os.path.join(dirpath, files["source"])
     target_path = os.path.join(dirpath, files["target"])
     source = load_dataset(source_path, num_classes=2)
@@ -662,16 +707,10 @@ def load_task(dirpath) -> TaskInstance:
     if target.dim != source.dim:
         raise ValueError(f"{target_path}: {target.dim} features, but {source_path} has {source.dim}")
     weights_path = os.path.join(dirpath, files["weights"])
-
-    def check_row(lineno, row):
-        _check_floats(weights_path, lineno, row, "weight")
-        if float(row[0]) < 0:
-            raise ValueError(f"{weights_path}:{lineno}: negative weight value")
-
     with open(weights_path) as fh:
         if next(csv.reader(fh), None) != ["weight"]:
             raise ValueError(f"{weights_path}: header must be the single column 'weight'")
-        (weights,) = _read_table(weights_path, fh, 1, (), check_row, least=0.0)
+        (weights,) = _read_table(weights_path, fh, "weight", 1, least=0.0)
     weights = weights[:, 0]
     if len(weights) != len(source):
         raise ValueError(f"{weights_path}: {len(weights)} weights for {len(source)} source rows")

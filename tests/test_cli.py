@@ -235,6 +235,13 @@ def test_make_task_mixture_refuses_unknown_spec_key(tmp_path, capsys):
     assert not (tmp_path / "task").exists()
 
 
+def test_make_task_mixture_refuses_fractional_count(tmp_path, capsys):
+    spec = {**MIXTURE_SPEC, "per_class_counts": [[2.7, 3]] + [[3, 3]] * 3}
+    assert main(write_mixture_inputs(tmp_path, spec)) == 2
+    assert "error: per_class_counts[0][0] must be an integer, got 2.7" in capsys.readouterr().err
+    assert not (tmp_path / "task").exists()
+
+
 def test_check_command(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from shiftbound import ExperimentConfig, emit, experiment, report_records, report_summary, run_experiment
+from shiftbound import ExperimentConfig, emit, experiment, report_records, report_summary, run_experiment, tasks
 from shiftbound.experiment import (
     CSV_COLUMNS,
     format_summary,
@@ -265,6 +265,9 @@ def test_config_refuses_bad_sigma_and_shuffles(doc, message):
         ExperimentConfig.from_json_dict({"task": task, **doc})
 
 
+SPEC = asdict(default_synthetic_spec(seed=1))
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -320,6 +323,21 @@ def test_config_refuses_bad_sigma_and_shuffles(doc, message):
         ({"report": {"formats": ["csv", "csv"]}}, "report formats must be distinct"),
         ({"report": {"stem": ""}}, "report.stem must be a file name, got ''"),
         ({"report": {"stem": "sub/report"}}, "report.stem must be a file name, got 'sub/report'"),
+        # an integer beyond the float range is refused by its key; NaN and
+        # infinities reach the range checks
+        ({"delta": 10**400}, f"delta must be a number, got {10**400}"),
+        ({"train": {"learning_rate": -(10**400)}}, f"train.learning_rate must be a number, got {-(10**400)}"),
+        ({"alpha": [0.3, 10**400]}, rf"alpha\[1\] must be a number, got {10**400}"),
+        ({"delta": float("inf")}, r"delta must lie in \(0, 1\)"),
+        ({"delta": float("nan")}, r"delta must lie in \(0, 1\)"),
+        # spec fields are read by the same readers, each refused by its name
+        ({"task": {"type": "synthetic", "spec": {**SPEC, "n_source": 300.5}}},
+         "task.spec: n_source must be an integer, got 300.5"),
+        ({"task": {"type": "synthetic", "spec": {**SPEC, "dim": "2"}}}, "task.spec: dim must be an integer, got '2'"),
+        ({"task": {"type": "synthetic", "spec": {**SPEC, "component_std": 10**400}}},
+         f"task.spec: component_std must be a number, got {10**400}"),
+        ({"task": {"type": "synthetic", "spec": {**SPEC, "source_mix": ["0.9", 0.1]}}},
+         r"task.spec: source_mix\[0\] must be a number, got '0.9'"),
     ],
 )
 def test_config_refuses_bad_counts_and_lists(doc, message):
@@ -329,6 +347,12 @@ def test_config_refuses_bad_counts_and_lists(doc, message):
         doc = {key: value for key, value in {"task": task, **doc}.items() if value is not None}
     with pytest.raises(ValueError, match=f"^{message}$"):
         ExperimentConfig.from_json_dict(doc)
+
+
+def test_config_reads_values_with_the_task_readers():
+    # one implementation of each reader: the run config's are the task spec's
+    for name in ("_integer", "_number", "_list", "_file_name", "_flag", "_string", "_object"):
+        assert getattr(experiment, name) is getattr(tasks, name), name
 
 
 def test_config_stores_integral_counts_as_int():

@@ -290,6 +290,44 @@ def test_synthetic_unbounded_ratio_refused():
         )
 
 
+# A spec field of the wrong type is refused by its name, not truncated or
+# passed on to fail later without one.
+SPEC_FIELD_REFUSALS = {
+    "fractional n_source": ("synthetic", "n_source", 300.5, "n_source must be an integer, got 300.5"),
+    "bool n_target": ("synthetic", "n_target", True, "n_target must be an integer, got True"),
+    "string dim": ("synthetic", "dim", "2", "dim must be an integer, got '2'"),
+    "fractional seed": ("synthetic", "seed", 1.5, "seed must be an integer, got 1.5"),
+    "string seed": ("synthetic", "seed", "x", "seed must be an integer, got 'x'"),
+    "fractional count": (
+        "mixture", "per_class_counts", [[2.7, 3]] + [[3, 3]] * 3, "per_class_counts[0][0] must be an integer, got 2.7"
+    ),
+    "string count": (
+        "mixture", "per_class_counts", [[3, 3], [3, "5"]] + [[3, 3]] * 2,
+        "per_class_counts[1][1] must be an integer, got '5'",
+    ),
+    "count triple": (
+        "mixture", "per_class_counts", [[3, 3]] * 3 + [[3, 3, 3]], "per_class_counts[3] must be a pair, got [3, 3, 3]"
+    ),
+    "fractional threshold": (
+        "mixture", "binary_relabel_threshold", 1.9, "binary_relabel_threshold must be an integer, got 1.9"
+    ),
+}
+SPEC_DOCS = {
+    "synthetic": {
+        "dim": 2, "component_means": [[-0.5, 0.0], [0.5, 0.0]], "component_std": 1.0, "source_mix": [0.9, 0.1],
+        "target_mix": [0.1, 0.9], "n_source": 300, "n_target": 300, "seed": 0,
+    },
+    "mixture": {"num_classes": 4, "source_share": ["1/3", "2/3", "1/3", "2/3"], "per_class_counts": [[3, 3]] * 4},
+}
+
+
+@pytest.mark.parametrize("kind, key, value, message", SPEC_FIELD_REFUSALS.values(), ids=SPEC_FIELD_REFUSALS)
+def test_spec_from_json_refuses_a_field_by_name(kind, key, value, message):
+    tasks.spec_from_json(kind, SPEC_DOCS[kind])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tasks.spec_from_json(kind, {**SPEC_DOCS[kind], key: value})
+
+
 def test_synthetic_covariate_shift_invariance():
     task = build_synthetic_task(default_synthetic_spec(seed=5, n_source=200, n_target=200))
     relabeled = apply_label_rule(task.spec, task.target_x.features)
@@ -623,11 +661,12 @@ def test_task_weights_count_must_match_source_rows(tmp_path, chunked_task, num_w
 
 
 def _edited_manifest_task(tmp_path, chunked_task, edit):
-    """A copy of ``chunked_task`` whose manifest is ``edit(manifest)``."""
+    """A copy of ``chunked_task`` whose manifest is ``edit(manifest)``, as
+    JSON, or as it is where the edit gives bytes."""
     task = tmp_path / "task"
     shutil.copytree(chunked_task, task)
-    manifest = json.loads((task / "manifest.json").read_text())
-    (task / "manifest.json").write_text(json.dumps(edit(manifest)))
+    edited = edit(json.loads((task / "manifest.json").read_text()))
+    (task / "manifest.json").write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
     return task
 
 
@@ -682,6 +721,7 @@ MANIFEST_BAD_VALUES = {
     ),
     "spec-unknown-field": ("spec.bogus", 1, ": spec: SyntheticSpec.__init__() got an unexpected keyword argument 'bogus'"),
     "spec-bad-field": ("spec.dim", 0, ": spec: dim must be >= 1"),
+    "spec-fractional-size": ("spec.n_source", 300.5, ": spec: n_source must be an integer, got 300.5"),
     "spec-null": (
         "spec", None, ": spec: shiftbound.tasks.SyntheticSpec() argument after ** must be a mapping, not NoneType"
     ),
@@ -703,11 +743,23 @@ def test_task_manifest_not_an_object_refused(tmp_path, chunked_task, doc):
     assert _refusal(lambda: load_task(task), task / "manifest.json") == f": manifest must be an object, got {doc!r}"
 
 
+# Manifest bytes that are not JSON text: cut short, and not UTF-8 (whose
+# refusal follows the locale's encoding)
+MANIFEST_UNREADABLE = [b'{"kind": ', b"\xff"]
+
+
+def test_task_manifest_unreadable_json_refused(tmp_path, chunked_task):
+    task = _edited_manifest_task(tmp_path, chunked_task, lambda manifest: MANIFEST_UNREADABLE[0])
+    message = ": Expecting value: line 1 column 10 (char 9)"
+    assert _refusal(lambda: load_task(task), task / "manifest.json") == message
+
+
 @pytest.mark.parametrize(
     "edit",
     [_set_key(key, delete=True) for key in MANIFEST_MISSING_KEYS]
     + [_set_key(key, value) for key, value, _ in MANIFEST_BAD_VALUES.values()]
-    + [lambda manifest, doc=doc: doc for doc in MANIFEST_NOT_OBJECTS.values()],
+    + [lambda manifest, doc=doc: doc for doc in MANIFEST_NOT_OBJECTS.values()]
+    + [lambda manifest, text=text: text for text in MANIFEST_UNREADABLE],
 )
 def test_task_manifest_refused_before_any_csv_is_read(tmp_path, chunked_task, monkeypatch, edit):
     def load_dataset(path, num_classes=2):
