@@ -4,20 +4,14 @@ Subcommands:
   make-task   build a task directory (synthetic spec or two-pool mixture)
   run         execute an experiment config (JSON) and emit report files
   summarize   print the per-(seed, alpha, bound) minimum-bound table
-  check       fast self-test on a tiny built-in task
 """
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import asdict
-
-import numpy as np
 
 from . import __version__
-from .bounds import BoundInputs, bound_terms, default_grid, grid_search
 from .experiment import (
     ExperimentConfig,
     emit,
@@ -27,10 +21,7 @@ from .experiment import (
     report_summary,
     run_experiment,
 )
-from .risks import RiskEstimates
 from .tasks import (
-    MixtureTaskSpec,
-    beta_infinity,
     build_mixture_task,
     build_synthetic_task,
     default_synthetic_spec,
@@ -86,69 +77,6 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
-    return ok
-
-
-def _cmd_check(args) -> int:
-    import tempfile
-
-    ok = True
-
-    est = RiskEstimates(
-        gibbs_risk=0.1, disagreement_source=0.0, disagreement_target=0.0,
-        joint_error_source=0.0, gibbs_weighted_risk=0.1,
-    )
-    inputs = BoundInputs(m_source=10000, n_target=10000, kl=10.0, delta=0.05, estimates=est)
-    got = sum(v for _, v in bound_terms("mcallester", inputs, inputs.delta, gamma=0.5))
-    want = 0.1 / 0.5 + (10.0 + math.log(1 / 0.05)) / (2 * 0.5 * 0.5 * 10000)
-    ok &= _check("closed-form bound evaluation", abs(got - want) < 1e-12, f"{got:.6f}")
-
-    res = grid_search("mcallester", inputs)
-    ok &= _check(
-        "union-bound delta correction",
-        abs(res.delta_effective - 0.05 / default_grid("mcallester").size) < 1e-15
-        and abs(res.value - sum(v for _, v in res.terms)) < 1e-12,
-        f"delta_eff={res.delta_effective:.6f}",
-    )
-
-    schedule = MixtureTaskSpec(
-        num_classes=10,
-        source_share=[f"{c + 1}/12" for c in range(10)],
-        per_class_counts=[(120, 120)] * 10,
-    )
-    ok &= _check("canonical mixture beta_inf == 11", beta_infinity(schedule) == 11.0)
-
-    spec = default_synthetic_spec(seed=7, n_source=400, n_target=400)
-    cfg = ExperimentConfig(
-        task={"type": "synthetic", "spec": asdict(spec)},
-        hidden=(8,),
-        alphas=(0.3,),
-        bounds=("mcallester", "iw", "mmd"),
-        seeds=(0,),
-        batch_size=32,
-        mmd_shuffles=3,
-    )
-
-    def report_bytes():
-        report = run_experiment(cfg)
-        with tempfile.NamedTemporaryFile(suffix=".csv") as tmp:
-            emit(report, "csv", tmp.name)
-            data = tmp.read()
-        return report, data
-
-    report, first = report_bytes()
-    _, second = report_bytes()
-    ok &= _check("deterministic end-to-end report", first == second)
-    ok &= _check(
-        "bound values finite and recorded",
-        all(math.isfinite(r.value) for row in report for r in row.bounds.values()),
-        f"{len(report)} checkpoint rows",
-    )
-    return 0 if ok else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="shiftbound", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -171,9 +99,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("summarize", help="summarise an emitted report CSV")
     p.add_argument("report")
     p.set_defaults(fn=_cmd_summarize)
-
-    p = sub.add_parser("check", help="fast built-in self-test")
-    p.set_defaults(fn=_cmd_check)
 
     args = parser.parse_args(argv)
     try:

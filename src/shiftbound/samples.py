@@ -31,15 +31,8 @@ class LabeledSample:
     def __post_init__(self):
         self.features = _as_features(self.features)
         self.labels = np.asarray(self.labels)
-        if self.labels.dtype.kind == "f":
-            # inf rounds to itself, and the cast would turn it, or any value
-            # outside int64's range, into a wrapped value with only a warning;
-            # the bound is a float64 scalar so float16 labels compare in float64
-            bound = np.float64(2**63)
-            labels = self.labels
-            in_range = not labels.size or (-bound <= labels.min() and labels.max() < bound)
-            if not (in_range and np.all(labels == np.round(labels))):
-                raise ValueError("labels must be integers")
+        if not np.can_cast(self.labels.dtype, np.int64):  # floats and uint64 included
+            raise ValueError(f"labels must be integers within int64, got dtype {self.labels.dtype}")
         self.labels = self.labels.astype(np.int64)
         m = self.features.shape[0]
         if self.labels.shape != (m,):

@@ -65,6 +65,29 @@ def _number(value, path: str) -> float:
     raise ValueError(f"{path} must be a number, got {value!r}")
 
 
+def _finite(value, path: str) -> float:
+    """``value`` as a float, as ``_number`` reads it, but not NaN or infinite."""
+    number = _number(value, path)
+    if not math.isfinite(number):
+        raise ValueError(f"{path} must be finite, got {value!r}")
+    return number
+
+
+def _share(value, path: str) -> Fraction:
+    """``value`` held exactly as a Fraction: a Fraction, a string such as
+    "1/12", or a finite real number other than a bool, taken exactly."""
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return Fraction(float(value))
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{path} must be a fraction such as '1/12' or a finite number, got {value!r}")
+
+
 def _instance(cls, what: str):
     """Reader of a ``cls`` value, refusing any other as not ``what``."""
     def read(value, path: str):
@@ -117,10 +140,10 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name, read in (
-            ("dim", _integer), ("component_means", _list(_list(_number))), ("component_std", _number),
-            ("source_mix", _list(_number)), ("target_mix", _list(_number)), ("n_source", _integer),
+            ("dim", _integer), ("component_means", _list(_list(_finite))), ("component_std", _finite),
+            ("source_mix", _list(_finite)), ("target_mix", _list(_finite)), ("n_source", _integer),
             ("n_target", _integer), ("seed", _integer), ("label_rule", _string),
-            ("rule_vector", _list(_number)), ("rule_offset", _number),
+            ("rule_vector", _list(_finite)), ("rule_offset", _finite),
         ):
             object.__setattr__(self, name, read(getattr(self, name), name))
         if self.dim < 1:
@@ -261,7 +284,7 @@ class MixtureTaskSpec:
     ``binary_relabel_threshold`` become 0, the rest 1.
 
     Shares may be given as Fraction, str ("1/12"), int, or float; they are
-    held exactly as Fractions.
+    held exactly as Fractions, and any other value is refused by its index.
     """
 
     num_classes: int
@@ -271,17 +294,15 @@ class MixtureTaskSpec:
 
     def __post_init__(self):
         for name, read in (
-            ("num_classes", _integer), ("per_class_counts", _list(_list(_integer))),
-            ("binary_relabel_threshold", _integer),
+            ("num_classes", _integer), ("source_share", _list(_share)),
+            ("per_class_counts", _list(_list(_integer))), ("binary_relabel_threshold", _integer),
         ):
             object.__setattr__(self, name, read(getattr(self, name), name))
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        shares = tuple(Fraction(s) for s in self.source_share)
-        object.__setattr__(self, "source_share", shares)
-        if len(shares) != self.num_classes:
+        if len(self.source_share) != self.num_classes:
             raise ValueError("need one source share per class")
-        if any(not 0 <= s <= 1 for s in shares):
+        if any(not 0 <= s <= 1 for s in self.source_share):
             raise ValueError("shares must lie in [0, 1]")
         counts = self.per_class_counts
         for c, pair in enumerate(counts):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -180,6 +181,35 @@ def test_make_task_synthetic_refuses_a_flag_it_does_not_read(tmp_path, capsys, m
     assert not Path("task").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("rule_offset", float("nan"), "rule_offset must be finite, got nan"),
+        ("component_std", float("inf"), "component_std must be finite, got inf"),
+        ("component_means", [[-0.5, 0.0], [float("-inf"), 0.0]], "component_means[1][0] must be finite, got -inf"),
+    ],
+)
+def test_make_task_synthetic_refuses_a_non_finite_spec_number(tmp_path, capsys, monkeypatch, field, value, message):
+    monkeypatch.chdir(tmp_path)
+    spec = {**asdict(default_synthetic_spec(seed=4, n_source=40, n_target=30)), field: value}
+    Path("spec.json").write_text(json.dumps(spec))
+    assert main(["make-task", "synthetic", "--spec", "spec.json", "--out", "task"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("task").exists()
+
+
+def test_readme_cli_block_names_the_parser_commands(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    commands = re.search(r"\{([a-z,-]+)\}", usage).group(1).split(",")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    documented = re.findall(r"^shiftbound ([a-z][a-z-]*)", block, flags=re.MULTILINE)
+    assert sorted(set(documented)) == sorted(commands)
+
+
 def test_debug_flag_raises_instead_of_printing_the_error(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     with pytest.raises(FileNotFoundError):
@@ -240,12 +270,6 @@ def test_make_task_mixture_refuses_fractional_count(tmp_path, capsys):
     assert main(write_mixture_inputs(tmp_path, spec)) == 2
     assert "error: per_class_counts[0][0] must be an integer, got 2.7" in capsys.readouterr().err
     assert not (tmp_path / "task").exists()
-
-
-def test_check_command(capsys):
-    assert main(["check"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
 
 
 def make_small_task(tmp_path):

@@ -1,19 +1,13 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
 from shiftbound import (
-    MixtureTaskSpec,
     MmdConfig,
-    OverlapError,
-    beta_infinity,
     median_heuristic_bandwidths,
-    mixture_weights,
     mmd_estimate,
-    one_sided_weight,
 )
 from shiftbound.divergences import (
     BANDWIDTH_SCALES,
@@ -26,7 +20,6 @@ from shiftbound.divergences import (
     _sq_distances,
     _truncate_even,
 )
-from shiftbound.tasks import mixture_counts
 
 from oracles import (
     _kernel_matrix,
@@ -35,15 +28,6 @@ from oracles import (
     mmd_linear_statistic,
     mmd_quadratic_biased,
 )
-
-
-def canonical_schedule(count=120):
-    """Ten classes, origin-1 share stepping by 1/12 from 1/12."""
-    return MixtureTaskSpec(
-        num_classes=10,
-        source_share=[Fraction(c + 1, 12) for c in range(10)],
-        per_class_counts=[(count, count)] * 10,
-    )
 
 
 def test_gaussian_kernel_basic():
@@ -396,69 +380,3 @@ def test_mmd_linear_shuffled_refuses_zero_shuffles():
     X = np.zeros((4, 2))
     with pytest.raises(ValueError, match="shuffles must be >= 1"):
         mmd_linear_shuffled(X, X, 1.0, shuffles=0)
-
-
-def test_mixture_weights_canonical_schedule():
-    spec = canonical_schedule()
-    table = mixture_weights(spec)
-    assert table[0][1] == Fraction(11, 1)
-    assert table[0][0] == Fraction(1, 11)
-    assert float(table[0][0]) == pytest.approx(0.0909, abs=1e-4)
-    assert beta_infinity(spec) == 11.0
-
-
-def test_mixture_weights_no_shift():
-    spec = MixtureTaskSpec(
-        num_classes=4,
-        source_share=[Fraction(1, 2)] * 4,
-        per_class_counts=[(10, 10)] * 4,
-    )
-    assert all(w == 1 for row in mixture_weights(spec) for w in row)
-    assert beta_infinity(spec) == 1.0
-
-
-def test_mixture_overlap_violation_refused():
-    spec = MixtureTaskSpec(
-        num_classes=2,
-        source_share=[Fraction(0), Fraction(1, 2)],
-        per_class_counts=[(10, 10)] * 2,
-    )
-    with pytest.raises(OverlapError):
-        mixture_weights(spec)
-    spec_full = MixtureTaskSpec(
-        num_classes=2,
-        source_share=[Fraction(1), Fraction(1, 2)],
-        per_class_counts=[(10, 10)] * 2,
-    )
-    with pytest.raises(OverlapError):
-        beta_infinity(spec_full)
-
-
-def test_mixture_mass_balance_identity():
-    spec = canonical_schedule(count=60)
-    src, tgt = mixture_counts(spec)
-    table = mixture_weights(spec)
-    total_s = sum(a + b for a, b in src)
-    total_t = sum(a + b for a, b in tgt)
-    for c in range(spec.num_classes):
-        for o in range(2):
-            assert Fraction(src[c][o]) * table[c][o] == Fraction(tgt[c][o] * total_s, total_t)
-
-
-def test_one_sided_weight_values():
-    w = one_sided_weight(0.2, 246072, 89696)
-    assert w == pytest.approx(4 * 246072 / 89696, rel=1e-12)
-    assert abs(w - 10.974) < 1e-3
-    assert one_sided_weight(0.5, 1000, 1000) == 1.0
-    with pytest.raises(ValueError):
-        one_sided_weight(0.0, 10, 10)
-
-
-def test_weight_table_cells():
-    spec = canonical_schedule(count=12)
-    src, tgt = mixture_counts(spec)
-    table = mixture_weights(spec)
-    # one cell per (class, origin)
-    assert sum(map(len, src)) == sum(map(len, tgt)) == sum(map(len, table)) == 20
-    assert (src[0][0], tgt[0][0]) == (11, 1)
-    assert float(table[0][0]) == pytest.approx(1 / 11)

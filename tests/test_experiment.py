@@ -338,6 +338,11 @@ SPEC = asdict(default_synthetic_spec(seed=1))
          f"task.spec: component_std must be a number, got {10**400}"),
         ({"task": {"type": "synthetic", "spec": {**SPEC, "source_mix": ["0.9", 0.1]}}},
          r"task.spec: source_mix\[0\] must be a number, got '0.9'"),
+        # unlike a setting, a spec number that is NaN or infinite is refused by its name
+        ({"task": {"type": "synthetic", "spec": {**SPEC, "component_means": [[-0.5, 0.0], [0.5, float("nan")]]}}},
+         r"task.spec: component_means\[1\]\[1\] must be finite, got nan"),
+        ({"task": {"type": "synthetic", "spec": {**SPEC, "component_std": float("inf")}}},
+         "task.spec: component_std must be finite, got inf"),
     ],
 )
 def test_config_refuses_bad_counts_and_lists(doc, message):

@@ -90,8 +90,7 @@ def test_forward_identity_single_layer():
     assert forward(arch, [[1.0, 0.0]], [[0.5]]).tolist() == [[0.5]]
 
 
-@pytest.mark.parametrize("activation", ["relu"])
-def test_forward_matches_naive_oracle(activation):
+def test_forward_matches_naive_oracle():
     rng = np.random.default_rng(42)
     for _ in range(20):
         widths = (int(rng.integers(1, 5)), int(rng.integers(1, 6)), 1)
@@ -165,9 +164,8 @@ def in_one_thread(tmp_path, fn_name, arch, draws, xs):
         return [got[f"arr_{i}"] for i in range(len(xs))]
 
 
-@pytest.mark.parametrize("activation", ["relu"])
 @pytest.mark.parametrize("hidden", [(64,), (64, 64), (16, 32, 8)])
-def test_blocked_forward_equals_the_unblocked_layer_loop(hidden, activation, tmp_path):
+def test_blocked_forward_equals_the_unblocked_layer_loop(hidden, tmp_path):
     """The reference runs in one BLAS thread: a full-height matrix-vector
     product rounds each row according to how BLAS splits the rows across
     threads, so only its 1-thread result is fixed."""
@@ -227,8 +225,7 @@ def test_bce_gradient_near_stationary():
     assert np.linalg.norm(g) < 1e-6
 
 
-@pytest.mark.parametrize("activation", ["relu"])
-def test_bce_gradient_finite_differences(activation):
+def test_bce_gradient_finite_differences():
     rng = np.random.default_rng(3)
     h = 1e-5
     checked = 0

@@ -19,6 +19,7 @@ from shiftbound import (
     PosteriorSampleSet,
     SyntheticSpec,
     apply_label_rule,
+    beta_infinity,
     build_mixture_task,
     build_one_sided_task,
     build_synthetic_task,
@@ -26,6 +27,7 @@ from shiftbound import (
     estimate_risks,
     load_dataset,
     load_task,
+    one_sided_weight,
     save_dataset,
     save_task,
     tasks,
@@ -37,6 +39,7 @@ from shiftbound.tasks import (
     _logaddexp_columns,
     _write_csv,
     default_synthetic_spec,
+    mixture_counts,
     mixture_weights,
     synthetic_beta_infinity,
 )
@@ -118,6 +121,72 @@ def test_mixture_task_count_mismatch_rejected():
     pool0, pool1 = make_pools([(12, 12)] * 9 + [(13, 12)], 10)
     with pytest.raises(ValueError):
         build_mixture_task(pool0, pool1, spec, seed=0)
+
+
+def test_mixture_weights_canonical_schedule():
+    spec = canonical_spec(count=120)
+    table = mixture_weights(spec)
+    assert table[0][1] == Fraction(11, 1)
+    assert table[0][0] == Fraction(1, 11)
+    assert float(table[0][0]) == pytest.approx(0.0909, abs=1e-4)
+    assert beta_infinity(spec) == 11.0
+
+
+def test_mixture_weights_no_shift():
+    spec = MixtureTaskSpec(
+        num_classes=4,
+        source_share=[Fraction(1, 2)] * 4,
+        per_class_counts=[(10, 10)] * 4,
+    )
+    assert all(w == 1 for row in mixture_weights(spec) for w in row)
+    assert beta_infinity(spec) == 1.0
+
+
+def test_mixture_overlap_violation_refused():
+    spec = MixtureTaskSpec(
+        num_classes=2,
+        source_share=[Fraction(0), Fraction(1, 2)],
+        per_class_counts=[(10, 10)] * 2,
+    )
+    with pytest.raises(OverlapError):
+        mixture_weights(spec)
+    spec_full = MixtureTaskSpec(
+        num_classes=2,
+        source_share=[Fraction(1), Fraction(1, 2)],
+        per_class_counts=[(10, 10)] * 2,
+    )
+    with pytest.raises(OverlapError):
+        beta_infinity(spec_full)
+
+
+def test_mixture_mass_balance_identity():
+    spec = canonical_spec(count=60)
+    src, tgt = mixture_counts(spec)
+    table = mixture_weights(spec)
+    total_s = sum(a + b for a, b in src)
+    total_t = sum(a + b for a, b in tgt)
+    for c in range(spec.num_classes):
+        for o in range(2):
+            assert Fraction(src[c][o]) * table[c][o] == Fraction(tgt[c][o] * total_s, total_t)
+
+
+def test_one_sided_weight_values():
+    w = one_sided_weight(0.2, 246072, 89696)
+    assert w == pytest.approx(4 * 246072 / 89696, rel=1e-12)
+    assert abs(w - 10.974) < 1e-3
+    assert one_sided_weight(0.5, 1000, 1000) == 1.0
+    with pytest.raises(ValueError):
+        one_sided_weight(0.0, 10, 10)
+
+
+def test_weight_table_cells():
+    spec = canonical_spec(count=12)
+    src, tgt = mixture_counts(spec)
+    table = mixture_weights(spec)
+    # one cell per (class, origin)
+    assert sum(map(len, src)) == sum(map(len, tgt)) == sum(map(len, table)) == 20
+    assert (src[0][0], tgt[0][0]) == (11, 1)
+    assert float(table[0][0]) == pytest.approx(1 / 11)
 
 
 def test_one_sided_task_weights_and_counts():
@@ -292,6 +361,7 @@ def test_synthetic_unbounded_ratio_refused():
 
 # A spec field of the wrong type is refused by its name, not truncated or
 # passed on to fail later without one.
+SHARE = "must be a fraction such as '1/12' or a finite number"
 SPEC_FIELD_REFUSALS = {
     "fractional n_source": ("synthetic", "n_source", 300.5, "n_source must be an integer, got 300.5"),
     "bool n_target": ("synthetic", "n_target", True, "n_target must be an integer, got True"),
@@ -311,6 +381,24 @@ SPEC_FIELD_REFUSALS = {
     "fractional threshold": (
         "mixture", "binary_relabel_threshold", 1.9, "binary_relabel_threshold must be an integer, got 1.9"
     ),
+    # a NaN or an infinity is refused with its field and index, not passed on
+    # to build labels that are all 0 or features that fail without a key
+    "nan mean": (
+        "synthetic", "component_means", [[-0.5, 0.0], [math.nan, 0.0]], "component_means[1][0] must be finite, got nan"
+    ),
+    "inf std": ("synthetic", "component_std", math.inf, "component_std must be finite, got inf"),
+    "nan source mix": ("synthetic", "source_mix", [math.nan, 0.1], "source_mix[0] must be finite, got nan"),
+    "-inf target mix": ("synthetic", "target_mix", [0.1, -math.inf], "target_mix[1] must be finite, got -inf"),
+    "inf rule vector": ("synthetic", "rule_vector", [0.0, math.inf], "rule_vector[1] must be finite, got inf"),
+    "nan rule offset": ("synthetic", "rule_offset", math.nan, "rule_offset must be finite, got nan"),
+    "share string": ("mixture", "source_share", "1/3", "source_share must be a list, got '1/3'"),
+    "share null": ("mixture", "source_share", [None, "2/3", "1/3", "2/3"], f"source_share[0] {SHARE}, got None"),
+    "share bool": ("mixture", "source_share", [True, "2/3", "1/3", "2/3"], f"source_share[0] {SHARE}, got True"),
+    "share nan": ("mixture", "source_share", ["1/3", math.nan, "1/3", "2/3"], f"source_share[1] {SHARE}, got nan"),
+    "share inf": ("mixture", "source_share", ["1/3", "2/3", math.inf, "2/3"], f"source_share[2] {SHARE}, got inf"),
+    "share text": ("mixture", "source_share", ["1/3", "2/3", "x", "2/3"], f"source_share[2] {SHARE}, got 'x'"),
+    "share over zero": ("mixture", "source_share", ["1/3", "2/3", "1/3", "1/0"], f"source_share[3] {SHARE}, got '1/0'"),
+    "share list": ("mixture", "source_share", [["1/3"], "2/3", "1/3", "2/3"], f"source_share[0] {SHARE}, got ['1/3']"),
 }
 SPEC_DOCS = {
     "synthetic": {
@@ -326,6 +414,16 @@ def test_spec_from_json_refuses_a_field_by_name(kind, key, value, message):
     tasks.spec_from_json(kind, SPEC_DOCS[kind])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         tasks.spec_from_json(kind, {**SPEC_DOCS[kind], key: value})
+
+
+def test_mixture_shares_are_held_exactly():
+    spec = MixtureTaskSpec(
+        num_classes=5,
+        source_share=[Fraction(1, 3), "2/3", 0.1, 1, np.float32(0.25)],
+        per_class_counts=[(3, 3)] * 5,
+    )
+    assert spec.source_share == (Fraction(1, 3), Fraction(2, 3), Fraction(0.1), Fraction(1), Fraction(1, 4))
+    assert all(type(share) is Fraction for share in spec.source_share)
 
 
 def test_synthetic_covariate_shift_invariance():
@@ -722,6 +820,9 @@ MANIFEST_BAD_VALUES = {
     "spec-unknown-field": ("spec.bogus", 1, ": spec: SyntheticSpec.__init__() got an unexpected keyword argument 'bogus'"),
     "spec-bad-field": ("spec.dim", 0, ": spec: dim must be >= 1"),
     "spec-fractional-size": ("spec.n_source", 300.5, ": spec: n_source must be an integer, got 300.5"),
+    "spec-nan-offset": ("spec.rule_offset", math.nan, ": spec: rule_offset must be finite, got nan"),
+    "spec-inf-mean": ("spec.component_means", [[-0.5, 0.0], [math.inf, 0.0]],
+                      ": spec: component_means[1][0] must be finite, got inf"),
     "spec-null": (
         "spec", None, ": spec: shiftbound.tasks.SyntheticSpec() argument after ** must be a mapping, not NoneType"
     ),
