@@ -7,7 +7,6 @@ Subcommands:
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -26,6 +25,7 @@ from .tasks import (
     build_synthetic_task,
     default_synthetic_spec,
     load_dataset,
+    read_json,
     save_task,
     spec_from_json,
 )
@@ -39,16 +39,14 @@ def _cmd_make_task(args) -> int:
         if unread:
             raise ValueError(f"make-task synthetic does not read {', '.join(unread)}")
         if args.spec:
-            with open(args.spec) as fh:
-                spec = spec_from_json("synthetic", json.load(fh))
+            spec = spec_from_json("synthetic", read_json(args.spec))
         else:
             spec = default_synthetic_spec(seed=args.seed or 0)
         task = build_synthetic_task(spec)
     else:
         if not (args.pool0 and args.pool1 and args.spec):
             raise ValueError("mixture tasks need --pool0, --pool1 and --spec")
-        with open(args.spec) as fh:
-            spec = spec_from_json("mixture", json.load(fh))
+        spec = spec_from_json("mixture", read_json(args.spec))
         pool0 = load_dataset(args.pool0, num_classes=spec.num_classes)
         pool1 = load_dataset(args.pool1, num_classes=spec.num_classes)
         task = build_mixture_task(pool0, pool1, spec, seed=args.seed or 0)
@@ -59,8 +57,7 @@ def _cmd_make_task(args) -> int:
 
 def _cmd_run(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    with open(args.config) as fh:
-        cfg = ExperimentConfig.from_json_dict(json.load(fh), base_dir=base_dir)
+    cfg = ExperimentConfig.from_json_dict(read_json(args.config), base_dir=base_dir)
     report = run_experiment(cfg)
     out_dir = os.path.join(base_dir, cfg.report_dir)
     os.makedirs(out_dir, exist_ok=True)

@@ -24,7 +24,7 @@ from .nn import MlpArchitecture, TrainConfig
 from .risks import RiskEstimates, estimate_risks, lambda_rho_oracle
 from .seeding import derive_seed
 from .stochastic import kl_isotropic, learn_prior_posterior, sample_posterior
-from .tasks import (TaskInstance, _file_name, _flag, _integer, _list, _number, _object, _string,
+from .tasks import (TaskInstance, _entries, _file_name, _flag, _integer, _list, _number, _object, _string,
                     build_synthetic_task, data_rows, load_task, spec_from_json)
 
 
@@ -65,15 +65,17 @@ def _alphas(value, path: str) -> tuple:
 def _task(value, path: str) -> dict:
     """A ``manifest`` task with a ``path`` string, or a ``synthetic`` one with a valid ``spec``."""
     kind = _object(value, path).get("type")
-    if kind == "manifest":
-        _string(value.get("path"), f"{path}.path")
-    elif kind != "synthetic":
+    if kind not in ("manifest", "synthetic"):
         raise ValueError(f"{path}.type must be 'synthetic' or 'manifest', got {kind!r}")
+    layout = {"type": True, ("path" if kind == "manifest" else "spec"): True}
+    entries = _entries(value, layout, "config", path)
+    if kind == "manifest":
+        _string(entries["path"], f"{path}.path")
     else:
-        spec = _object(value.get("spec"), f"{path}.spec")
+        spec = _object(entries["spec"], f"{path}.spec")
         try:
             spec_from_json("synthetic", spec)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}.spec: {exc}") from exc
     return value
 
@@ -167,22 +169,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
-        """Config from its JSON layout (see ``_KEYS``); absent keys keep their
-        defaults, ``task`` has none. Keys that name no row, at the top level or
-        in a section, are refused together, top-level keys first."""
-        names = {tuple(path.split(".")): name for path, name, _ in _KEYS}
-        sections = {path[0] for path in names if len(path) == 2}
-        items = [((key,), value) for key, value in _object(doc, "config").items() if key not in sections]
-        for section in [key for key in doc if key in sections]:
-            if not isinstance(doc[section], dict):
-                raise ValueError(f"config key {section!r} must be an object")
-            items += [((section, key), value) for key, value in doc[section].items()]
-        unknown = [".".join(path) for path, _ in items if path not in names]
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        if "task" not in doc:
-            raise ValueError("config key 'task' is missing")
-        return cls(base_dir=base_dir, **{names[path]: value for path, value in items})
+        """Config from its JSON layout (see ``_KEYS``), walked by ``_entries``;
+        absent keys keep their defaults, ``task`` has none."""
+        entries = _entries(doc, {path: path == "task" for path, _, _ in _KEYS}, "config")
+        names = {path: name for path, name, _ in _KEYS}
+        return cls(base_dir=base_dir, **{names[path]: value for path, value in entries.items()})
 
     def resolve_task(self) -> TaskInstance:
         if self.task["type"] == "synthetic":

@@ -17,8 +17,8 @@ Each CSV is read by one column declaration (its float and integer columns
 and their ranges): one ``np.loadtxt`` call parses the rows, and where numpy
 fails or disagrees a ``csv.reader`` row walk checks them by the same
 declaration, refusing a malformed row with its ``path:line`` and otherwise
-accepting what Python's ``float`` and ``int`` do. JSON values (specs,
-manifests, the run config) are read by one set of readers below.
+accepting what Python's ``float`` and ``int`` do. Every JSON object (the
+run config and its task, specs, manifests) is walked by ``_entries`` below.
 """
 
 import csv
@@ -28,7 +28,7 @@ import numbers
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import chain
 
@@ -110,10 +110,36 @@ def _list(read):
 
 
 def _file_name(value, path: str) -> str:
-    """A string that names a file: not empty, and no path separator in it."""
-    if _string(value, path) and not any(sep and sep in value for sep in (os.sep, os.altsep)):
-        return value
+    """A string that names a file in a directory: not "", "." or "..", and no path separator in it."""
+    name = _string(value, path)
+    if name not in ("", ".", "..") and not any(sep and sep in name for sep in (os.sep, os.altsep)):
+        return name
     raise ValueError(f"{path} must be a file name, got {value!r}")
+
+
+def _entries(doc, layout: dict, what: str, path: str = "") -> dict:
+    """The entries ``doc`` holds, keyed as in its ``layout``: a dict from each
+    entry's key ("section.key" inside a section) to whether it is required.
+    ``doc`` is the JSON object of the ``what`` document, or of its key
+    ``path``. A section that is not an object is refused, then every key
+    that names no entry (top-level keys first) together by its path, then
+    the first missing required key."""
+    prefix, known = f"{path}." if path else "", {tuple(key.split(".")) for key in layout}
+    sections = {key[0] for key in known if len(key) == 2}
+    doc = _object(doc, path or what)
+    entries = {(key,): value for key, value in doc.items() if key not in sections}
+    for section in [key for key in doc if key in sections]:
+        inner = _object(doc[section], f"{what} key {prefix + section!r}")
+        entries.update(((section, key), value) for key, value in inner.items())
+    unknown = [prefix + ".".join(key) for key in entries if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    entries = {".".join(key): value for key, value in entries.items()}
+    missing = [key for key, required in layout.items() if required and key not in entries]
+    if missing:
+        section = missing[0].partition(".")[0]
+        raise ValueError(f"{what} key {prefix + (missing[0] if section in doc else section)!r} is missing")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -652,14 +678,27 @@ def _fraction_to_json(value):
 # each task kind and the type its spec is read back as
 _SPEC_TYPES = {"synthetic": SyntheticSpec, "mixture": MixtureTaskSpec, "one_sided": dict}
 TASK_KINDS = tuple(_SPEC_TYPES)
+_MANIFEST = dict.fromkeys(("kind", "spec", "beta_inf", "files.source", "files.target", "files.weights"), True)
 
 
-def spec_from_json(kind: str, d: dict):
+def spec_from_json(kind: str, d):
     """The spec of a task of ``kind`` from its JSON object (a manifest's
-    ``spec``, a ``make-task --spec`` file, an inline config spec); a key
-    that names no spec field is refused. The spec classes read each field
-    with the JSON readers, refusing a wrong type by the field's name."""
-    return _SPEC_TYPES[kind](**d)
+    ``spec``, a ``make-task --spec`` file, an inline config spec), walked by
+    ``_entries`` against the spec class's fields (one without a default is
+    required) or a one-sided spec's ``move_fraction`` and ``seed``."""
+    cls = _SPEC_TYPES[kind]
+    layout = ({f.name: f.default is MISSING for f in fields(cls)} if cls is not dict
+              else {"move_fraction": True, "seed": True})
+    return cls(**_entries(d, layout, "spec"))
+
+
+def read_json(path):
+    """The JSON document in the file ``path``, refused with ``path`` named if it does not parse."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_task(task: TaskInstance, dirpath) -> None:
@@ -683,51 +722,33 @@ def save_task(task: TaskInstance, dirpath) -> None:
 def load_task(dirpath) -> TaskInstance:
     """Read back a directory written by ``save_task``.
 
-    The manifest is checked by key before any CSV is read, and each of its
-    refusals names it. It is refused if it is not readable JSON, if it is
-    not an object or lacks one of its keys (``files.source`` and the other
-    file names included), if ``files`` is not an object or one of its names
-    is not the name of a file in the directory (a non-empty string with no
-    path separator, not "." or ".."), if ``kind`` is outside ``TASK_KINDS``,
-    if ``beta_inf`` is not a finite number > 0, or if its spec class refuses
-    ``spec``. Then come a malformed CSV row or a negative weight (with its
-    ``path:line``), a ``target.csv`` whose feature count differs from
-    ``source.csv``'s, a ``weights.csv`` whose row count differs from
-    ``source.csv``'s, and a ``beta_inf`` below the largest weight."""
+    The manifest, read by ``read_json`` and walked by ``_entries`` against
+    ``_MANIFEST``, is checked before any CSV is read, each refusal naming it;
+    then the CSVs' rows (by ``path:line``), counts and ``beta_inf``."""
     manifest_path = os.path.join(dirpath, "manifest.json")
+    manifest = read_json(manifest_path)
     try:
-        with open(manifest_path) as fh:
-            manifest = _object(json.load(fh), "manifest")
-        for key in ("kind", "spec", "beta_inf", "files"):
-            if key not in manifest:
-                raise ValueError(f"missing key {key!r}")
-        files = _object(manifest["files"], "files")
-        for key in ("source", "target", "weights"):
-            if key not in files:
-                raise ValueError(f"missing key 'files.{key}'")
-            name = files[key]
-            # a file in the task directory: no directory part, and not "." or ".."
-            if not isinstance(name, str) or name in ("", ".", "..") or os.path.dirname(name):
-                raise ValueError(f"files.{key} must be a file name, got {name!r}")
-        kind, beta_inf = manifest["kind"], manifest["beta_inf"]
+        entries = _entries(manifest, _MANIFEST, "manifest")
+        source_path, target_path, weights_path = (
+            os.path.join(dirpath, _file_name(entries[key], key))
+            for key in ("files.source", "files.target", "files.weights")
+        )
+        kind, beta_inf = entries["kind"], entries["beta_inf"]
         if kind not in TASK_KINDS:
             raise ValueError(f"kind must be one of {', '.join(TASK_KINDS)}, got {kind!r}")
         # comparisons, not math.isfinite: an integer beyond the float range is refused too
         if type(beta_inf) not in (int, float) or not 0 < beta_inf <= sys.float_info.max:
             raise ValueError(f"beta_inf must be a finite number > 0, got {beta_inf!r}")
         try:
-            spec = spec_from_json(kind, manifest["spec"])
-        except (TypeError, ValueError) as exc:
+            spec = spec_from_json(kind, entries["spec"])
+        except ValueError as exc:
             raise ValueError(f"spec: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+    except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from exc
-    source_path = os.path.join(dirpath, files["source"])
-    target_path = os.path.join(dirpath, files["target"])
     source = load_dataset(source_path, num_classes=2)
     target = load_dataset(target_path, num_classes=2)
     if target.dim != source.dim:
         raise ValueError(f"{target_path}: {target.dim} features, but {source_path} has {source.dim}")
-    weights_path = os.path.join(dirpath, files["weights"])
     with open(weights_path) as fh:
         if next(csv.reader(fh), None) != ["weight"]:
             raise ValueError(f"{weights_path}: header must be the single column 'weight'")

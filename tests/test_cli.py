@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import shiftbound
-from shiftbound import ExperimentConfig, LabeledSample, cli, emit, load_dataset, save_dataset
+from shiftbound import (ExperimentConfig, LabeledSample, build_one_sided_task, cli, emit, load_dataset, save_dataset,
+                        save_task)
 from shiftbound.cli import main
 from shiftbound.tasks import default_synthetic_spec, load_task
+from test_experiment import CONFIG_REFUSALS, SPEC, config_doc
 
 
 def write_config(tmp_path, task_dir):
@@ -83,7 +85,7 @@ def test_run_refuses_unknown_config_key(tmp_path, capsys):
     [
         ({"formats": ["csv", "xml"]}, "format must be 'csv' or 'json'"),
         ({"format": ["json"], "stem": "run"}, "unknown config keys: report.format"),
-        ("out", "config key 'report' must be an object"),
+        ("out", "config key 'report' must be an object, got 'out'"),
         ({"dir": 5}, "report.dir must be a string, got 5"),
         ({"stem": ["a"]}, "report.stem must be a string, got ['a']"),
         ({"formats": "csv"}, "report.formats must be a list, got 'csv'"),
@@ -106,36 +108,26 @@ def test_run_checks_the_report_section_before_running(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == [path]
 
 
+# Each message once, in test_experiment's table, its backslash escapes undone
+CONFIG_MESSAGES = {json.dumps(doc): re.sub(r"\\(.)", r"\1", message) for doc, message in CONFIG_REFUSALS}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"mmd": {"shuffles": 2.5}}, "mmd.shuffles must be an integer, got 2.5"),
-        ({"alpha": [0.3, 0.3]}, "alpha values must be distinct"),
-        ({"train": {"momentum": 1.5}}, "momentum must lie in [0, 1)"),
-        ({"arch": {"hidden": [6], "activation": "relu"}}, "unknown config keys: arch.activation"),
-        ({"oracle_mode": "false", "bounds": ["add"]}, "oracle_mode must be true or false, got 'false'"),
-        ({"sigma": "0.03"}, "sigma must be a number, got '0.03'"),
-        ({"bounds": ["iw", "iw"]}, "bounds must be distinct"),
-        ({"seeds": 3}, "seeds must be a list, got 3"),
-        ({"arch": {"hidden": 16}}, "arch.hidden must be a list, got 16"),
-        ({"bounds": "iw"}, "bounds must be a list, got 'iw'"),
-        ({"task": None}, "config key 'task' is missing"),
-        ({"task": "x"}, "task must be an object, got 'x'"),
-        ({"task": {"type": "csv", "path": "task"}}, "task.type must be 'synthetic' or 'manifest', got 'csv'"),
-        ({"task": {"type": "synthetic"}}, "task.spec must be an object, got None"),
-        ({"task": {"type": "synthetic", "spec": []}}, "task.spec must be an object, got []"),
-        ({"task": {"type": "manifest"}}, "task.path must be a string, got None"),
-        ({"task": {"type": "manifest", "path": 3}}, "task.path must be a string, got 3"),
-        ({"bounds": [["iw"]]}, "bounds[0] must be a string, got ['iw']"),
-        ({"bounds": [1]}, "bounds[0] must be a string, got 1"),
-        ({"task": {"type": "synthetic", "spec": {"dim": 2}}},
-         "task.spec: SyntheticSpec.__init__() missing 7 required positional arguments: 'component_means', "
-         "'component_std', 'source_mix', 'target_mix', 'n_source', 'n_target', and 'seed'"),
-        (3, "config must be an object, got 3"),
-        (None, "config must be an object, got None"),
-        ("abc", "config must be an object, got 'abc'"),
-        ([], "config must be an object, got []"),
-        ({"posterior_pair": 1, "report": {"x": 1}}, "unknown config keys: posterior_pair, report.x"),
+        (doc, CONFIG_MESSAGES[json.dumps(doc)])
+        for doc in (
+            {"mmd": {"shuffles": 2.5}}, {"alpha": [0.3, 0.3]}, {"train": {"momentum": 1.5}},
+            {"arch": {"hidden": [6], "activation": "relu"}}, {"oracle_mode": "false", "bounds": ["add"]},
+            {"sigma": "0.03"}, {"bounds": ["iw", "iw"]}, {"seeds": 3}, {"arch": {"hidden": 16}}, {"bounds": "iw"},
+            {"task": None}, {"task": "x"}, {"task": {"type": "csv", "path": "task"}}, {"task": {"type": "synthetic"}},
+            {"task": {"type": "synthetic", "spec": []}}, {"task": {"type": "manifest"}},
+            {"task": {"type": "manifest", "path": 3}}, {"bounds": [["iw"]]}, {"bounds": [1]},
+            {"task": {"type": "synthetic", "spec": {"dim": 2}}}, 3, None, "abc", [],
+            {"posterior_pair": 1, "report": {"x": 1}},
+            {"task": {"type": "manifest", "path": "t", "seed": 3}},
+            {"task": {"type": "synthetic", "spec": SPEC, "n_source": 5}},
+        )
     ],
 )
 def test_run_refuses_a_bad_setting_before_building_the_task(tmp_path, capsys, monkeypatch, doc, message):
@@ -145,11 +137,7 @@ def test_run_refuses_a_bad_setting_before_building_the_task(tmp_path, capsys, mo
     monkeypatch.setattr(cli, "run_experiment", refuse)
     monkeypatch.setattr(cli.ExperimentConfig, "resolve_task", refuse)
     path = tmp_path / "config.json"
-    # a None value stands for an absent key; a document that is not an object is written as it is
-    if isinstance(doc, dict):
-        doc = {key: value for key, value in {"task": {"type": "manifest", "path": "task"}, **doc}.items()
-               if value is not None}
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(config_doc(doc)))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [path]
@@ -196,6 +184,110 @@ def test_make_task_synthetic_refuses_a_non_finite_spec_number(tmp_path, capsys, 
     assert main(["make-task", "synthetic", "--spec", "spec.json", "--out", "task"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not Path("task").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "bad.json"],
+        ["make-task", "synthetic", "--spec", "bad.json", "--out", "task"],
+        ["make-task", "mixture", "--pool0", "pool0.csv", "--pool1", "pool1.csv", "--spec", "bad.json", "--out", "task"],
+    ],
+)
+def test_a_json_file_that_does_not_parse_is_refused_by_name(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text('{"dim": ')
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bad.json: Expecting value: line 1 column 9 (char 8)\n"
+    assert sorted(os.listdir()) == ["bad.json"]
+
+
+def _config_documents(tmp_path):
+    def argv(doc):
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        return ["run", str(tmp_path / "config.json")]
+    return {"task": {"type": "manifest", "path": "task"}}, argv
+
+
+def _inline_spec_documents(tmp_path):
+    config = _config_documents(tmp_path)[1]
+    return SPEC, lambda doc: config({"task": {"type": "synthetic", "spec": doc}})
+
+
+def _spec_file_documents(kind):
+    def documents(tmp_path):
+        spec_path = tmp_path / "spec.json"
+        if kind == "mixture":
+            good, run = MIXTURE_SPEC, write_mixture_inputs(tmp_path, MIXTURE_SPEC)
+        else:
+            good, run = SPEC, ["make-task", "synthetic", "--spec", str(spec_path), "--out", str(tmp_path / "task")]
+
+        def argv(doc):
+            spec_path.write_text(json.dumps(doc))
+            return run
+        return good, argv
+    return documents
+
+
+def _saved_task(kind, tmp_path):
+    """A small task directory of ``kind``."""
+    if kind == "synthetic":
+        return make_small_task(tmp_path)
+    if kind == "mixture":
+        assert main(write_mixture_inputs(tmp_path, MIXTURE_SPEC)) == 0
+    else:
+        pools = [LabeledSample(features=np.arange(8.0)[:, None] + o, labels=np.arange(8) % 2) for o in (0, 1)]
+        save_task(build_one_sided_task(*pools, 0.5), tmp_path / "task")
+    return tmp_path / "task"
+
+
+def _manifest_documents(kind, part):
+    """The manifest of a saved task of ``kind``, or its ``spec`` where
+    ``part`` is "spec", and the arguments of a run of that task with ``doc``
+    in its place."""
+    def documents(tmp_path):
+        task_dir = _saved_task(kind, tmp_path)
+        manifest = json.loads((task_dir / "manifest.json").read_text())
+        run = ["run", str(write_config(tmp_path, task_dir))]
+
+        def argv(doc):
+            (task_dir / "manifest.json").write_text(json.dumps({**manifest, "spec": doc} if part == "spec" else doc))
+            return run
+        return manifest[part] if part else manifest, argv
+    return documents
+
+
+# Each JSON document kind the program reads: its good document and the
+# shiftbound arguments that read a document in its place, the path that a
+# refusal of it names, the name of the document and one of its required keys
+DOCUMENT_KINDS = {
+    "config": (_config_documents, "error: ", "config", "task"),
+    "inline-spec": (_inline_spec_documents, "error: task.spec", "spec", "dim"),
+    "make-task-synthetic-spec": (_spec_file_documents("synthetic"), "error: ", "spec", "dim"),
+    "make-task-mixture-spec": (_spec_file_documents("mixture"), "error: ", "spec", "num_classes"),
+    "manifest": (_manifest_documents("synthetic", None), "manifest.json: ", "manifest", "kind"),
+    "manifest-synthetic-spec": (_manifest_documents("synthetic", "spec"), "manifest.json: spec", "spec", "dim"),
+    "manifest-mixture-spec": (_manifest_documents("mixture", "spec"), "manifest.json: spec", "spec", "num_classes"),
+    "manifest-one-sided-spec": (
+        _manifest_documents("one_sided", "spec"), "manifest.json: spec", "spec", "move_fraction"
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ["list", "unknown-key", "missing-key"])
+@pytest.mark.parametrize("documents, path, what, required", DOCUMENT_KINDS.values(), ids=DOCUMENT_KINDS)
+def test_every_json_document_is_refused_by_key(tmp_path, capsys, documents, path, what, required, fault):
+    good, argv = documents(tmp_path)
+    doc, message = {
+        "list": ([good], f"{what} must be an object, got ["),
+        "unknown-key": ({**good, "bogus": 1}, f"unknown {what} keys: bogus\n"),
+        "missing-key": ({key: value for key, value in good.items() if key != required},
+                        f"{what} key {required!r} is missing\n"),
+    }[fault]
+    assert main(argv(doc)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err and message in err
+    assert "__init__()" not in err and "argument after **" not in err
 
 
 def test_readme_cli_block_names_the_parser_commands(capsys):
@@ -288,7 +380,7 @@ def test_run_refuses_manifest_without_files(tmp_path, capsys):
     del manifest["files"]
     manifest_path.write_text(json.dumps(manifest))
     assert main(["run", str(write_config(tmp_path, task_dir))]) == 2
-    assert f"error: {manifest_path}: missing key 'files'" in capsys.readouterr().err
+    assert f"error: {manifest_path}: manifest key 'files' is missing" in capsys.readouterr().err
 
 
 def test_run_refuses_target_with_other_feature_count(tmp_path, capsys):

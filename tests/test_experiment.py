@@ -268,90 +268,109 @@ def test_config_refuses_bad_sigma_and_shuffles(doc, message):
 SPEC = asdict(default_synthetic_spec(seed=1))
 
 
-@pytest.mark.parametrize(
-    "doc, message",
-    [
-        ({"posterior_pairs": 2.5}, "posterior_pairs must be an integer, got 2.5"),
-        ({"posterior_pairs": True}, "posterior_pairs must be an integer, got True"),
-        ({"mmd": {"shuffles": 2.5}}, "mmd.shuffles must be an integer, got 2.5"),
-        ({"train": {"batch_size": 2.5}}, "train.batch_size must be an integer, got 2.5"),
-        ({"train": {"prior_epochs": 1.5}}, "train.prior_epochs must be an integer, got 1.5"),
-        ({"train": {"posterior_epochs": "2"}}, "train.posterior_epochs must be an integer, got '2'"),
-        ({"arch": {"hidden": [4.7]}}, r"arch.hidden\[0\] must be an integer, got 4.7"),
-        ({"seeds": [0, 0.9]}, r"seeds\[1\] must be an integer, got 0.9"),
-        ({"seeds": ["1"]}, r"seeds\[0\] must be an integer, got '1'"),
-        ({"seeds": [False]}, r"seeds\[0\] must be an integer, got False"),
-        ({"posterior_pairs": 0.0}, "posterior_pairs must be >= 1"),
-        ({"train": {"momentum": 1.5}}, r"momentum must lie in \[0, 1\)"),
-        ({"train": {"prior_epochs": 0}}, "epochs must be >= 1"),
-        ({"arch": {"hidden": [0]}}, "all layer widths must be >= 1"),
-        ({"arch": {"activation": "relu"}}, "unknown config keys: arch.activation"),
-        ({"alpha": []}, "need at least one alpha"),
-        ({"bounds": []}, "need at least one bound"),
-        ({"alpha": [0.3, 0.3]}, "alpha values must be distinct"),
-        ({"seeds": [0, 0.0]}, "seeds must be distinct"),
-        ({"oracle_mode": "false", "bounds": ["add"]}, "oracle_mode must be true or false, got 'false'"),
-        ({"oracle_mode": 1}, "oracle_mode must be true or false, got 1"),
-        ({"sigma": "0.03"}, "sigma must be a number, got '0.03'"),
-        ({"sigma": True}, "sigma must be a number, got True"),
-        ({"delta": "0.05"}, "delta must be a number, got '0.05'"),
-        ({"train": {"learning_rate": "x"}}, "train.learning_rate must be a number, got 'x'"),
-        ({"train": {"momentum": False}}, "train.momentum must be a number, got False"),
-        ({"alpha": False}, "alpha must be a number, got False"),
-        ({"alpha": "0.3"}, "alpha must be a number, got '0.3'"),
-        ({"alpha": [0.0, "0.3"]}, r"alpha\[1\] must be a number, got '0.3'"),
-        ({"bounds": ["iw", "iw"]}, "bounds must be distinct"),
-        ({"seeds": 3}, "seeds must be a list, got 3"),
-        ({"arch": {"hidden": 16}}, "arch.hidden must be a list, got 16"),
-        ({"bounds": "iw"}, "bounds must be a list, got 'iw'"),
-        ({"task": None}, "config key 'task' is missing"),
-        ({"task": "x"}, "task must be an object, got 'x'"),
-        ({"task": {"type": "mixture"}}, "task.type must be 'synthetic' or 'manifest', got 'mixture'"),
-        ({"task": {"type": "synthetic"}}, "task.spec must be an object, got None"),
-        ({"task": {"type": "manifest"}}, "task.path must be a string, got None"),
-        ({"bounds": [["iw"]]}, r"bounds\[0\] must be a string, got \['iw'\]"),
-        ({"bounds": [1]}, r"bounds\[0\] must be a string, got 1"),
-        ({"task": {"type": "synthetic", "spec": {"dim": 2}}},
-         r"task.spec: SyntheticSpec.__init__\(\) missing 7 required positional arguments: 'component_means', "
-         r"'component_std', 'source_mix', 'target_mix', 'n_source', 'n_target', and 'seed'"),
-        (3, "config must be an object, got 3"),
-        (None, "config must be an object, got None"),
-        ("abc", "config must be an object, got 'abc'"),
-        ([], r"config must be an object, got \[\]"),
-        ({"posterior_pair": 1, "report": {"x": 1}}, "unknown config keys: posterior_pair, report.x"),
-        ({"report": {"formats": []}}, "need at least one report format"),
-        ({"report": {"formats": ["csv", "csv"]}}, "report formats must be distinct"),
-        ({"report": {"stem": ""}}, "report.stem must be a file name, got ''"),
-        ({"report": {"stem": "sub/report"}}, "report.stem must be a file name, got 'sub/report'"),
-        # an integer beyond the float range is refused by its key; NaN and
-        # infinities reach the range checks
-        ({"delta": 10**400}, f"delta must be a number, got {10**400}"),
-        ({"train": {"learning_rate": -(10**400)}}, f"train.learning_rate must be a number, got {-(10**400)}"),
-        ({"alpha": [0.3, 10**400]}, rf"alpha\[1\] must be a number, got {10**400}"),
-        ({"delta": float("inf")}, r"delta must lie in \(0, 1\)"),
-        ({"delta": float("nan")}, r"delta must lie in \(0, 1\)"),
-        # spec fields are read by the same readers, each refused by its name
-        ({"task": {"type": "synthetic", "spec": {**SPEC, "n_source": 300.5}}},
-         "task.spec: n_source must be an integer, got 300.5"),
-        ({"task": {"type": "synthetic", "spec": {**SPEC, "dim": "2"}}}, "task.spec: dim must be an integer, got '2'"),
-        ({"task": {"type": "synthetic", "spec": {**SPEC, "component_std": 10**400}}},
-         f"task.spec: component_std must be a number, got {10**400}"),
-        ({"task": {"type": "synthetic", "spec": {**SPEC, "source_mix": ["0.9", 0.1]}}},
-         r"task.spec: source_mix\[0\] must be a number, got '0.9'"),
-        # unlike a setting, a spec number that is NaN or infinite is refused by its name
-        ({"task": {"type": "synthetic", "spec": {**SPEC, "component_means": [[-0.5, 0.0], [0.5, float("nan")]]}}},
-         r"task.spec: component_means\[1\]\[1\] must be finite, got nan"),
-        ({"task": {"type": "synthetic", "spec": {**SPEC, "component_std": float("inf")}}},
-         "task.spec: component_std must be finite, got inf"),
-    ],
-)
+def config_doc(doc):
+    """``doc`` over a config whose task is synthetic with ``SPEC``: a None
+    value stands for an absent key; a document that is not an object is
+    read as it is."""
+    if not isinstance(doc, dict):
+        return doc
+    return {key: value for key, value in {"task": {"type": "synthetic", "spec": SPEC}, **doc}.items()
+            if value is not None}
+
+
+# Each refusal of a run config and its message, as a pattern in which a
+# backslash only escapes the next character; tests/test_cli.py runs rows of
+# this table through ``shiftbound run``.
+CONFIG_REFUSALS = [
+    ({"posterior_pairs": 2.5}, "posterior_pairs must be an integer, got 2.5"),
+    ({"posterior_pairs": True}, "posterior_pairs must be an integer, got True"),
+    ({"mmd": {"shuffles": 2.5}}, "mmd.shuffles must be an integer, got 2.5"),
+    ({"train": {"batch_size": 2.5}}, "train.batch_size must be an integer, got 2.5"),
+    ({"train": {"prior_epochs": 1.5}}, "train.prior_epochs must be an integer, got 1.5"),
+    ({"train": {"posterior_epochs": "2"}}, "train.posterior_epochs must be an integer, got '2'"),
+    ({"arch": {"hidden": [4.7]}}, r"arch.hidden\[0\] must be an integer, got 4.7"),
+    ({"seeds": [0, 0.9]}, r"seeds\[1\] must be an integer, got 0.9"),
+    ({"seeds": ["1"]}, r"seeds\[0\] must be an integer, got '1'"),
+    ({"seeds": [False]}, r"seeds\[0\] must be an integer, got False"),
+    ({"posterior_pairs": 0.0}, "posterior_pairs must be >= 1"),
+    ({"train": {"momentum": 1.5}}, r"momentum must lie in \[0, 1\)"),
+    ({"train": {"prior_epochs": 0}}, "epochs must be >= 1"),
+    ({"arch": {"hidden": [0]}}, "all layer widths must be >= 1"),
+    ({"arch": {"activation": "relu"}}, "unknown config keys: arch.activation"),
+    ({"alpha": []}, "need at least one alpha"),
+    ({"bounds": []}, "need at least one bound"),
+    ({"alpha": [0.3, 0.3]}, "alpha values must be distinct"),
+    ({"seeds": [0, 0.0]}, "seeds must be distinct"),
+    ({"oracle_mode": "false", "bounds": ["add"]}, "oracle_mode must be true or false, got 'false'"),
+    ({"oracle_mode": 1}, "oracle_mode must be true or false, got 1"),
+    ({"sigma": "0.03"}, "sigma must be a number, got '0.03'"),
+    ({"sigma": True}, "sigma must be a number, got True"),
+    ({"delta": "0.05"}, "delta must be a number, got '0.05'"),
+    ({"train": {"learning_rate": "x"}}, "train.learning_rate must be a number, got 'x'"),
+    ({"train": {"momentum": False}}, "train.momentum must be a number, got False"),
+    ({"alpha": False}, "alpha must be a number, got False"),
+    ({"alpha": "0.3"}, "alpha must be a number, got '0.3'"),
+    ({"alpha": [0.0, "0.3"]}, r"alpha\[1\] must be a number, got '0.3'"),
+    ({"bounds": ["iw", "iw"]}, "bounds must be distinct"),
+    ({"seeds": 3}, "seeds must be a list, got 3"),
+    ({"arch": {"hidden": 16}}, "arch.hidden must be a list, got 16"),
+    ({"bounds": "iw"}, "bounds must be a list, got 'iw'"),
+    ({"task": None}, "config key 'task' is missing"),
+    ({"task": "x"}, "task must be an object, got 'x'"),
+    ({"task": {"type": "mixture"}}, "task.type must be 'synthetic' or 'manifest', got 'mixture'"),
+    ({"task": {"type": "synthetic"}}, "config key 'task.spec' is missing"),
+    ({"task": {"type": "manifest"}}, "config key 'task.path' is missing"),
+    ({"bounds": [["iw"]]}, r"bounds\[0\] must be a string, got \['iw'\]"),
+    ({"bounds": [1]}, r"bounds\[0\] must be a string, got 1"),
+    ({"task": {"type": "synthetic", "spec": {"dim": 2}}}, "task.spec: spec key 'component_means' is missing"),
+    (3, "config must be an object, got 3"),
+    (None, "config must be an object, got None"),
+    ("abc", "config must be an object, got 'abc'"),
+    ([], r"config must be an object, got \[\]"),
+    ({"posterior_pair": 1, "report": {"x": 1}}, "unknown config keys: posterior_pair, report.x"),
+    ({"report": {"formats": []}}, "need at least one report format"),
+    ({"report": {"formats": ["csv", "csv"]}}, "report formats must be distinct"),
+    ({"report": {"stem": ""}}, "report.stem must be a file name, got ''"),
+    ({"report": {"stem": "sub/report"}}, "report.stem must be a file name, got 'sub/report'"),
+    # an integer beyond the float range is refused by its key; NaN and
+    # infinities reach the range checks
+    ({"delta": 10**400}, f"delta must be a number, got {10**400}"),
+    ({"train": {"learning_rate": -(10**400)}}, f"train.learning_rate must be a number, got {-(10**400)}"),
+    ({"alpha": [0.3, 10**400]}, rf"alpha\[1\] must be a number, got {10**400}"),
+    ({"delta": float("inf")}, r"delta must lie in \(0, 1\)"),
+    ({"delta": float("nan")}, r"delta must lie in \(0, 1\)"),
+    # spec fields are read by the same readers, each refused by its name
+    ({"task": {"type": "synthetic", "spec": {**SPEC, "n_source": 300.5}}},
+     "task.spec: n_source must be an integer, got 300.5"),
+    ({"task": {"type": "synthetic", "spec": {**SPEC, "dim": "2"}}}, "task.spec: dim must be an integer, got '2'"),
+    ({"task": {"type": "synthetic", "spec": {**SPEC, "component_std": 10**400}}},
+     f"task.spec: component_std must be a number, got {10**400}"),
+    ({"task": {"type": "synthetic", "spec": {**SPEC, "source_mix": ["0.9", 0.1]}}},
+     r"task.spec: source_mix\[0\] must be a number, got '0.9'"),
+    # unlike a setting, a spec number that is NaN or infinite is refused by its name
+    ({"task": {"type": "synthetic", "spec": {**SPEC, "component_means": [[-0.5, 0.0], [0.5, float("nan")]]}}},
+     r"task.spec: component_means\[1\]\[1\] must be finite, got nan"),
+    ({"task": {"type": "synthetic", "spec": {**SPEC, "component_std": float("inf")}}},
+     "task.spec: component_std must be finite, got inf"),
+    ({"arch": {"hidden": [6], "activation": "relu"}}, "unknown config keys: arch.activation"),
+    ({"task": {"type": "csv", "path": "task"}}, "task.type must be 'synthetic' or 'manifest', got 'csv'"),
+    ({"task": {"type": "synthetic", "spec": []}}, r"task.spec must be an object, got \[\]"),
+    ({"task": {"type": "manifest", "path": 3}}, "task.path must be a string, got 3"),
+    # every key of the task object and of its spec is walked too
+    ({"task": {"type": "manifest", "path": "t", "seed": 3}}, "unknown config keys: task.seed"),
+    ({"task": {"type": "synthetic", "spec": SPEC, "n_source": 5}}, "unknown config keys: task.n_source"),
+    ({"task": {"type": "synthetic", "spec": {**SPEC, "num_classes": 2}}},
+     "task.spec: unknown spec keys: num_classes"),
+    # a report stem names a file in the report directory
+    ({"report": {"stem": "."}}, "report.stem must be a file name, got '.'"),
+    ({"report": {"stem": ".."}}, r"report.stem must be a file name, got '\.\.'"),
+]
+
+
+@pytest.mark.parametrize("doc, message", CONFIG_REFUSALS)
 def test_config_refuses_bad_counts_and_lists(doc, message):
-    task = {"type": "synthetic", "spec": asdict(default_synthetic_spec(seed=1))}
-    # a None value stands for an absent key; a document that is not an object is read as it is
-    if isinstance(doc, dict):
-        doc = {key: value for key, value in {"task": task, **doc}.items() if value is not None}
     with pytest.raises(ValueError, match=f"^{message}$"):
-        ExperimentConfig.from_json_dict(doc)
+        ExperimentConfig.from_json_dict(config_doc(doc))
 
 
 def test_config_reads_values_with_the_task_readers():

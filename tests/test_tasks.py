@@ -789,7 +789,7 @@ MANIFEST_MISSING_KEYS = ["kind", "spec", "beta_inf", "files", "files.source", "f
 @pytest.mark.parametrize("key", MANIFEST_MISSING_KEYS)
 def test_task_manifest_missing_key_refused(tmp_path, chunked_task, key):
     task = _edited_manifest_task(tmp_path, chunked_task, _set_key(key, delete=True))
-    assert _refusal(lambda: load_task(task), task / "manifest.json") == f": missing key {key!r}"
+    assert _refusal(lambda: load_task(task), task / "manifest.json") == f": manifest key {key!r} is missing"
 
 
 MANIFEST_BAD_VALUES = {
@@ -800,38 +800,51 @@ MANIFEST_BAD_VALUES = {
     "bool": ("beta_inf", True, ": beta_inf must be a finite number > 0, got True"),
     "beyond-float-range": ("beta_inf", 10**309, f": beta_inf must be a finite number > 0, got {10**309}"),
     "kind": ("kind", "bogus", ": kind must be one of synthetic, mixture, one_sided, got 'bogus'"),
-    "files-null": ("files", None, ": files must be an object, got None"),
-    "files-string": ("files", "x", ": files must be an object, got 'x'"),
-    "files-list": ("files", ["source"], ": files must be an object, got ['source']"),
-    "name-number": ("files.source", 5, ": files.source must be a file name, got 5"),
-    "name-null": ("files.target", None, ": files.target must be a file name, got None"),
+    "files-null": ("files", None, ": manifest key 'files' must be an object, got None"),
+    "files-string": ("files", "x", ": manifest key 'files' must be an object, got 'x'"),
+    "files-list": ("files", ["source"], ": manifest key 'files' must be an object, got ['source']"),
+    "name-number": ("files.source", 5, ": files.source must be a string, got 5"),
+    "name-null": ("files.target", None, ": files.target must be a string, got None"),
     "name-empty": ("files.source", "", ": files.source must be a file name, got ''"),
     "name-dot": ("files.weights", ".", ": files.weights must be a file name, got '.'"),
     "name-dotdot": ("files.weights", "..", ": files.weights must be a file name, got '..'"),
     "name-absolute": ("files.target", "/source.csv", ": files.target must be a file name, got '/source.csv'"),
     "name-parent": ("files.source", "../source.csv", ": files.source must be a file name, got '../source.csv'"),
     "name-subdir": ("files.weights", "sub/weights.csv", ": files.weights must be a file name, got 'sub/weights.csv'"),
-    "spec-missing-fields": (
-        "spec",
-        {"dim": 2},
-        ": spec: SyntheticSpec.__init__() missing 7 required positional arguments: 'component_means', "
-        "'component_std', 'source_mix', 'target_mix', 'n_source', 'n_target', and 'seed'",
-    ),
-    "spec-unknown-field": ("spec.bogus", 1, ": spec: SyntheticSpec.__init__() got an unexpected keyword argument 'bogus'"),
+    "spec-missing-fields": ("spec", {"dim": 2}, ": spec: spec key 'component_means' is missing"),
+    "spec-unknown-field": ("spec.bogus", 1, ": spec: unknown spec keys: bogus"),
     "spec-bad-field": ("spec.dim", 0, ": spec: dim must be >= 1"),
     "spec-fractional-size": ("spec.n_source", 300.5, ": spec: n_source must be an integer, got 300.5"),
     "spec-nan-offset": ("spec.rule_offset", math.nan, ": spec: rule_offset must be finite, got nan"),
     "spec-inf-mean": ("spec.component_means", [[-0.5, 0.0], [math.inf, 0.0]],
                       ": spec: component_means[1][0] must be finite, got inf"),
-    "spec-null": (
-        "spec", None, ": spec: shiftbound.tasks.SyntheticSpec() argument after ** must be a mapping, not NoneType"
-    ),
+    "spec-null": ("spec", None, ": spec: spec must be an object, got None"),
+    # every key is walked, in ``files`` too
+    "unknown-key": ("bogus", 1, ": unknown manifest keys: bogus"),
+    "unknown-file-key": ("files.labels", "labels.csv", ": unknown manifest keys: files.labels"),
 }
 
 
 @pytest.mark.parametrize("key, value, suffix", MANIFEST_BAD_VALUES.values(), ids=MANIFEST_BAD_VALUES)
 def test_task_manifest_bad_value_refused(tmp_path, chunked_task, key, value, suffix):
     task = _edited_manifest_task(tmp_path, chunked_task, _set_key(key, value))
+    assert _refusal(lambda: load_task(task), task / "manifest.json") == suffix
+
+
+# a one-sided spec is walked like the others: its two keys, each required
+ONE_SIDED_SPEC_REFUSALS = {
+    "unknown-key": ({"move_fraction": 0.25, "seed": 0, "bogus": 1}, ": spec: unknown spec keys: bogus"),
+    "only-unknown-key": ({"bogus": 1}, ": spec: unknown spec keys: bogus"),
+    "no-move-fraction": ({"seed": 0}, ": spec: spec key 'move_fraction' is missing"),
+    "no-seed": ({"move_fraction": 0.25}, ": spec: spec key 'seed' is missing"),
+}
+
+
+@pytest.mark.parametrize("spec, suffix", ONE_SIDED_SPEC_REFUSALS.values(), ids=ONE_SIDED_SPEC_REFUSALS)
+def test_one_sided_manifest_spec_keys_refused(tmp_path, spec, suffix):
+    save_task(_small_task(), tmp_path / "one_sided")
+    assert load_task(tmp_path / "one_sided").spec == {"move_fraction": 0.25, "seed": 0}
+    task = _edited_manifest_task(tmp_path, tmp_path / "one_sided", _set_key("spec", spec))
     assert _refusal(lambda: load_task(task), task / "manifest.json") == suffix
 
 
