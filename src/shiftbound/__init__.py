@@ -51,6 +51,7 @@ from .stochastic import (
 )
 from .tasks import (
     MixtureTaskSpec,
+    OneSidedSpec,
     OverlapError,
     SyntheticSpec,
     TaskInstance,

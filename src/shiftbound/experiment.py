@@ -24,8 +24,8 @@ from .nn import MlpArchitecture, TrainConfig
 from .risks import RiskEstimates, estimate_risks, lambda_rho_oracle
 from .seeding import derive_seed
 from .stochastic import kl_isotropic, learn_prior_posterior, sample_posterior
-from .tasks import (TaskInstance, _entries, _file_name, _flag, _integer, _list, _number, _object, _string,
-                    build_synthetic_task, data_rows, load_task, spec_from_json)
+from .tasks import (TaskInstance, _entries, _field, _file_name, _flag, _from_json, _integer, _list, _number, _object,
+                    _read_fields, _string, build_synthetic_task, data_rows, load_task, spec_from_json)
 
 
 def _optional_float(text: str) -> float | None:
@@ -80,55 +80,32 @@ def _task(value, path: str) -> dict:
     return value
 
 
-# The run config's JSON layout: each key's path ("section.key" inside a section),
-# the field it sets, and the reader that converts its value or refuses it by path
-_KEYS = (
-    ("task", "task", _task),
-    ("arch.hidden", "hidden", _list(_integer)),
-    ("alpha", "alphas", _alphas),
-    ("sigma", "sigma", _number),
-    ("delta", "delta", _number),
-    ("posterior_pairs", "posterior_pairs", _integer),
-    ("bounds", "bounds", _list(_string)),
-    ("oracle_mode", "oracle_mode", _flag),
-    ("mmd.shuffles", "mmd_shuffles", _integer),
-    ("train.learning_rate", "learning_rate", _number),
-    ("train.momentum", "momentum", _number),
-    ("train.batch_size", "batch_size", _integer),
-    ("train.prior_epochs", "prior_epochs", _integer),
-    ("train.posterior_epochs", "posterior_epochs", _integer),
-    ("seeds", "seeds", _list(_integer)),
-    ("report.dir", "report_dir", _string),
-    ("report.stem", "report_stem", _file_name),
-    ("report.formats", "report_formats", _list(_string)),
-)
-
-
 @dataclass
 class ExperimentConfig:
-    task: dict
-    hidden: tuple = (16, 16)
-    alphas: tuple = (0.3,)
-    sigma: float = 0.03
-    delta: float = 0.05
-    posterior_pairs: int = 5
-    bounds: tuple = ("mcallester", "iw", "mmd")
-    oracle_mode: bool = False
-    mmd_shuffles: int = 10
-    learning_rate: float = 3e-3
-    momentum: float = 0.95
-    batch_size: int = 128
-    prior_epochs: int = 1
-    posterior_epochs: int = 5
-    seeds: tuple = (0, 1, 2, 3, 4)
+    """A run's settings, each read from its JSON key by its ``_field`` reader."""
+
+    task: dict = _field(_task)
+    hidden: tuple = _field(_list(_integer), (16, 16), "arch.hidden")
+    alphas: tuple = _field(_alphas, (0.3,), "alpha")
+    sigma: float = _field(_number, 0.03)
+    delta: float = _field(_number, 0.05)
+    posterior_pairs: int = _field(_integer, 5)
+    bounds: tuple = _field(_list(_string), ("mcallester", "iw", "mmd"))
+    oracle_mode: bool = _field(_flag, False)
+    mmd_shuffles: int = _field(_integer, 10, "mmd.shuffles")
+    learning_rate: float = _field(_number, 3e-3, "train.learning_rate")
+    momentum: float = _field(_number, 0.95, "train.momentum")
+    batch_size: int = _field(_integer, 128, "train.batch_size")
+    prior_epochs: int = _field(_integer, 1, "train.prior_epochs")
+    posterior_epochs: int = _field(_integer, 5, "train.posterior_epochs")
+    seeds: tuple = _field(_list(_integer), (0, 1, 2, 3, 4))
     base_dir: str = "."
-    report_dir: str = "."
-    report_stem: str = "report"
-    report_formats: tuple = ("csv",)
+    report_dir: str = _field(_string, ".", "report.dir")
+    report_stem: str = _field(_file_name, "report", "report.stem")
+    report_formats: tuple = _field(_list(_string), ("csv",), "report.formats")
 
     def __post_init__(self):
-        for path, name, read in _KEYS:
-            setattr(self, name, read(getattr(self, name), path))
+        _read_fields(self)
         for name, what, repeated in (("alphas", "alpha", "alpha values"), ("bounds", "bound", "bounds"),
                                      ("seeds", "seed", "seeds"),
                                      ("report_formats", "report format", "report formats")):
@@ -169,11 +146,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
-        """Config from its JSON layout (see ``_KEYS``), walked by ``_entries``;
-        absent keys keep their defaults, ``task`` has none."""
-        entries = _entries(doc, {path: path == "task" for path, _, _ in _KEYS}, "config")
-        names = {path: name for path, name, _ in _KEYS}
-        return cls(base_dir=base_dir, **{names[path]: value for path, value in entries.items()})
+        """Config from its JSON layout by ``_from_json``; absent keys keep their defaults, ``task`` has none."""
+        return _from_json(cls, doc, "config", base_dir=base_dir)
 
     def resolve_task(self) -> TaskInstance:
         if self.task["type"] == "synthetic":

@@ -18,7 +18,8 @@ and their ranges): one ``np.loadtxt`` call parses the rows, and where numpy
 fails or disagrees a ``csv.reader`` row walk checks them by the same
 declaration, refusing a malformed row with its ``path:line`` and otherwise
 accepting what Python's ``float`` and ``int`` do. Every JSON object (the
-run config and its task, specs, manifests) is walked by ``_entries`` below.
+run config and its task, specs, manifests) is walked by ``_entries`` below,
+against the fields that ``_field`` declares with their readers and keys.
 """
 
 import csv
@@ -31,6 +32,7 @@ import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import chain
+from typing import ClassVar
 
 import numpy as np
 
@@ -142,6 +144,30 @@ def _entries(doc, layout: dict, what: str, path: str = "") -> dict:
     return entries
 
 
+def _field(read, default=MISSING, key=None):
+    """A dataclass field read by ``read`` at its JSON ``key`` ("section.key" in a section; else its name)."""
+    return field(default=default, metadata={"read": read, "key": key})
+
+
+def _json_keys(cls) -> dict:
+    """Each ``_field`` field of ``cls`` by its JSON key."""
+    return {f.metadata["key"] or f.name: f for f in fields(cls) if f.metadata}
+
+
+def _read_fields(obj) -> None:
+    """Set each ``_field`` field of ``obj`` to its reader's value, refused by its key."""
+    for key, f in _json_keys(obj).items():
+        object.__setattr__(obj, f.name, f.metadata["read"](getattr(obj, f.name), key))
+
+
+def _from_json(cls, doc, what: str, **values):
+    """``cls`` from ``values`` and the ``what`` document ``doc``, walked by
+    ``_entries`` against its JSON keys (one without a default is required)."""
+    keys = _json_keys(cls)
+    entries = _entries(doc, {key: f.default is MISSING for key, f in keys.items()}, what)
+    return cls(**values, **{keys[key].name: value for key, value in entries.items()})
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Two-component Gaussian mixtures sharing their components across
@@ -152,26 +178,21 @@ class SyntheticSpec:
     domains: "halfspace" labels 1 where x . rule_vector + rule_offset > 0.
     """
 
-    dim: int
-    component_means: tuple
-    component_std: float
-    source_mix: tuple
-    target_mix: tuple
-    n_source: int
-    n_target: int
-    seed: int
-    label_rule: str = "halfspace"
-    rule_vector: tuple = ()
-    rule_offset: float = 0.0
+    kind: ClassVar[str] = "synthetic"
+    dim: int = _field(_integer)
+    component_means: tuple = _field(_list(_list(_finite)))
+    component_std: float = _field(_finite)
+    source_mix: tuple = _field(_list(_finite))
+    target_mix: tuple = _field(_list(_finite))
+    n_source: int = _field(_integer)
+    n_target: int = _field(_integer)
+    seed: int = _field(_integer)
+    label_rule: str = _field(_string, "halfspace")
+    rule_vector: tuple = _field(_list(_finite), ())
+    rule_offset: float = _field(_finite, 0.0)
 
     def __post_init__(self):
-        for name, read in (
-            ("dim", _integer), ("component_means", _list(_list(_finite))), ("component_std", _finite),
-            ("source_mix", _list(_finite)), ("target_mix", _list(_finite)), ("n_source", _integer),
-            ("n_target", _integer), ("seed", _integer), ("label_rule", _string),
-            ("rule_vector", _list(_finite)), ("rule_offset", _finite),
-        ):
-            object.__setattr__(self, name, read(getattr(self, name), name))
+        _read_fields(self)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if len(self.component_means) != 2:
@@ -213,7 +234,6 @@ class TaskInstance:
     target_labeled_oracle: LabeledSample
     spec: object
     beta_inf: float
-    kind: str
 
     def __post_init__(self):
         self.target_x = self.target_labeled_oracle.unlabeled()
@@ -221,6 +241,11 @@ class TaskInstance:
             raise ValueError("task source must carry importance weights")
         if _exceeds_beta_inf(self.source.weights, self.beta_inf):
             raise ValueError("attached weights exceed the declared beta_inf")
+
+    @property
+    def kind(self) -> str:
+        """The construction, as its spec names it."""
+        return self.spec.kind
 
 
 def _exceeds_beta_inf(weights: np.ndarray, beta_inf: float) -> bool:
@@ -293,13 +318,7 @@ def build_synthetic_task(spec: SyntheticSpec) -> TaskInstance:
         features=xs, labels=apply_label_rule(spec, xs), weights=density_ratio(spec, xs)
     )
     oracle = LabeledSample(features=xt, labels=apply_label_rule(spec, xt))
-    return TaskInstance(
-        source=source,
-        target_labeled_oracle=oracle,
-        spec=spec,
-        beta_inf=synthetic_beta_infinity(spec),
-        kind="synthetic",
-    )
+    return TaskInstance(source=source, target_labeled_oracle=oracle, spec=spec, beta_inf=synthetic_beta_infinity(spec))
 
 
 @dataclass(frozen=True)
@@ -313,17 +332,14 @@ class MixtureTaskSpec:
     held exactly as Fractions, and any other value is refused by its index.
     """
 
-    num_classes: int
-    source_share: tuple
-    per_class_counts: tuple  # per class: (origin-0 count, origin-1 count)
-    binary_relabel_threshold: int = 0
+    kind: ClassVar[str] = "mixture"
+    num_classes: int = _field(_integer)
+    source_share: tuple = _field(_list(_share))
+    per_class_counts: tuple = _field(_list(_list(_integer)))  # per class: (origin-0 count, origin-1 count)
+    binary_relabel_threshold: int = _field(_integer, 0)
 
     def __post_init__(self):
-        for name, read in (
-            ("num_classes", _integer), ("source_share", _list(_share)),
-            ("per_class_counts", _list(_list(_integer))), ("binary_relabel_threshold", _integer),
-        ):
-            object.__setattr__(self, name, read(getattr(self, name), name))
+        _read_fields(self)
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         if len(self.source_share) != self.num_classes:
@@ -340,6 +356,9 @@ class MixtureTaskSpec:
             raise ValueError("per-class counts must be >= 1")
         if self.binary_relabel_threshold == 0:
             object.__setattr__(self, "binary_relabel_threshold", self.num_classes // 2)
+        elif not 1 <= self.binary_relabel_threshold < self.num_classes:  # else one label only
+            raise ValueError(f"binary_relabel_threshold must be 0 or lie in [1, {self.num_classes - 1}], "
+                             f"got {self.binary_relabel_threshold}")
 
     def binary_label(self, cls: int) -> int:
         return 0 if cls < self.binary_relabel_threshold else 1
@@ -427,13 +446,21 @@ def build_mixture_task(
 
     source = _assemble(src_parts, with_weights=True)
     oracle = _assemble(tgt_parts, with_weights=False)
-    return TaskInstance(
-        source=source,
-        target_labeled_oracle=oracle,
-        spec=spec,
-        beta_inf=beta_infinity(spec),
-        kind="mixture",
-    )
+    return TaskInstance(source=source, target_labeled_oracle=oracle, spec=spec, beta_inf=beta_infinity(spec))
+
+
+@dataclass(frozen=True)
+class OneSidedSpec:
+    """One-sided construction: a ``move_fraction`` of the shared pool, drawn by ``seed``, joins the source."""
+
+    kind: ClassVar[str] = "one_sided"
+    move_fraction: float = _field(_finite)
+    seed: int = _field(_integer)
+
+    def __post_init__(self):
+        _read_fields(self)
+        if not 0 < self.move_fraction < 1:
+            raise ValueError("move_fraction must lie in (0, 1)")
 
 
 def one_sided_weight(move_fraction, num_source: int, num_target: int) -> float:
@@ -464,10 +491,9 @@ def build_one_sided_task(
     mass and get weight 0 so the weighted risk still targets the target
     domain exactly.
     """
-    if not 0 < move_fraction < 1:
-        raise ValueError("move_fraction must lie in (0, 1)")
+    spec = OneSidedSpec(move_fraction, seed)
     m1 = len(pool_shared)
-    k = round(move_fraction * m1)
+    k = round(spec.move_fraction * m1)
     if k < 1 or k >= m1:
         raise OverlapError(
             f"move_fraction={move_fraction} with {m1} shared rows leaves an empty side"
@@ -476,7 +502,7 @@ def build_one_sided_task(
         if not np.all((pool.labels == 0) | (pool.labels == 1)):
             raise ValueError("one-sided pools must carry binary labels")
 
-    order = stream_rng(seed, "task").permutation(m1)
+    order = stream_rng(spec.seed, "task").permutation(m1)
     moved, kept = order[:k], order[k:]
     n_source = len(pool_source_only) + k
     n_target = m1 - k
@@ -495,13 +521,7 @@ def build_one_sided_task(
         labels=pool_shared.labels[kept],
         origin=np.ones(n_target, dtype=np.int64),
     )
-    return TaskInstance(
-        source=source,
-        target_labeled_oracle=oracle,
-        spec={"move_fraction": move_fraction, "seed": seed},
-        beta_inf=weight,
-        kind="one_sided",
-    )
+    return TaskInstance(source=source, target_labeled_oracle=oracle, spec=spec, beta_inf=weight)
 
 
 # Rows formatted per write. A chunk's Python floats, their strings and its
@@ -675,21 +695,14 @@ def _fraction_to_json(value):
     raise TypeError(f"cannot write {type(value).__name__} to a task manifest")
 
 
-# each task kind and the type its spec is read back as
-_SPEC_TYPES = {"synthetic": SyntheticSpec, "mixture": MixtureTaskSpec, "one_sided": dict}
-TASK_KINDS = tuple(_SPEC_TYPES)
+_SPEC_TYPES = {cls.kind: cls for cls in (SyntheticSpec, MixtureTaskSpec, OneSidedSpec)}
 _MANIFEST = dict.fromkeys(("kind", "spec", "beta_inf", "files.source", "files.target", "files.weights"), True)
 
 
 def spec_from_json(kind: str, d):
-    """The spec of a task of ``kind`` from its JSON object (a manifest's
-    ``spec``, a ``make-task --spec`` file, an inline config spec), walked by
-    ``_entries`` against the spec class's fields (one without a default is
-    required) or a one-sided spec's ``move_fraction`` and ``seed``."""
-    cls = _SPEC_TYPES[kind]
-    layout = ({f.name: f.default is MISSING for f in fields(cls)} if cls is not dict
-              else {"move_fraction": True, "seed": True})
-    return cls(**_entries(d, layout, "spec"))
+    """The spec of a task of ``kind`` from its JSON object (a manifest's ``spec``,
+    a ``make-task --spec`` file, an inline config spec), built by ``_from_json``."""
+    return _from_json(_SPEC_TYPES[kind], d, "spec")
 
 
 def read_json(path):
@@ -710,7 +723,7 @@ def save_task(task: TaskInstance, dirpath) -> None:
     _write_csv(os.path.join(dirpath, "weights.csv"), ["weight"], [task.source.weights])
     manifest = {
         "kind": task.kind,
-        "spec": task.spec if task.kind == "one_sided" else asdict(task.spec),
+        "spec": asdict(task.spec),
         "beta_inf": task.beta_inf,
         "files": {"source": "source.csv", "target": "target.csv", "weights": "weights.csv"},
     }
@@ -734,8 +747,8 @@ def load_task(dirpath) -> TaskInstance:
             for key in ("files.source", "files.target", "files.weights")
         )
         kind, beta_inf = entries["kind"], entries["beta_inf"]
-        if kind not in TASK_KINDS:
-            raise ValueError(f"kind must be one of {', '.join(TASK_KINDS)}, got {kind!r}")
+        if kind not in _SPEC_TYPES:
+            raise ValueError(f"kind must be one of {', '.join(_SPEC_TYPES)}, got {kind!r}")
         # comparisons, not math.isfinite: an integer beyond the float range is refused too
         if type(beta_inf) not in (int, float) or not 0 < beta_inf <= sys.float_info.max:
             raise ValueError(f"beta_inf must be a finite number > 0, got {beta_inf!r}")
@@ -766,7 +779,6 @@ def load_task(dirpath) -> TaskInstance:
         target_labeled_oracle=target,
         spec=spec,
         beta_inf=float(beta_inf),
-        kind=kind,
     )
 
 

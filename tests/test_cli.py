@@ -80,19 +80,18 @@ def test_run_refuses_unknown_config_key(tmp_path, capsys):
     assert "error: unknown config keys: train.learningrate" in capsys.readouterr().err
 
 
+# Each message once, in test_experiment's table, its backslash escapes undone
+CONFIG_MESSAGES = {json.dumps(doc): re.sub(r"\\(.)", r"\1", message) for doc, message in CONFIG_REFUSALS}
+
+
 @pytest.mark.parametrize(
     "report, message",
     [
-        ({"formats": ["csv", "xml"]}, "format must be 'csv' or 'json'"),
-        ({"format": ["json"], "stem": "run"}, "unknown config keys: report.format"),
-        ("out", "config key 'report' must be an object, got 'out'"),
-        ({"dir": 5}, "report.dir must be a string, got 5"),
-        ({"stem": ["a"]}, "report.stem must be a string, got ['a']"),
-        ({"formats": "csv"}, "report.formats must be a list, got 'csv'"),
-        ({"formats": []}, "need at least one report format"),
-        ({"formats": ["csv", "csv"]}, "report formats must be distinct"),
-        ({"stem": ""}, "report.stem must be a file name, got ''"),
-        ({"stem": "sub/report"}, "report.stem must be a file name, got 'sub/report'"),
+        (report, CONFIG_MESSAGES[json.dumps({"report": report})])
+        for report in (
+            {"formats": ["csv", "xml"]}, {"format": ["json"], "stem": "run"}, "out", {"dir": 5}, {"stem": ["a"]},
+            {"formats": "csv"}, {"formats": []}, {"formats": ["csv", "csv"]}, {"stem": ""}, {"stem": "sub/report"},
+        )
     ],
 )
 def test_run_checks_the_report_section_before_running(tmp_path, capsys, monkeypatch, report, message):
@@ -101,15 +100,10 @@ def test_run_checks_the_report_section_before_running(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(cli, "run_experiment", run_experiment)
     path = tmp_path / "config.json"
-    task = {"type": "synthetic", "spec": asdict(default_synthetic_spec(seed=1))}
-    path.write_text(json.dumps({"task": task, "report": report}))
+    path.write_text(json.dumps(config_doc({"report": report})))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [path]
-
-
-# Each message once, in test_experiment's table, its backslash escapes undone
-CONFIG_MESSAGES = {json.dumps(doc): re.sub(r"\\(.)", r"\1", message) for doc, message in CONFIG_REFUSALS}
 
 
 @pytest.mark.parametrize(

@@ -364,6 +364,12 @@ CONFIG_REFUSALS = [
     # a report stem names a file in the report directory
     ({"report": {"stem": "."}}, "report.stem must be a file name, got '.'"),
     ({"report": {"stem": ".."}}, r"report.stem must be a file name, got '\.\.'"),
+    ({"report": {"formats": ["csv", "xml"]}}, "format must be 'csv' or 'json'"),
+    ({"report": {"format": ["json"], "stem": "run"}}, "unknown config keys: report.format"),
+    ({"report": "out"}, "config key 'report' must be an object, got 'out'"),
+    ({"report": {"dir": 5}}, "report.dir must be a string, got 5"),
+    ({"report": {"stem": ["a"]}}, r"report.stem must be a string, got \['a'\]"),
+    ({"report": {"formats": "csv"}}, "report.formats must be a list, got 'csv'"),
 ]
 
 
@@ -377,6 +383,30 @@ def test_config_reads_values_with_the_task_readers():
     # one implementation of each reader: the run config's are the task spec's
     for name in ("_integer", "_number", "_list", "_file_name", "_flag", "_string", "_object"):
         assert getattr(experiment, name) is getattr(tasks, name), name
+
+
+def test_every_json_field_declares_its_reader():
+    for cls in (tasks.SyntheticSpec, tasks.MixtureTaskSpec, tasks.OneSidedSpec, ExperimentConfig):
+        unread = [f.name for f in fields(cls) if f.init and "read" not in f.metadata]
+        assert unread == (["base_dir"] if cls is ExperimentConfig else []), cls
+
+
+def test_every_config_key_sets_its_field():
+    doc = {
+        "task": {"type": "manifest", "path": "t"}, "arch": {"hidden": [3, 2]}, "alpha": [0.1, 0.2], "sigma": 0.5,
+        "delta": 0.1, "posterior_pairs": 2, "bounds": ["iw", "add"], "oracle_mode": True, "mmd": {"shuffles": 3},
+        "train": {"learning_rate": 0.1, "momentum": 0.5, "batch_size": 7, "prior_epochs": 2, "posterior_epochs": 3},
+        "seeds": [7], "report": {"dir": "out", "stem": "r", "formats": ["json"]},
+    }
+    want = ExperimentConfig(
+        task=doc["task"], hidden=(3, 2), alphas=(0.1, 0.2), sigma=0.5, delta=0.1, posterior_pairs=2,
+        bounds=("iw", "add"), oracle_mode=True, mmd_shuffles=3, learning_rate=0.1, momentum=0.5, batch_size=7,
+        prior_epochs=2, posterior_epochs=3, seeds=(7,), base_dir="b", report_dir="out", report_stem="r",
+        report_formats=("json",),
+    )
+    assert ExperimentConfig.from_json_dict(doc, base_dir="b") == want
+    default = ExperimentConfig(task={"type": "manifest", "path": "u"})
+    assert [f.name for f in fields(ExperimentConfig) if getattr(want, f.name) == getattr(default, f.name)] == []
 
 
 def test_config_stores_integral_counts_as_int():

@@ -9,7 +9,7 @@ from shiftbound import divergences, tasks
 PUBLIC_NAMES = [
     "BOUND_NAMES", "BoundInputs", "BoundResult", "DivergedError", "ExperimentConfig",
     "IsotropicGaussian", "LabeledSample", "MixtureTaskSpec", "MlpArchitecture", "MmdConfig",
-    "OracleAccessError", "OverlapError", "ParamGrid", "PosteriorSampleSet", "PriorPosteriorPair",
+    "OneSidedSpec", "OracleAccessError", "OverlapError", "ParamGrid", "PosteriorSampleSet", "PriorPosteriorPair",
     "RiskEstimates", "SyntheticSpec", "TaskInstance", "TrainConfig", "UnlabeledSample",
     "apply_label_rule", "beta_infinity", "build_mixture_task", "build_one_sided_task",
     "build_synthetic_task", "convexity_constant", "default_grid", "default_synthetic_spec",
@@ -22,7 +22,8 @@ PUBLIC_NAMES = [
 
 # the names of task construction, which only ``tasks`` defines
 TASK_NAMES = [
-    "OverlapError", "MixtureTaskSpec", "mixture_counts", "mixture_weights", "beta_infinity", "one_sided_weight",
+    "OverlapError", "MixtureTaskSpec", "OneSidedSpec", "mixture_counts", "mixture_weights", "beta_infinity",
+    "one_sided_weight",
 ]
 
 

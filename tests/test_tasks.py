@@ -15,6 +15,7 @@ from shiftbound import (
     LabeledSample,
     MixtureTaskSpec,
     MlpArchitecture,
+    OneSidedSpec,
     OverlapError,
     PosteriorSampleSet,
     SyntheticSpec,
@@ -231,6 +232,16 @@ def test_one_sided_task_degenerate_fraction():
         build_one_sided_task(pool0, shared, move_fraction=0.01)
 
 
+@pytest.mark.parametrize("move_fraction, seed, message", [
+    ("0.3", 0, "move_fraction must be a number, got '0.3'"),
+    (0.5, None, "seed must be an integer, got None"),
+])
+def test_one_sided_task_refuses_a_spec_value_by_name(move_fraction, seed, message):
+    pool = LabeledSample(features=np.zeros((4, 1)), labels=[0, 1, 0, 1])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_one_sided_task(pool, pool, move_fraction, seed)
+
+
 def risks_of(arch, w, task):
     """``estimate_risks`` for the single classifier ``w`` (a pair of identical
     draws), with the task's labeled target as oracle."""
@@ -381,6 +392,12 @@ SPEC_FIELD_REFUSALS = {
     "fractional threshold": (
         "mixture", "binary_relabel_threshold", 1.9, "binary_relabel_threshold must be an integer, got 1.9"
     ),
+    # a threshold outside [1, num_classes - 1] would give both domains one label
+    **{
+        f"threshold {t}": ("mixture", "binary_relabel_threshold", t,
+                           f"binary_relabel_threshold must be 0 or lie in [1, 3], got {t}")
+        for t in (4, 7, -2)
+    },
     # a NaN or an infinity is refused with its field and index, not passed on
     # to build labels that are all 0 or features that fail without a key
     "nan mean": (
@@ -574,16 +591,15 @@ def _small_task():
     return TaskInstance(
         source=source,
         target_labeled_oracle=target,
-        spec={"move_fraction": 0.25, "seed": 0},
+        spec=OneSidedSpec(0.25, 0),
         beta_inf=2.5,
-        kind="one_sided",
     )
 
 
 def test_task_target_x_is_the_oracle_view():
     task = _small_task()
     assert task.target_x.features is task.target_labeled_oracle.features
-    views = {k: getattr(task, k) for k in ("source", "target_labeled_oracle", "spec", "beta_inf", "kind")}
+    views = {k: getattr(task, k) for k in ("source", "target_labeled_oracle", "spec", "beta_inf")}
     with pytest.raises(TypeError):  # no separate target view can be passed in
         TaskInstance(target_x=task.target_x, **views)
 
@@ -831,19 +847,24 @@ def test_task_manifest_bad_value_refused(tmp_path, chunked_task, key, value, suf
     assert _refusal(lambda: load_task(task), task / "manifest.json") == suffix
 
 
-# a one-sided spec is walked like the others: its two keys, each required
+# a one-sided spec is walked like the others: its two keys, each required,
+# and its values, each read by its name
 ONE_SIDED_SPEC_REFUSALS = {
     "unknown-key": ({"move_fraction": 0.25, "seed": 0, "bogus": 1}, ": spec: unknown spec keys: bogus"),
     "only-unknown-key": ({"bogus": 1}, ": spec: unknown spec keys: bogus"),
     "no-move-fraction": ({"seed": 0}, ": spec: spec key 'move_fraction' is missing"),
     "no-seed": ({"move_fraction": 0.25}, ": spec: spec key 'seed' is missing"),
+    "text-fraction": ({"move_fraction": "abc", "seed": None}, ": spec: move_fraction must be a number, got 'abc'"),
+    "null-seed": ({"move_fraction": 0.25, "seed": None}, ": spec: seed must be an integer, got None"),
+    "fraction-over-one": ({"move_fraction": 1.5, "seed": 0}, ": spec: move_fraction must lie in (0, 1)"),
+    "nan-fraction": ({"move_fraction": math.nan, "seed": 0}, ": spec: move_fraction must be finite, got nan"),
 }
 
 
 @pytest.mark.parametrize("spec, suffix", ONE_SIDED_SPEC_REFUSALS.values(), ids=ONE_SIDED_SPEC_REFUSALS)
 def test_one_sided_manifest_spec_keys_refused(tmp_path, spec, suffix):
     save_task(_small_task(), tmp_path / "one_sided")
-    assert load_task(tmp_path / "one_sided").spec == {"move_fraction": 0.25, "seed": 0}
+    assert load_task(tmp_path / "one_sided").spec == OneSidedSpec(0.25, 0)
     task = _edited_manifest_task(tmp_path, tmp_path / "one_sided", _set_key("spec", spec))
     assert _refusal(lambda: load_task(task), task / "manifest.json") == suffix
 
