@@ -4,14 +4,15 @@ counterpart on the source, pairwise disagreement on source and target, and
 joint error on the source (and, under oracle access, on the target).
 
 Every estimate is a reduction of one prediction matrix per (draw set,
-sample): ``_predictions`` evaluates all draws in one stacked ``forward``
-call and returns the (2P, n) bool matrix of hard labels; nothing else here
-calls ``forward``. Gibbs risks reduce each draw's row over the sample, then
-average over all 2P draws; pairwise quantities reduce the rows of each
-consecutive draw pair (2i, 2i+1) over the sample, then average over the P
-pairs. Means and Monte-Carlo standard deviations over draws or pairs come
-from ``_mean_and_mc_std``; ``gibbs_risk`` is that reduction for a Gibbs
-risk. ``lambda_rho_oracle`` forms lambda_rho from oracle-mode estimates.
+sample): ``_predictions`` evaluates all draws in one stacked float32
+``forward`` call and returns the (2P, n) bool matrix of the float64 pass's
+hard labels; nothing else here calls ``forward``. Gibbs risks reduce each
+draw's row over the sample, then average over all 2P draws; pairwise
+quantities reduce the rows of each consecutive draw pair (2i, 2i+1) over
+the sample, then average over the P pairs. Means and Monte-Carlo standard
+deviations over draws or pairs come from ``_mean_and_mc_std``;
+``gibbs_risk`` is that reduction for a Gibbs risk. ``lambda_rho_oracle``
+forms lambda_rho from oracle-mode estimates.
 """
 
 import math
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import MlpArchitecture, forward, predict
+from .nn import MlpArchitecture, float64_labels, forward
 from .samples import LabeledSample, UnlabeledSample
 from .stochastic import PosteriorSampleSet
 
@@ -57,10 +58,12 @@ def _mean_and_mc_std(values: np.ndarray) -> tuple[float, float]:
 def _predictions(arch: MlpArchitecture, draws, data) -> np.ndarray:
     """(len(draws), n) hard labels as bools (True is label 1): row k is draw
     k evaluated on the sample. Comparing them with 0/1 labels gives bool
-    error indicators."""
+    error indicators. They are the labels of the float64 pass, bit for bit,
+    taken from one float32 pass (``nn.float64_labels``)."""
     if len(data) == 0:
         raise ValueError("data must be non-empty")
-    return predict(forward(arch, draws, data.features))
+    draws = np.asarray(draws, dtype=np.float64)
+    return float64_labels(arch, draws, data.features, forward(arch, draws.astype(np.float32), data.features))
 
 
 def _row_means(indicators: np.ndarray, weights=None) -> np.ndarray:

@@ -340,8 +340,8 @@ class MixtureTaskSpec:
 
     def __post_init__(self):
         _read_fields(self)
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
+        if self.num_classes < 2:  # else both domains carry one label
+            raise ValueError("num_classes must be >= 2")
         if len(self.source_share) != self.num_classes:
             raise ValueError("need one source share per class")
         if any(not 0 <= s <= 1 for s in self.source_share):

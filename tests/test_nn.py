@@ -17,7 +17,10 @@ from shiftbound import (
     predict,
     train,
 )
-from shiftbound.nn import BLOCK_ROWS, _bce_gradient_arrays
+from shiftbound import nn
+from shiftbound.nn import BLOCK_BYTES, _bce_gradient_arrays, _logit_bounds, _row_blocks, float64_labels
+from shiftbound.stochastic import IsotropicGaussian, sample_posterior
+from shiftbound.tasks import build_synthetic_task, default_synthetic_spec
 
 from oracles import bce_loss
 
@@ -172,7 +175,7 @@ def test_blocked_forward_equals_the_unblocked_layer_loop(hidden, tmp_path):
     arch = MlpArchitecture((3, *hidden, 1))
     rng = np.random.default_rng(len(hidden))
     draws = rng.standard_normal((3, arch.num_params)) / 4
-    B = BLOCK_ROWS
+    B = BLOCK_BYTES // 8
     xs = [rng.standard_normal((n, 3)) for n in (0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 14001)]
     for X, want in zip(xs, in_one_thread(tmp_path, "unblocked_forward", arch, draws, xs)):
         assert np.array_equal(forward(arch, draws, X), want)
@@ -184,7 +187,7 @@ def test_forward_gives_the_same_bits_at_any_blas_thread_count(hidden, tmp_path):
     arch = MlpArchitecture((2, *hidden, 1))
     rng = np.random.default_rng(7)
     draws = rng.standard_normal((2, arch.num_params)) / 4
-    xs = [rng.standard_normal((n, 2)) for n in (BLOCK_ROWS + 1, 5000, 14001, 33333)]
+    xs = [rng.standard_normal((n, 2)) for n in (BLOCK_BYTES // 8 + 1, 5000, 14001, 33333)]
     for X, want in zip(xs, in_one_thread(tmp_path, "forward", arch, draws, xs)):
         assert np.array_equal(forward(arch, draws, X), want)
 
@@ -196,6 +199,133 @@ def test_forward_holds_no_full_height_layer(peak_traced_bytes):
     for n in (20000, 100000):
         X = np.random.default_rng(0).standard_normal((n, 2))
         assert peak_traced_bytes(forward, arch, w, X) < 8 * len(w) * n + 2 * 2**20
+
+
+@pytest.mark.parametrize("widths", [(2, 64, 64, 1), (9, 64, 64, 1), (3, 16, 32, 8, 1)])
+@pytest.mark.parametrize("scale", [0.25, 50.0])
+def test_float32_logits_lie_within_the_rounding_bound(widths, scale):
+    """|z32 - z64| <= e32 + e64 on every row, and a float64 pass over a
+    subset of the rows lies within 2 e64 of the full pass."""
+    arch = MlpArchitecture(widths)
+    rng = np.random.default_rng(len(widths))
+    draws = scale * rng.standard_normal((4, arch.num_params))
+    x = rng.standard_normal((3000, widths[0]))
+    z32 = forward(arch, draws.astype(np.float32), x)
+    z64 = forward(arch, draws, x)
+    assert z32.dtype == np.float32 and z64.dtype == np.float64
+    bound, e64 = _logit_bounds(arch, draws, np.abs(x).max())
+    assert np.all(np.isfinite(bound))
+    assert np.all(np.abs(z32.astype(np.float64) - z64) <= bound[:, None])
+    subset = forward(arch, draws, x[::7])
+    assert np.all(np.abs(subset - z64[:, ::7]) <= 2 * e64[:, None])
+
+
+@pytest.mark.parametrize("widths", [(2, 1), (2, 2, 1)])
+def test_one_sided_rounding_comes_within_a_factor_4_of_the_bound(widths):
+    """Every input, weight and bias is 1 + 0.499 * 2^-23, which float32
+    rounds down to 1: the roundings add up with no cancellation, so the
+    float32 logit misses by over a quarter of the bound, and a bound 4x
+    smaller fails here."""
+    arch = MlpArchitecture(widths)
+    v = 1 + 0.499 * 2.0**-23
+    draws = np.full((1, arch.num_params), v)
+    x = np.full((3, widths[0]), v)
+    error = np.abs(forward(arch, draws.astype(np.float32), x).astype(np.float64) - forward(arch, draws, x))
+    bound, _ = _logit_bounds(arch, draws, v)
+    assert np.all(bound / 4 < error) and np.all(error <= bound)
+
+
+def _near_zero_draws(arch, x, rows, steps=(-3, -1, 0, 1, 2)):
+    """Copies of one weight vector whose output bias puts the float64 logit
+    of one of ``rows`` exactly ``step`` ulps from 0, one copy per (row,
+    step): the bias is minus that row's logit without a bias, moved by
+    ``step`` ulps."""
+    w = np.random.default_rng(arch.num_params).standard_normal(arch.num_params) / 4
+    w[-1] = 0.0
+    unbiased = forward(arch, w[None], x)[0]
+    draws = []
+    for r in rows:
+        for step in steps:
+            bias = -unbiased[r]
+            for _ in range(abs(step)):
+                bias = np.nextafter(bias, math.copysign(math.inf, step))
+            draws.append(np.concatenate([w[:-1], [bias]]))
+    return np.array(draws)
+
+
+@pytest.mark.parametrize("widths", [(2, 64, 64, 1), (3, 16, 32, 8, 1)])
+def test_float64_labels_decide_logits_at_and_near_zero(widths):
+    """Rows whose float64 logit is 0 or a few ulps from it get the float64
+    pass's label, whatever the sign of their float32 logit."""
+    arch = MlpArchitecture(widths)
+    x = np.random.default_rng(1).standard_normal((1100, widths[0]))
+    rows = [0, 511, 512, 700, 1099]
+    draws = _near_zero_draws(arch, x, rows)
+    z64 = forward(arch, draws, x)
+    near = z64[np.arange(len(draws)), np.repeat(rows, len(draws) // len(rows))]
+    assert np.all(np.abs(near) <= 3 * np.spacing(np.abs(draws[:, -1]))) and np.any(near == 0)
+    labels = float64_labels(arch, draws, x, forward(arch, draws.astype(np.float32), x))
+    assert labels.dtype == bool and np.array_equal(labels, z64 > 0)
+
+
+@pytest.mark.parametrize("n", [3 * 512 + 1, 1300])
+def test_a_block_alone_gives_the_bits_of_the_full_pass(n):
+    """The premise of the block re-run: each float64 block of ``forward``,
+    evaluated on its own, equals its rows of the full pass bit for bit; the
+    1-row tail of 1537 rows joins the block before it."""
+    arch = MlpArchitecture((2, 64, 64, 1))
+    rng = np.random.default_rng(n)
+    draws = rng.standard_normal((2, arch.num_params)) / 4
+    x = rng.standard_normal((n, 2))
+    full = forward(arch, draws, x)
+    blocks = _row_blocks(n, BLOCK_BYTES // 8)
+    assert blocks[-1] == {1537: (1024, 1537), 1300: (1024, 1300)}[n]
+    for start, stop in blocks:
+        assert np.array_equal(forward(arch, draws, x[start:stop]), full[:, start:stop])
+
+
+def test_block_rerun_corrects_a_wrong_sign_from_the_gathered_recheck(monkeypatch):
+    """A gathered float64 logit within 2 e64 of 0 does not decide a label: a
+    gathered recheck that returns tiny values of the wrong sign still gives
+    the float64 pass's labels, from the re-run blocks."""
+    arch = MlpArchitecture((2, 64, 64, 1))
+    x = np.random.default_rng(2).standard_normal((1100, 2))
+    draws = _near_zero_draws(arch, x, [600], steps=(1,))
+    want = forward(arch, draws, x) > 0
+    logits32 = forward(arch, draws.astype(np.float32), x)
+    original = nn._forward
+    calls = []
+
+    def wrong_gathered_signs(arch, w, x):
+        z = original(arch, w, x)
+        calls.append(len(x))
+        return np.where(z > 0, -1e-300, 1e-300) if len(calls) == 1 else z
+
+    monkeypatch.setattr(nn, "_forward", wrong_gathered_signs)
+    assert np.array_equal(float64_labels(arch, draws, x, logits32), want)
+    assert len(calls) > 1  # the gathered rows' blocks ran again
+
+
+def test_float64_recheck_covers_under_one_percent_of_an_initial_net(monkeypatch):
+    """sigma = 0.03 draws around the initial (2, 64, 64, 1) net on the default
+    task's 10k source rows: the float64 recheck covers under 1% of the
+    (draw, row) pairs, so the bound has not loosened into a float64 pass."""
+    arch = MlpArchitecture((2, 64, 64, 1))
+    x = build_synthetic_task(default_synthetic_spec(0)).source.features
+    draws = sample_posterior(IsotropicGaussian(init_weights(arch, 0), 0.03), 5, 0).draws
+    logits32 = forward(arch, draws.astype(np.float32), x)
+    original = nn._forward
+    rechecked = []
+
+    def counting(arch, w, x):
+        rechecked.append(len(w) * len(x))
+        return original(arch, w, x)
+
+    monkeypatch.setattr(nn, "_forward", counting)
+    labels = float64_labels(arch, draws, x, logits32)
+    monkeypatch.undo()
+    assert np.array_equal(labels, predict(forward(arch, draws, x)))
+    assert 0 < sum(rechecked) < 0.01 * draws.shape[0] * len(x)
 
 
 def test_forward_refuses_bad_weight_stack():

@@ -392,7 +392,9 @@ SPEC_FIELD_REFUSALS = {
     "fractional threshold": (
         "mixture", "binary_relabel_threshold", 1.9, "binary_relabel_threshold must be an integer, got 1.9"
     ),
-    # a threshold outside [1, num_classes - 1] would give both domains one label
+    # a single class, or a threshold outside [1, num_classes - 1], would give
+    # both domains one label
+    "one class": ("mixture", "num_classes", 1, "num_classes must be >= 2"),
     **{
         f"threshold {t}": ("mixture", "binary_relabel_threshold", t,
                            f"binary_relabel_threshold must be 0 or lie in [1, 3], got {t}")
