@@ -53,7 +53,7 @@ _REPORT_COLUMNS = (
     ("kl", "row", attrgetter("kl"), float),
     ("mmd", "row", attrgetter("mmd"), float),
     ("oracle_target_gibbs_risk", "row", attrgetter("estimates.oracle_target_gibbs_risk"), _optional_float),
-    ("oracle_used", "bound", attrgetter("oracle_used"), lambda text: text == "true"),
+    ("oracle_used", "bound", attrgetter("oracle_used"), lambda text: bool(["false", "true"].index(text))),
 )
 CSV_COLUMNS = [name for name, *_ in _REPORT_COLUMNS]
 
@@ -283,15 +283,22 @@ def emit(report: list, format: str, path) -> None:
 
 def parse_report_csv(path) -> list:
     """The records of an emitted CSV, equal to the ``report_records`` it was
-    written from."""
+    written from. A field its column cannot parse is refused by ``path:line``
+    and column."""
+    records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected report columns")
-        return [
-            {col: parse(text) for (col, _, _, parse), text in zip(_REPORT_COLUMNS, row)}
-            for _, row in data_rows(path, reader, len(CSV_COLUMNS))
-        ]
+        for lineno, row in data_rows(path, reader, len(CSV_COLUMNS)):
+            record = {}
+            for (col, _, _, parse), text in zip(_REPORT_COLUMNS, row):
+                try:
+                    record[col] = parse(text)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad {col} value {text!r}") from None
+            records.append(record)
+    return records
 
 
 @dataclass

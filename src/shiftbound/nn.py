@@ -22,9 +22,10 @@ a 1-row tail joins the block before it. Each layer's bias is copied to block
 height once per draw, so adding it to a block adds two arrays of one shape
 rather than broadcasting a row over every block row; the sums are the same.
 
-A hard label reads only the sign of a logit. ``float64_labels`` turns the
-logits z32 of a float32 pass into the labels of the float64 pass,
-``predict(forward(arch, w, x))``, bit for bit, in three steps:
+A hard label reads only the sign of a logit. ``hard_labels``, the one
+producer of hard labels, gives those of the float64 pass,
+``predict(forward(arch, w, x))``, bit for bit, from the logits z32 of one
+float32 ``forward`` call, in three steps:
 
 1. It bounds |z32 - z64| per draw from the weights alone, vectorised over
    the draws. The basis is Higham (2002, *Accuracy and Stability of
@@ -69,8 +70,8 @@ logits z32 of a float32 pass into the labels of the float64 pass,
    full pass: the rows of a subset would go through differently shaped BLAS
    products, which may round them differently.
 
-The rechecks run ``forward``'s block loop, ``_forward``, so a caller that
-labels a sample makes one ``forward`` call.
+The rechecks run ``forward``'s block loop ``_forward`` over the blocks
+``_row_blocks`` lays out for it, so labelling makes one ``forward`` call.
 """
 
 import math
@@ -191,19 +192,19 @@ def _layers(layers: list, a: np.ndarray, bufs: list) -> list:
     return bufs
 
 
-def _row_blocks(n: int, rows: int) -> list:
-    """(start, stop) of consecutive blocks of ``rows`` rows covering ``n``
-    rows; a 1-row tail joins the block before it."""
-    starts = list(range(0, n, rows))
-    if len(starts) > 1 and n - starts[-1] == 1:
+def _row_blocks(x: np.ndarray) -> list:
+    """(start, stop) of ``forward``'s blocks of the rows ``x``, ``BLOCK_BYTES``
+    bytes per column in its dtype; a 1-row tail joins the block before it."""
+    starts = list(range(0, len(x), BLOCK_BYTES // x.itemsize))
+    if len(starts) > 1 and len(x) - starts[-1] == 1:
         starts.pop()
-    return list(zip(starts, [*starts[1:], n]))
+    return list(zip(starts, [*starts[1:], len(x)]))
 
 
 def _forward(arch: MlpArchitecture, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``forward`` without its checks: ``w`` and ``x`` share one float dtype,
     which the pass computes in."""
-    blocks = _row_blocks(len(x), BLOCK_BYTES // x.itemsize)
+    blocks = _row_blocks(x)
     rows = max((stop - start for start, stop in blocks), default=0)
     # reused by every draw: one block buffer per hidden layer and one bias
     # tile per layer; the output layer writes into its rows of ``logits``
@@ -282,20 +283,18 @@ def _logit_bounds(arch: MlpArchitecture, w: np.ndarray, X: float):
     return np.where(fits, (e32 + e64)[:, 0] * slack, np.inf), e64[:, 0] * slack
 
 
-def float64_labels(arch: MlpArchitecture, w, x, logits32) -> np.ndarray:
-    """``predict(forward(arch, w, x))``, bit for bit, from ``logits32 =
-    forward(arch, w.astype(np.float32), x)``: the float32 signs wherever the
-    rounding bound of the module docstring settles them, float64 rechecks
-    elsewhere."""
+def hard_labels(arch: MlpArchitecture, w, x) -> np.ndarray:
+    """``predict(forward(arch, w, x))``, bit for bit, from one float32
+    ``forward`` call: the float32 signs wherever the rounding bound of the
+    module docstring settles them, float64 rechecks elsewhere."""
     w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if logits32.shape != (len(w), len(x)):
-        raise ValueError(f"logits have shape {logits32.shape}, need {(len(w), len(x))}")
+    logits32 = forward(arch, w.astype(np.float32), x)
     labels = predict(logits32)
     if not labels.size:
         return labels
+    x = np.asarray(x, dtype=np.float64)
     bound, e64 = _logit_bounds(arch, w, np.maximum(x.max(), -x.min()))
-    blocks = _row_blocks(len(x), BLOCK_BYTES // x.itemsize)
+    blocks = _row_blocks(x)
     starts = [start for start, _ in blocks]
     # one draw at a time, so no temporary holds (k, n) floats
     for k, z32 in enumerate(logits32):
@@ -303,11 +302,11 @@ def float64_labels(arch: MlpArchitecture, w, x, logits32) -> np.ndarray:
         if not rows.size:
             continue
         z = _forward(arch, w[k : k + 1], x[rows])[0]
-        labels[k, rows] = z > 0
+        labels[k, rows] = predict(z)
         near = rows[~(np.abs(z) > 2 * e64[k])]
         for i in np.unique(np.searchsorted(starts, near, side="right") - 1):
             start, stop = blocks[i]
-            labels[k, start:stop] = _forward(arch, w[k : k + 1], x[start:stop])[0] > 0
+            labels[k, start:stop] = predict(_forward(arch, w[k : k + 1], x[start:stop])[0])
     return labels
 
 

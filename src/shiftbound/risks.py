@@ -4,15 +4,16 @@ counterpart on the source, pairwise disagreement on source and target, and
 joint error on the source (and, under oracle access, on the target).
 
 Every estimate is a reduction of one prediction matrix per (draw set,
-sample): ``_predictions`` evaluates all draws in one stacked float32
-``forward`` call and returns the (2P, n) bool matrix of the float64 pass's
-hard labels; nothing else here calls ``forward``. Gibbs risks reduce each
-draw's row over the sample, then average over all 2P draws; pairwise
-quantities reduce the rows of each consecutive draw pair (2i, 2i+1) over
-the sample, then average over the P pairs. Means and Monte-Carlo standard
-deviations over draws or pairs come from ``_mean_and_mc_std``;
-``gibbs_risk`` is that reduction for a Gibbs risk. ``lambda_rho_oracle``
-forms lambda_rho from oracle-mode estimates.
+sample): ``nn.hard_labels``, the one producer of hard labels, gives the
+(2P, n) bool matrix of the float64 pass's labels of all draws from one
+stacked float32 ``forward`` call, and this module only reduces such
+matrices; compared with 0/1 labels they give error indicators. Gibbs risks
+reduce each draw's row over the sample, then average over all 2P draws;
+pairwise quantities reduce the rows of each consecutive draw pair
+(2i, 2i+1) over the sample, then average over the P pairs. Means and
+Monte-Carlo standard deviations over draws or pairs come from
+``_mean_and_mc_std``; ``gibbs_risk`` is that reduction for a Gibbs risk.
+``lambda_rho_oracle`` forms lambda_rho from oracle-mode estimates.
 """
 
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import MlpArchitecture, float64_labels, forward
+from .nn import MlpArchitecture, hard_labels
 from .samples import LabeledSample, UnlabeledSample
 from .stochastic import PosteriorSampleSet
 
@@ -53,17 +54,6 @@ def _mean_and_mc_std(values: np.ndarray) -> tuple[float, float]:
     if n < 2:
         return float(values.mean()), 0.0
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
-
-
-def _predictions(arch: MlpArchitecture, draws, data) -> np.ndarray:
-    """(len(draws), n) hard labels as bools (True is label 1): row k is draw
-    k evaluated on the sample. Comparing them with 0/1 labels gives bool
-    error indicators. They are the labels of the float64 pass, bit for bit,
-    taken from one float32 pass (``nn.float64_labels``)."""
-    if len(data) == 0:
-        raise ValueError("data must be non-empty")
-    draws = np.asarray(draws, dtype=np.float64)
-    return float64_labels(arch, draws, data.features, forward(arch, draws.astype(np.float32), data.features))
 
 
 def _row_means(indicators: np.ndarray, weights=None) -> np.ndarray:
@@ -112,8 +102,10 @@ def estimate_risks(
     if oracle and not isinstance(target, LabeledSample):
         raise OracleAccessError("oracle=True but no labeled target sample given")
 
-    source_preds = _predictions(arch, samples.draws, source_eval)
-    target_preds = _predictions(arch, samples.draws, target)
+    if not (len(source_eval) and len(target)):
+        raise ValueError("data must be non-empty")
+    source_preds = hard_labels(arch, samples.draws, source_eval.features)
+    target_preds = hard_labels(arch, samples.draws, target.features)
     source_errors = source_preds != source_eval.labels
     per_pair = {
         "disagreement_source": _disagreement_per_pair(source_preds),

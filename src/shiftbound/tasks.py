@@ -663,9 +663,10 @@ def save_dataset(sample: LabeledSample, path) -> None:
 
 
 def load_dataset(path, num_classes: int = 2) -> LabeledSample:
-    """Parse a dataset CSV, rejecting malformed rows with their line number:
-    a wrong field count, a feature that is not a finite float, a label that
-    is not an integer in [0, num_classes), an origin other than 0 or 1."""
+    """Parse a dataset CSV, rejecting a header without a feature column, and
+    malformed rows with their line number: a wrong field count, a feature
+    that is not a finite float, a label that is not an integer in
+    [0, num_classes), an origin other than 0 or 1."""
     with open(path) as fh:
         try:
             header = next(csv.reader(fh))
@@ -676,7 +677,7 @@ def load_dataset(path, num_classes: int = 2) -> LabeledSample:
         feat_names = header[:-2] if has_origin else header[:-1]
         label_pos = len(feat_names)
         expected = [f"f{i}" for i in range(len(feat_names))]
-        if feat_names != expected or header[label_pos : label_pos + 1] != ["label"]:
+        if not feat_names or feat_names != expected or header[label_pos : label_pos + 1] != ["label"]:
             raise ValueError(f"{path}: header must be f0..f{{d-1}},label[,origin]")
         ints = [("label", num_classes, f"label {{}} outside declared {num_classes} classes")]
         if has_origin:

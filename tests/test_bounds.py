@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -336,6 +337,28 @@ def test_required_field_errors():
             bound("mcallester", make_inputs(), gamma=gamma)
     with pytest.raises(ValueError, match="a and b must be positive"):
         bound("mult", make_inputs(), a=-1.0, b=1.0)
+
+
+BOUND_INPUT_REFUSALS = {
+    "m_source 0": (dict(m=0), "sample sizes must be positive"),
+    "n_target 0": (dict(n=0), "sample sizes must be positive"),
+    "negative kl": (dict(kl=-1e-9), "kl must be finite and >= 0"),
+    "inf kl": (dict(kl=math.inf), "kl must be finite and >= 0"),
+    "delta 0": (dict(delta=0.0), "delta must lie in (0, 1)"),
+    "delta 1": (dict(delta=1.0), "delta must lie in (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("fields, message", BOUND_INPUT_REFUSALS.values(), ids=BOUND_INPUT_REFUSALS)
+def test_bound_inputs_refuse_a_bad_field(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_inputs(**fields)
+
+
+@pytest.mark.parametrize("values", [{}, {"gamma": []}, {"a": [1.0], "b": ()}])
+def test_param_grid_needs_a_candidate_per_parameter(values):
+    with pytest.raises(ValueError, match="^grid must have at least one candidate per parameter$"):
+        ParamGrid(values)
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])

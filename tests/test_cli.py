@@ -14,7 +14,7 @@ import shiftbound
 from shiftbound import (ExperimentConfig, LabeledSample, build_one_sided_task, cli, emit, load_dataset, save_dataset,
                         save_task)
 from shiftbound.cli import main
-from shiftbound.tasks import default_synthetic_spec, load_task
+from shiftbound.tasks import build_synthetic_task, default_synthetic_spec, load_task
 from test_experiment import CONFIG_REFUSALS, SPEC, config_doc
 
 
@@ -351,6 +351,17 @@ def test_make_task_mixture_refuses_unknown_spec_key(tmp_path, capsys):
     assert not (tmp_path / "task").exists()
 
 
+def test_make_task_mixture_refuses_pools_without_features(tmp_path, capsys):
+    argv = write_mixture_inputs(tmp_path, MIXTURE_SPEC)
+    for o in (0, 1):
+        rows = "".join(f"{label},{o}\n" for label in np.repeat([0, 1, 2, 3], 3))
+        (tmp_path / f"pool{o}.csv").write_text("label,origin\n" + rows)
+    assert main(argv) == 2
+    pool = tmp_path / "pool0.csv"
+    assert capsys.readouterr().err == f"error: {pool}: header must be f0..f{{d-1}},label[,origin]\n"
+    assert not (tmp_path / "task").exists()
+
+
 def test_make_task_mixture_refuses_fractional_count(tmp_path, capsys):
     spec = {**MIXTURE_SPEC, "per_class_counts": [[2.7, 3]] + [[3, 3]] * 3}
     assert main(write_mixture_inputs(tmp_path, spec)) == 2
@@ -387,16 +398,31 @@ def test_run_refuses_target_with_other_feature_count(tmp_path, capsys):
     assert f"error: {task_dir / 'target.csv'}: 3 features, but {task_dir / 'source.csv'} has 2" in err
 
 
+def test_make_task_synthetic_without_a_spec_writes_the_default_task(tmp_path):
+    assert main(["make-task", "synthetic", "--seed", "0", "--out", str(tmp_path / "cli")]) == 0
+    save_task(build_synthetic_task(default_synthetic_spec(0)), tmp_path / "api")
+    names = sorted(os.listdir(tmp_path / "api"))
+    assert sorted(os.listdir(tmp_path / "cli")) == names
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes(), name
+
+
+def run_python(*args):
+    """A fresh interpreter run with ``args``, importing shiftbound from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftbound.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, check=True)
+
+
+def test_python_dash_m_runs_the_cli():
+    assert run_python("-m", "shiftbound", "--version").stdout == "0.1.0\n"
+
+
 def test_cli_import_loads_no_scipy():
     """The runtime needs numpy only: a fresh interpreter that imports the CLI
     has no scipy module loaded."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftbound.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import shiftbound.cli, sys; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
-    )
-    assert done.stdout.strip() == "[]"
+    assert run_python("-c", code).stdout.strip() == "[]"

@@ -272,6 +272,11 @@ def test_mmd_estimate_peak_memory_at_170k_rows(peak_traced_bytes):
     assert peak_traced_bytes(mmd_estimate, X, Y, cfg) < 4 * 2**20
 
 
+def test_median_heuristic_falls_back_to_one_on_identical_rows():
+    # a median distance of 0 would give zero bandwidths; 1.0 stands in for it
+    assert median_heuristic_bandwidths(np.ones((5, 2)), np.ones((4, 2))) == tuple(sorted(BANDWIDTH_SCALES))
+
+
 def test_median_distance_needs_two_rows():
     with pytest.raises(ValueError, match="at least 2"):
         _median_distance(np.zeros((1, 3)))

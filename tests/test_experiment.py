@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -122,6 +123,38 @@ def test_parse_report_csv_refuses_short_row_with_line(tmp_path, small_report):
     lines[2] = lines[2].rsplit(",", 1)[0]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=":3: expected 17 fields, got 16"):
+        parse_report_csv(path)
+
+
+# a field that its column cannot parse, one per typed column
+REPORT_FIELD_FAULTS = {
+    "seed": "1.5", "alpha": "x", "checkpoint_index": "", "seen_fraction": "x", "bound_value": "0.5.1",
+    "delta_effective": "", "gibbs_source_risk": "x", "gibbs_weighted_risk": "x", "disagreement_source": "x",
+    "disagreement_target": "x", "joint_error_source": "x", "kl": "x", "mmd": "x",
+    "oracle_target_gibbs_risk": "none", "oracle_used": "yes",
+}
+
+
+@pytest.mark.parametrize("column, text", REPORT_FIELD_FAULTS.items(), ids=REPORT_FIELD_FAULTS)
+def test_parse_report_csv_refuses_a_bad_field_by_line_and_column(tmp_path, small_report, column, text):
+    path = tmp_path / "report.csv"
+    emit(small_report, "csv", path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][CSV_COLUMNS.index(column)] = text
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:4: bad {column} value {text!r}')}$"):
+        parse_report_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "seed,alpha\n", ",".join(CSV_COLUMNS[::-1]) + "\n"], ids=["empty", "two columns", "reversed"]
+)
+def test_parse_report_csv_refuses_other_columns(tmp_path, text):
+    path = tmp_path / "report.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: unexpected report columns')}$"):
         parse_report_csv(path)
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -18,7 +19,7 @@ from shiftbound import (
     train,
 )
 from shiftbound import nn
-from shiftbound.nn import BLOCK_BYTES, _bce_gradient_arrays, _logit_bounds, _row_blocks, float64_labels
+from shiftbound.nn import BLOCK_BYTES, _bce_gradient_arrays, _logit_bounds, _row_blocks, hard_labels
 from shiftbound.stochastic import IsotropicGaussian, sample_posterior
 from shiftbound.tasks import build_synthetic_task, default_synthetic_spec
 
@@ -264,7 +265,7 @@ def test_float64_labels_decide_logits_at_and_near_zero(widths):
     z64 = forward(arch, draws, x)
     near = z64[np.arange(len(draws)), np.repeat(rows, len(draws) // len(rows))]
     assert np.all(np.abs(near) <= 3 * np.spacing(np.abs(draws[:, -1]))) and np.any(near == 0)
-    labels = float64_labels(arch, draws, x, forward(arch, draws.astype(np.float32), x))
+    labels = hard_labels(arch, draws, x)
     assert labels.dtype == bool and np.array_equal(labels, z64 > 0)
 
 
@@ -278,7 +279,7 @@ def test_a_block_alone_gives_the_bits_of_the_full_pass(n):
     draws = rng.standard_normal((2, arch.num_params)) / 4
     x = rng.standard_normal((n, 2))
     full = forward(arch, draws, x)
-    blocks = _row_blocks(n, BLOCK_BYTES // 8)
+    blocks = _row_blocks(x)
     assert blocks[-1] == {1537: (1024, 1537), 1300: (1024, 1300)}[n]
     for start, stop in blocks:
         assert np.array_equal(forward(arch, draws, x[start:stop]), full[:, start:stop])
@@ -292,17 +293,18 @@ def test_block_rerun_corrects_a_wrong_sign_from_the_gathered_recheck(monkeypatch
     x = np.random.default_rng(2).standard_normal((1100, 2))
     draws = _near_zero_draws(arch, x, [600], steps=(1,))
     want = forward(arch, draws, x) > 0
-    logits32 = forward(arch, draws.astype(np.float32), x)
     original = nn._forward
     calls = []
 
     def wrong_gathered_signs(arch, w, x):
         z = original(arch, w, x)
+        if w.dtype == np.float32:  # the float32 pass
+            return z
         calls.append(len(x))
         return np.where(z > 0, -1e-300, 1e-300) if len(calls) == 1 else z
 
     monkeypatch.setattr(nn, "_forward", wrong_gathered_signs)
-    assert np.array_equal(float64_labels(arch, draws, x, logits32), want)
+    assert np.array_equal(hard_labels(arch, draws, x), want)
     assert len(calls) > 1  # the gathered rows' blocks ran again
 
 
@@ -313,16 +315,16 @@ def test_float64_recheck_covers_under_one_percent_of_an_initial_net(monkeypatch)
     arch = MlpArchitecture((2, 64, 64, 1))
     x = build_synthetic_task(default_synthetic_spec(0)).source.features
     draws = sample_posterior(IsotropicGaussian(init_weights(arch, 0), 0.03), 5, 0).draws
-    logits32 = forward(arch, draws.astype(np.float32), x)
     original = nn._forward
     rechecked = []
 
     def counting(arch, w, x):
-        rechecked.append(len(w) * len(x))
+        if w.dtype == np.float64:  # a recheck, not the float32 pass
+            rechecked.append(len(w) * len(x))
         return original(arch, w, x)
 
     monkeypatch.setattr(nn, "_forward", counting)
-    labels = float64_labels(arch, draws, x, logits32)
+    labels = hard_labels(arch, draws, x)
     monkeypatch.undo()
     assert np.array_equal(labels, predict(forward(arch, draws, x)))
     assert 0 < sum(rechecked) < 0.01 * draws.shape[0] * len(x)
@@ -414,6 +416,25 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.1, momentum=1.0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.1, batch_size=0)
+
+
+# (2, 3, 1) has 13 parameters
+TRAIN_REFUSALS = {
+    "short weights": (
+        np.zeros(12), np.zeros((4, 2)), [0, 1, 0, 1], "weight vector has length (12,), architecture needs 13"
+    ),
+    "nan weight": (np.full(13, np.nan), np.zeros((4, 2)), [0, 1, 0, 1], "initial weights contain non-finite values"),
+    "no rows": (np.zeros(13), np.zeros((0, 2)), np.zeros(0, dtype=int), "training data must be non-empty"),
+    "wrong dim": (np.zeros(13), np.zeros((4, 3)), [0, 1, 0, 1], "data dimension does not match architecture input"),
+    "label 2": (np.zeros(13), np.zeros((4, 2)), [0, 1, 2, 1], "labels must be in {0, 1}"),
+}
+
+
+@pytest.mark.parametrize("w0, features, labels, message", TRAIN_REFUSALS.values(), ids=TRAIN_REFUSALS)
+def test_train_refuses_bad_inputs(w0, features, labels, message):
+    data = LabeledSample(features=features, labels=labels)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train(MlpArchitecture((2, 3, 1)), w0, data, TrainConfig(learning_rate=0.1))
 
 
 def test_train_zero_learning_rate_keeps_weights():

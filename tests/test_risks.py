@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import shiftbound.risks
+import shiftbound.nn
 from shiftbound import (
     BoundInputs,
     IsotropicGaussian,
@@ -350,16 +350,27 @@ def _estimate_risks_case(seed=10):
 def test_estimate_risks_evaluates_each_draw_once_per_sample(monkeypatch):
     arch, samples, source, target_x, oracle, _ = _estimate_risks_case()
     calls = []
-    original = shiftbound.risks.forward
+    original = shiftbound.nn.forward
 
     def counting_forward(*args, **kwargs):
         calls.append(np.atleast_2d(args[1]).shape[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(shiftbound.risks, "forward", counting_forward)
+    monkeypatch.setattr(shiftbound.nn, "forward", counting_forward)
     estimate_risks(arch, samples, source, oracle, oracle=True)
     assert len(calls) == 2
     assert sum(calls) == 2 * samples.draws.shape[0]
+
+
+@pytest.mark.parametrize("empty", ["source", "target"])
+def test_estimate_risks_refuses_an_empty_sample(empty):
+    arch, samples, source, target_x, _, _ = _estimate_risks_case()
+    if empty == "source":
+        source = source.subset([])
+    else:
+        target_x = UnlabeledSample(features=np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="^data must be non-empty$"):
+        estimate_risks(arch, samples, source, target_x)
 
 
 def test_estimate_risks_unlabeled_target_gives_no_oracle_values():

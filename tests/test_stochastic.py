@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shiftbound import (
     sample_posterior,
     stochastic,
 )
+from shiftbound.seeding import stream_rng
 
 
 def mc_kl_estimate(rho, pi, n_draws, seed):
@@ -52,6 +54,8 @@ def test_kl_validation():
         IsotropicGaussian(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         IsotropicGaussian(np.array([np.nan, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="^mean must be a flat vector$"):
+        IsotropicGaussian(np.zeros((2, 2)), 1.0)
 
 
 def test_kl_nonnegative_and_monotone_in_mean_distance():
@@ -143,6 +147,9 @@ def test_learn_prior_posterior_split_arithmetic():
         pytest.param(100, 0.005, "alpha=0.005 with m=100 leaves no rows for the prior split", id="prior"),
         pytest.param(400, 0.999, "alpha=0.999 with m=400 leaves 1 held-out row; the bounds need at least 2",
                      id="held-out"),
+        pytest.param(100, 1.0, "alpha must lie in [0, 1)", id="alpha one"),
+        pytest.param(100, -0.1, "alpha must lie in [0, 1)", id="negative alpha"),
+        pytest.param(0, 0.3, "S must be non-empty", id="empty"),
     ],
 )
 def test_learn_prior_posterior_degenerate_split_rejected(monkeypatch, m, alpha, message):
@@ -151,7 +158,7 @@ def test_learn_prior_posterior_degenerate_split_rejected(monkeypatch, m, alpha, 
 
     monkeypatch.setattr(stochastic, "train", train)
     S = _toy_sample(np.random.default_rng(2), m=m)
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         learn_prior_posterior(S, alpha, ARCH, CFG_PRIOR, CFG_POST, sigma=0.03, seed=0)
 
 
@@ -170,6 +177,11 @@ def test_informed_prior_shrinks_final_kl():
         pair = learn_prior_posterior(S, alpha, ARCH, CFG_PRIOR, CFG_POST, sigma=0.03, seed=12)
         kls[alpha] = kl_isotropic(pair.posterior_checkpoints[-1][1], pair.prior)
     assert kls[0.3] < kls[0.0]
+
+
+def test_stream_rng_refuses_an_unknown_stream():
+    with pytest.raises(ValueError, match="^unknown stream 'prior'$"):
+        stream_rng(0, "prior")
 
 
 def test_posterior_sample_set_validation():

@@ -180,6 +180,12 @@ def test_one_sided_weight_values():
         one_sided_weight(0.0, 10, 10)
 
 
+@pytest.mark.parametrize("num_source, num_target", [(0, 10), (10, 0)])
+def test_one_sided_weight_refuses_an_empty_side(num_source, num_target):
+    with pytest.raises(ValueError, match="^counts must be positive$"):
+        one_sided_weight(0.5, num_source, num_target)
+
+
 def test_weight_table_cells():
     spec = canonical_spec(count=12)
     src, tgt = mixture_counts(spec)
@@ -240,6 +246,26 @@ def test_one_sided_task_refuses_a_spec_value_by_name(move_fraction, seed, messag
     pool = LabeledSample(features=np.zeros((4, 1)), labels=[0, 1, 0, 1])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_one_sided_task(pool, pool, move_fraction, seed)
+
+
+@pytest.mark.parametrize("ternary_first", [True, False], ids=["source-only pool", "shared pool"])
+def test_one_sided_task_refuses_a_non_binary_label(ternary_first):
+    binary = LabeledSample(features=np.zeros((4, 1)), labels=[0, 1, 0, 1])
+    ternary = LabeledSample(features=np.zeros((4, 1)), labels=[0, 1, 2, 1])
+    pools = (ternary, binary) if ternary_first else (binary, ternary)
+    with pytest.raises(ValueError, match="^one-sided pools must carry binary labels$"):
+        build_one_sided_task(*pools, 0.5)
+
+
+@pytest.mark.parametrize("weights, message", [
+    (None, "task source must carry importance weights"),
+    ([1.0, 2.5], "attached weights exceed the declared beta_inf"),
+])
+def test_task_instance_refuses_missing_or_excess_weights(weights, message):
+    source = LabeledSample(features=np.zeros((2, 1)), labels=[0, 1], weights=weights)
+    target = LabeledSample(features=np.zeros((2, 1)), labels=[0, 1])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TaskInstance(source=source, target_labeled_oracle=target, spec=default_synthetic_spec(0), beta_inf=2.0)
 
 
 def risks_of(arch, w, task):
@@ -418,6 +444,29 @@ SPEC_FIELD_REFUSALS = {
     "share text": ("mixture", "source_share", ["1/3", "2/3", "x", "2/3"], f"source_share[2] {SHARE}, got 'x'"),
     "share over zero": ("mixture", "source_share", ["1/3", "2/3", "1/3", "1/0"], f"source_share[3] {SHARE}, got '1/0'"),
     "share list": ("mixture", "source_share", [["1/3"], "2/3", "1/3", "2/3"], f"source_share[0] {SHARE}, got ['1/3']"),
+    # a well-typed field outside the construction's domain
+    "three components": (
+        "synthetic", "component_means", [[-0.5, 0.0], [0.5, 0.0], [0.0, 1.0]],
+        "exactly two mixture components are supported",
+    ),
+    "short mean": ("synthetic", "component_means", [[-0.5], [0.5, 0.0]], "component means must have length dim"),
+    "equal means": ("synthetic", "component_means", [[0.5, 0.0], [0.5, 0.0]], "component means must be distinct"),
+    "zero std": ("synthetic", "component_std", 0.0, "component_std must be positive"),
+    "source mix over 1": (
+        "synthetic", "source_mix", [0.9, 0.2], "mixes must be two nonnegative weights summing to 1"
+    ),
+    "negative target mix": (
+        "synthetic", "target_mix", [-0.1, 1.1], "mixes must be two nonnegative weights summing to 1"
+    ),
+    "zero n_target": ("synthetic", "n_target", 0, "sample sizes must be positive"),
+    "unknown label rule": ("synthetic", "label_rule", "ball", "label_rule must be one of ('halfspace',)"),
+    "short rule vector": ("synthetic", "rule_vector", [1.0], "rule_vector must have length dim"),
+    "three shares": ("mixture", "source_share", ["1/3", "2/3", "1/3"], "need one source share per class"),
+    "share over 1": ("mixture", "source_share", ["1/3", "4/3", "1/3", "2/3"], "shares must lie in [0, 1]"),
+    "three count pairs": ("mixture", "per_class_counts", [[3, 3]] * 3, "need per-origin counts for every class"),
+    "zero count": (
+        "mixture", "per_class_counts", [[3, 3], [0, 3], [3, 3], [3, 3]], "per-class counts must be >= 1"
+    ),
 }
 SPEC_DOCS = {
     "synthetic": {
@@ -710,6 +759,7 @@ FILE_FAULTS = {
         ("f0,f1,label,origin\n", ": no data rows"),
         ("x0,f1,label,origin\n0.5,1.5,0,1\n", ": header must be f0..f{d-1},label[,origin]"),
         ("\nf0,f1,label,origin\n0.5,1.5,0,1\n", ": header must be f0..f{d-1},label[,origin]"),
+        ("label,origin\n0,1\n", ": header must be f0..f{d-1},label[,origin]"),
     ],
     "weights": [
         ("", ": header must be the single column 'weight'"),
@@ -966,7 +1016,8 @@ DATASET_EDGE_CASES = {
     "non-ASCII digits": ("f0,label\n\u0661.5,\u0660\n", ([[1.5]], [0])),
     "non-ASCII space": ("f0,label\n\u20031.5,0\u00a0\n", ([[1.5]], [0])),
     "signed zero and subnormal": ("f0,f1,label\n-0.0,5e-324,0\n", ([[-0.0, 5e-324]], [0])),
-    "no features": ("label\n1\n0\n", (np.empty((2, 0)), [1, 0])),
+    "no features": ("label\n1\n0\n", ": header must be f0..f{d-1},label[,origin]"),
+    "no features, with origin": ("label,origin\n1,0\n", ": header must be f0..f{d-1},label[,origin]"),
 }
 WEIGHTS_EDGE_CASES = {
     "blank line first": ("weight\n\n0.5\n1.5\n", ":2: expected 1 fields, got 0"),
