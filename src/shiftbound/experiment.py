@@ -32,6 +32,25 @@ def _optional_float(text: str) -> float | None:
     return float(text) if text else None
 
 
+def _bound_name(text: str) -> str:
+    if text not in BOUND_NAMES:
+        raise ValueError(text)
+    return text
+
+
+def _bound_value(text: str) -> float:
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError(text)
+    return value
+
+
+def _json_text(text: str) -> str:
+    """``text`` itself, once ``json.loads`` accepts it."""
+    json.loads(text)
+    return text
+
+
 # Every report column once, in CSV order: its name, the object its value is
 # read from ("row": the ReportRow, "estimates": its RiskEstimates, "bound":
 # one BoundResult), how it is read, and how its CSV text is parsed back. The
@@ -41,9 +60,9 @@ _REPORT_COLUMNS = (
     ("alpha", "row", attrgetter("alpha"), float),
     ("checkpoint_index", "row", attrgetter("checkpoint_index"), int),
     ("seen_fraction", "row", attrgetter("seen_fraction"), float),
-    ("bound_name", "bound", attrgetter("name"), str),
-    ("bound_value", "bound", attrgetter("value"), float),
-    ("param_json", "bound", lambda res: json.dumps(res.params, sort_keys=True), str),
+    ("bound_name", "bound", attrgetter("name"), _bound_name),
+    ("bound_value", "bound", attrgetter("value"), _bound_value),
+    ("param_json", "bound", lambda res: json.dumps(res.params, sort_keys=True), _json_text),
     ("delta_effective", "bound", attrgetter("delta_effective"), float),
     ("gibbs_source_risk", "estimates", attrgetter("gibbs_risk"), float),
     ("gibbs_weighted_risk", "estimates", attrgetter("gibbs_weighted_risk"), _optional_float),

@@ -8,8 +8,8 @@ layer applies ReLU; the output is one logit. ``forward`` and the gradient
 share one layer loop, ``_layers``.
 
 ``forward`` computes in the dtype of its weights: float64, or float32 when
-given float32 weights. It runs every layer, the output logit included, over
-blocks of ``BLOCK_BYTES`` bytes per column (512 float64 or 1,024 float32
+given float32 weights. The float64 pass, ``_forward``, runs every layer, the
+output logit included, over blocks of ``BLOCK_BYTES`` bytes per column (512
 rows), so no layer is held at full height; the output layer writes each
 block into its rows of the result. A block of rows goes through the same
 BLAS product as a 1-thread pass over all rows, which gives each row the same
@@ -22,6 +22,22 @@ a 1-row tail joins the block before it. Each layer's bias is copied to block
 height once per draw, so adding it to a block adds two arrays of one shape
 rather than broadcasting a row over every block row; the sums are the same.
 
+The float32 pass, ``_forward32``, only feeds ``hard_labels``, whose rounding
+bound below holds in any summation order, so it keeps none of those bit
+contracts: per-draw equality, thread-count independence and blocked ==
+unblocked are float64-only. It runs all draws at once. The flat layout
+stores each layer as W then b, so a slice of the weight stack reshapes,
+without a copy, to the (draws, fan_in + 1, fan_out) stack of [W; b]. Each
+activation block is a (draws, rows, width + 1) stack whose last column holds
+ones, set once and kept at 1 by ReLU; each layer of a block is then one
+``np.matmul`` that writes into the next stack's other columns, with the bias
+as the sum's last product 1·b̂, and ReLU runs against a block of zeros. A
+block's rows are sized so that the widest stacked hidden block holds
+``STACK_BYTES``, about 100 rows for 10 draws of width 64, but never fewer
+than the first layer's fan-in + 1: shorter blocks repack a wide first
+layer's [W; b] too often. The rows of ``x`` are cast to float32 one block at
+a time, so the pass holds no float32 copy of ``x``.
+
 A hard label reads only the sign of a logit. ``hard_labels``, the one
 producer of hard labels, gives those of the float64 pass,
 ``predict(forward(arch, w, x))``, bit for bit, from the logits z32 of one
@@ -31,7 +47,10 @@ float32 ``forward`` call, in three steps:
    the draws. The basis is Higham (2002, *Accuracy and Stability of
    Numerical Algorithms*, §3.1): a computed fl(Σᵢ aᵢwᵢ + b) of K products
    lies within γ_{K+1}(Σ|aᵢ||wᵢ| + |b|) of the exact sum, where
-   γₙ = nu/(1 - nu), in any summation order, FMA included. The bound is
+   γₙ = nu/(1 - nu), in any summation order, FMA included. The float32
+   pass adds b̂ as the exact product 1·b̂, the (K+1)-th term that γ_{K+1}
+   already counts, so folding the bias into the product leaves the bound
+   unchanged. The bound is
    carried through the layers unit by unit (ReLU is 1-Lipschitz), from
    X = max‖x‖∞ over all rows. For each unit, A bounds its float32
    activation, and e₃₂ and e₆₄ the distance of its float32 and float64
@@ -70,8 +89,9 @@ float32 ``forward`` call, in three steps:
    full pass: the rows of a subset would go through differently shaped BLAS
    products, which may round them differently.
 
-The rechecks run ``forward``'s block loop ``_forward`` over the blocks
-``_row_blocks`` lays out for it, so labelling makes one ``forward`` call.
+The rechecks run the float64 block loop ``_forward`` over the blocks
+``_row_blocks`` lays out for it, so labelling makes one ``forward`` call,
+the float32 one.
 """
 
 import math
@@ -85,9 +105,13 @@ from .seeding import stream_rng
 # evenly spaced snapshots over the first epoch, from zero seen samples;
 # ``train`` also saves every epoch end
 FIRST_EPOCH_CHECKPOINTS = 10
-# bytes per column of a block of every layer in ``forward``: 512 float64
-# or 1,024 float32 rows
+# bytes per column of a block of every layer in the float64 ``forward``:
+# 512 rows
 BLOCK_BYTES = 4096
+# bytes of the widest stacked hidden block of the float32 ``forward``, ones
+# column included: 256 KiB, the fastest at 10 draws of width 64 and at 2
+# draws of width 16
+STACK_BYTES = 2**18
 # unit roundoff of float32 and float64
 U32, U64 = 2.0**-24, 2.0**-53
 
@@ -202,8 +226,7 @@ def _row_blocks(x: np.ndarray) -> list:
 
 
 def _forward(arch: MlpArchitecture, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``forward`` without its checks: ``w`` and ``x`` share one float dtype,
-    which the pass computes in."""
+    """The float64 ``forward`` without its checks."""
     blocks = _row_blocks(x)
     rows = max((stop - start for start, stop in blocks), default=0)
     # reused by every draw: one block buffer per hidden layer and one bias
@@ -222,29 +245,66 @@ def _forward(arch: MlpArchitecture, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return logits[:, :, 0]
 
 
+def _block_rows32(arch: MlpArchitecture, draws: int) -> int:
+    """Rows per block of ``_forward32``: its widest stacked hidden block,
+    ones column included, holds ``STACK_BYTES``, but a block has at least as
+    many rows as the first layer's [W; b]."""
+    width = max(arch.layer_widths[1:-1], default=0) + 1
+    return max(STACK_BYTES // (4 * max(draws, 1) * width), arch.input_dim + 1)
+
+
+def _forward32(arch: MlpArchitecture, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The float32 ``forward`` without its checks: the stacked pass of the
+    module docstring, whose ``x`` may be float64."""
+    widths = arch.layer_widths
+    D, n = len(w), len(x)
+    mats, pos = [], 0
+    for n_in, n_out in zip(widths[:-1], widths[1:]):
+        mats.append(w[:, pos : pos + (n_in + 1) * n_out].reshape(D, n_in + 1, n_out))
+        pos += (n_in + 1) * n_out
+    rows = min(_block_rows32(arch, D), max(n, 1))
+    # the input block, shared by the draws, then one stacked block per hidden
+    # layer; each ends in a ones column that ReLU keeps at 1
+    acts = [np.ones((rows, widths[0] + 1), np.float32)]
+    acts += [np.ones((D, rows, width + 1), np.float32) for width in widths[1:-1]]
+    # ReLU's zeros, one block-high layer broadcast over the draws
+    zeros = [np.zeros(act.shape[1:], np.float32) for act in acts[1:]]
+    logits = np.empty((D, n, 1), np.float32)
+    for start in range(0, n, rows):
+        r = min(rows, n - start)
+        acts[0][:r, :-1] = x[start : start + r]
+        for act, mat, out, zero in zip(acts, mats, acts[1:], zeros):
+            np.matmul(act[..., :r, :], mat, out=out[:, :r, :-1])
+            np.maximum(out[:, :r], zero[:r], out=out[:, :r])
+        np.matmul(acts[-1][..., :r, :], mats[-1], out=logits[:, start : start + r])
+    return logits[:, :, 0]
+
+
 def forward(arch: MlpArchitecture, w, x) -> np.ndarray:
     """(k, n) logits of the k weight vectors stacked in ``w``, shape
     (k, num_params), at the n rows of ``x``, shape (n, input_dim), computed
     in float32 if ``w`` is a float32 array and in float64 otherwise.
 
-    Equal to stacking per-draw calls: each draw runs alone with the same
-    matrix shapes. Pure. Batched rows agree with row-by-row calls only up
-    to rounding, since BLAS may reorder a row's sums.
+    Pure. In float64, equal to stacking per-draw calls: each draw runs alone
+    with the same matrix shapes. Batched rows agree with row-by-row calls
+    only up to rounding, since BLAS may reorder a row's sums.
 
     Every layer runs over row blocks (see the module docstring), and the
     output layer writes each block's logits into its rows of the result, so
-    the only array with n rows is the result (and, for float32 weights, the
-    float32 copy of ``x``). The logits equal a 1-thread unblocked pass bit
-    for bit, whatever the BLAS thread count.
+    the only array with n rows is the result. The float64 logits equal a
+    1-thread unblocked pass bit for bit, whatever the BLAS thread count; the
+    float32 ones run all draws in one stacked pass and only lie within the
+    rounding bound of ``hard_labels``.
     """
     w = np.asarray(w)
     w = w.astype(np.float32 if w.dtype == np.float32 else np.float64, copy=False)
     if w.ndim != 2 or w.shape[1] != arch.num_params:
         raise ValueError(f"weights have shape {w.shape}, architecture needs (draws, {arch.num_params})")
-    x = np.asarray(x, dtype=w.dtype)
+    x = np.asarray(x)
+    x = x.astype(np.float32 if x.dtype == w.dtype == np.float32 else np.float64, copy=False)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ValueError(f"inputs have shape {x.shape}, architecture needs (rows, {arch.input_dim})")
-    return _forward(arch, w, x)
+    return (_forward32 if w.dtype == np.float32 else _forward)(arch, w, x)
 
 
 def _gamma(n: int, u: float) -> float:

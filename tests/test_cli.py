@@ -14,6 +14,7 @@ import shiftbound
 from shiftbound import (ExperimentConfig, LabeledSample, build_one_sided_task, cli, emit, load_dataset, save_dataset,
                         save_task)
 from shiftbound.cli import main
+from shiftbound.experiment import CSV_COLUMNS
 from shiftbound.tasks import build_synthetic_task, default_synthetic_spec, load_task
 from test_experiment import CONFIG_REFUSALS, SPEC, config_doc
 
@@ -64,6 +65,24 @@ def test_summarize_rejects_empty_report(tmp_path, capsys):
     emit([], "csv", path)
     assert main(["summarize", str(path)]) != 0
     assert "error: report is empty" in capsys.readouterr().err
+
+
+def test_summarize_refuses_each_bad_field_until_the_report_is_mended(tmp_path, capsys):
+    """A bound ``summarize`` would print as ``bogus nan`` is refused field by
+    field; once mended, a bound value above 1 is summarised."""
+    row = dict.fromkeys(CSV_COLUMNS, "0.1") | {
+        "seed": "0", "checkpoint_index": "0", "bound_name": "bogus", "bound_value": "nan", "param_json": "not json",
+        "gibbs_weighted_risk": "", "oracle_target_gibbs_risk": "", "oracle_used": "false",
+    }
+    path = tmp_path / "report.csv"
+    for column, mended in (("bound_name", "mult"), ("bound_value", "1.5"), ("param_json", "{}")):
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row.values()) + "\n")
+        assert main(["summarize", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: bad {column} value {row[column]!r}\n"
+        row[column] = mended
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row.values()) + "\n")
+    assert main(["summarize", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[2:4] == ["mult", "1.500000"]
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):

@@ -126,16 +126,19 @@ def test_parse_report_csv_refuses_short_row_with_line(tmp_path, small_report):
         parse_report_csv(path)
 
 
-# a field that its column cannot parse, one per typed column
+# a field that its column cannot parse, one per checked column: an unknown
+# bound, a param_json that is not JSON, and unparsable numbers and flags
 REPORT_FIELD_FAULTS = {
-    "seed": "1.5", "alpha": "x", "checkpoint_index": "", "seen_fraction": "x", "bound_value": "0.5.1",
-    "delta_effective": "", "gibbs_source_risk": "x", "gibbs_weighted_risk": "x", "disagreement_source": "x",
-    "disagreement_target": "x", "joint_error_source": "x", "kl": "x", "mmd": "x",
-    "oracle_target_gibbs_risk": "none", "oracle_used": "yes",
+    "seed": "1.5", "alpha": "x", "checkpoint_index": "", "seen_fraction": "x", "bound_name": "bogus",
+    "bound_value": "0.5.1", "param_json": "not json", "delta_effective": "", "gibbs_source_risk": "x",
+    "gibbs_weighted_risk": "x", "disagreement_source": "x", "disagreement_target": "x", "joint_error_source": "x",
+    "kl": "x", "mmd": "x", "oracle_target_gibbs_risk": "none", "oracle_used": "yes",
 }
 
 
-@pytest.mark.parametrize("column, text", REPORT_FIELD_FAULTS.items(), ids=REPORT_FIELD_FAULTS)
+@pytest.mark.parametrize(
+    "column, text", [*REPORT_FIELD_FAULTS.items(), ("bound_value", "nan")], ids=[*REPORT_FIELD_FAULTS, "nan bound"]
+)
 def test_parse_report_csv_refuses_a_bad_field_by_line_and_column(tmp_path, small_report, column, text):
     path = tmp_path / "report.csv"
     emit(small_report, "csv", path)

@@ -19,7 +19,8 @@ from shiftbound import (
     train,
 )
 from shiftbound import nn
-from shiftbound.nn import BLOCK_BYTES, _bce_gradient_arrays, _logit_bounds, _row_blocks, hard_labels
+from shiftbound.nn import (BLOCK_BYTES, _bce_gradient_arrays, _block_rows32, _layer_views, _logit_bounds, _row_blocks,
+                          hard_labels)
 from shiftbound.stochastic import IsotropicGaussian, sample_posterior
 from shiftbound.tasks import build_synthetic_task, default_synthetic_spec
 
@@ -202,6 +203,50 @@ def test_forward_holds_no_full_height_layer(peak_traced_bytes):
         assert peak_traced_bytes(forward, arch, w, X) < 8 * len(w) * n + 2 * 2**20
 
 
+@pytest.mark.parametrize("draws", [1, 10])
+def test_float32_forward_holds_no_full_height_layer(peak_traced_bytes, draws):
+    """The float32 logits are the only array with a row per input row: the
+    rows of ``x`` are cast one block at a time, so no float32 copy of ``x``
+    is made."""
+    arch = MlpArchitecture((2, 64, 64, 1))
+    w = np.repeat(init_weights(arch, 0)[None], draws, axis=0).astype(np.float32)
+    for n in (20000, 100000):
+        X = np.random.default_rng(0).standard_normal((n, 2))
+        assert peak_traced_bytes(forward, arch, w, X) < 4 * draws * n + 1.5 * 2**20
+
+
+def _bias_scaled(arch, draws, weights, biases):
+    """``draws`` with every weight matrix scaled by ``weights`` and every
+    bias by ``biases``."""
+    draws = draws.copy()
+    for W, b in _layer_views(arch, draws):
+        W *= weights
+        b *= biases
+    return draws
+
+
+@pytest.mark.parametrize("D", [1, 2, 10, 33])
+@pytest.mark.parametrize("biased", [False, True], ids=["plain", "bias-dominated"])
+def test_float32_pass_at_the_stacked_block_edges(D, biased):
+    """At, one below and one past the stacked block height (a 1-row tail),
+    and past two blocks: the float32 logits lie within the rounding bound of
+    the float64 ones, and ``hard_labels`` gives the float64 labels. Biases
+    x50 over weights x0.25 make the folded bias product dominate each sum."""
+    arch = MlpArchitecture((2, 64, 64, 1))
+    rng = np.random.default_rng(D)
+    draws = rng.standard_normal((D, arch.num_params)) / 4
+    if biased:
+        draws = _bias_scaled(arch, draws, 0.25, 50.0)
+    B = _block_rows32(arch, D)
+    for n in (B - 1, B, B + 1, 2 * B + 1):
+        x = rng.standard_normal((n, 2))
+        z32, z64 = forward(arch, draws.astype(np.float32), x), forward(arch, draws, x)
+        bound, _ = _logit_bounds(arch, draws, np.abs(x).max())
+        assert np.all(np.isfinite(bound))
+        assert np.all(np.abs(z32.astype(np.float64) - z64) <= bound[:, None])
+        assert np.array_equal(hard_labels(arch, draws, x), predict(z64))
+
+
 @pytest.mark.parametrize("widths", [(2, 64, 64, 1), (9, 64, 64, 1), (3, 16, 32, 8, 1)])
 @pytest.mark.parametrize("scale", [0.25, 50.0])
 def test_float32_logits_lie_within_the_rounding_bound(widths, scale):
@@ -298,8 +343,6 @@ def test_block_rerun_corrects_a_wrong_sign_from_the_gathered_recheck(monkeypatch
 
     def wrong_gathered_signs(arch, w, x):
         z = original(arch, w, x)
-        if w.dtype == np.float32:  # the float32 pass
-            return z
         calls.append(len(x))
         return np.where(z > 0, -1e-300, 1e-300) if len(calls) == 1 else z
 
@@ -315,18 +358,23 @@ def test_float64_recheck_covers_under_one_percent_of_an_initial_net(monkeypatch)
     arch = MlpArchitecture((2, 64, 64, 1))
     x = build_synthetic_task(default_synthetic_spec(0)).source.features
     draws = sample_posterior(IsotropicGaussian(init_weights(arch, 0), 0.03), 5, 0).draws
-    original = nn._forward
-    rechecked = []
+    original, original32 = nn._forward, nn._forward32
+    rechecked, passes32 = [], []
 
     def counting(arch, w, x):
-        if w.dtype == np.float64:  # a recheck, not the float32 pass
-            rechecked.append(len(w) * len(x))
+        rechecked.append(len(w) * len(x))
         return original(arch, w, x)
 
+    def counting32(arch, w, x):
+        passes32.append(len(w) * len(x))
+        return original32(arch, w, x)
+
     monkeypatch.setattr(nn, "_forward", counting)
+    monkeypatch.setattr(nn, "_forward32", counting32)
     labels = hard_labels(arch, draws, x)
     monkeypatch.undo()
     assert np.array_equal(labels, predict(forward(arch, draws, x)))
+    assert passes32 == [draws.shape[0] * len(x)]  # one float32 pass over every (draw, row) pair
     assert 0 < sum(rechecked) < 0.01 * draws.shape[0] * len(x)
 
 
