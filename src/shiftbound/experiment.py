@@ -28,8 +28,16 @@ from .tasks import (TaskInstance, _entries, _field, _file_name, _flag, _from_jso
                     _read_fields, _string, build_synthetic_task, data_rows, load_task, spec_from_json)
 
 
-def _optional_float(text: str) -> float | None:
-    return float(text) if text else None
+def _csv_number(text: str) -> float:
+    """A report field's float, refused if NaN; ±inf stays legal."""
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError(text)
+    return value
+
+
+def _optional_csv_number(text: str) -> float | None:
+    return _csv_number(text) if text else None
 
 
 def _bound_name(text: str) -> str:
@@ -38,16 +46,10 @@ def _bound_name(text: str) -> str:
     return text
 
 
-def _bound_value(text: str) -> float:
-    value = float(text)
-    if math.isnan(value):
+def _json_object(text: str) -> str:
+    """``text`` itself, once ``json.loads`` reads it as a JSON object."""
+    if not isinstance(json.loads(text), dict):
         raise ValueError(text)
-    return value
-
-
-def _json_text(text: str) -> str:
-    """``text`` itself, once ``json.loads`` accepts it."""
-    json.loads(text)
     return text
 
 
@@ -57,21 +59,21 @@ def _json_text(text: str) -> str:
 # "row" columns are also the top-level fields of each JSON row.
 _REPORT_COLUMNS = (
     ("seed", "row", attrgetter("seed"), int),
-    ("alpha", "row", attrgetter("alpha"), float),
+    ("alpha", "row", attrgetter("alpha"), _csv_number),
     ("checkpoint_index", "row", attrgetter("checkpoint_index"), int),
-    ("seen_fraction", "row", attrgetter("seen_fraction"), float),
+    ("seen_fraction", "row", attrgetter("seen_fraction"), _csv_number),
     ("bound_name", "bound", attrgetter("name"), _bound_name),
-    ("bound_value", "bound", attrgetter("value"), _bound_value),
-    ("param_json", "bound", lambda res: json.dumps(res.params, sort_keys=True), _json_text),
-    ("delta_effective", "bound", attrgetter("delta_effective"), float),
-    ("gibbs_source_risk", "estimates", attrgetter("gibbs_risk"), float),
-    ("gibbs_weighted_risk", "estimates", attrgetter("gibbs_weighted_risk"), _optional_float),
-    ("disagreement_source", "estimates", attrgetter("disagreement_source"), float),
-    ("disagreement_target", "estimates", attrgetter("disagreement_target"), float),
-    ("joint_error_source", "estimates", attrgetter("joint_error_source"), float),
-    ("kl", "row", attrgetter("kl"), float),
-    ("mmd", "row", attrgetter("mmd"), float),
-    ("oracle_target_gibbs_risk", "row", attrgetter("estimates.oracle_target_gibbs_risk"), _optional_float),
+    ("bound_value", "bound", attrgetter("value"), _csv_number),
+    ("param_json", "bound", lambda res: json.dumps(res.params, sort_keys=True), _json_object),
+    ("delta_effective", "bound", attrgetter("delta_effective"), _csv_number),
+    ("gibbs_source_risk", "estimates", attrgetter("gibbs_risk"), _csv_number),
+    ("gibbs_weighted_risk", "estimates", attrgetter("gibbs_weighted_risk"), _optional_csv_number),
+    ("disagreement_source", "estimates", attrgetter("disagreement_source"), _csv_number),
+    ("disagreement_target", "estimates", attrgetter("disagreement_target"), _csv_number),
+    ("joint_error_source", "estimates", attrgetter("joint_error_source"), _csv_number),
+    ("kl", "row", attrgetter("kl"), _csv_number),
+    ("mmd", "row", attrgetter("mmd"), _csv_number),
+    ("oracle_target_gibbs_risk", "row", attrgetter("estimates.oracle_target_gibbs_risk"), _optional_csv_number),
     ("oracle_used", "bound", attrgetter("oracle_used"), lambda text: bool(["false", "true"].index(text))),
 )
 CSV_COLUMNS = [name for name, *_ in _REPORT_COLUMNS]

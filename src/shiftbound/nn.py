@@ -38,6 +38,27 @@ than the first layer's fan-in + 1: shorter blocks repack a wide first
 layer's [W; b] too often. The rows of ``x`` are cast to float32 one block at
 a time, so the pass holds no float32 copy of ``x``.
 
+The float32 blocks are claimed, not split in advance: each worker, the
+caller and at most one thread, takes the next block's first row from one
+shared iterator and runs that block on its own activation stacks, and the
+read-only ReLU zero blocks are shared. A worker on a slow or descheduled
+core thus takes fewer blocks. The blocks are laid out as for one worker and
+a block goes through the same products whichever worker runs it, so the
+float32 logits have the same bits at any worker count. numpy releases the
+GIL inside each product and ufunc, so two workers overlap on two cores. The
+pass uses min(available CPUs, ``MAX_WORKERS32`` = 2, blocks) workers, but
+one where a block's largest per-draw product, M·N·K, lies outside
+[``MIN_PRODUCT32``, ``BLAS_THREADED_PRODUCT``) = [2¹⁶, 10⁶):
+- from 10⁶ on, this OpenBLAS (0.3.31) runs the product in its own threads,
+  so a second caller only competes with them (a wide first layer, or a
+  single draw's 1,008-row blocks of width 64);
+- below 2¹⁶, as with one narrow hidden layer over many draws, each BLAS
+  call is so short that two workers calling them were slower than one.
+Two workers, not more: two sets of stacks fit the pass's working-set budget
+at this block height, and halving the blocks to fit more workers was slower
+than one. A worker's exception stops the others at their next block and is
+raised in the caller once every thread has ended.
+
 A hard label reads only the sign of a logit. ``hard_labels``, the one
 producer of hard labels, gives those of the float64 pass,
 ``predict(forward(arch, w, x))``, bit for bit, from the logits z32 of one
@@ -95,6 +116,8 @@ the float32 one.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +135,13 @@ BLOCK_BYTES = 4096
 # column included: 256 KiB, the fastest at 10 draws of width 64 and at 2
 # draws of width 16
 STACK_BYTES = 2**18
+# workers of the float32 ``forward``: at most two, the most whose activation
+# stacks fit its working-set budget at its block height
+MAX_WORKERS32 = 2
+# M·N·K of a block's largest per-draw product in the float32 ``forward``
+# below which a second worker was slower, and from which OpenBLAS runs its
+# own threads
+MIN_PRODUCT32, BLAS_THREADED_PRODUCT = 2**16, 10**6
 # unit roundoff of float32 and float64
 U32, U64 = 2.0**-24, 2.0**-53
 
@@ -253,9 +283,87 @@ def _block_rows32(arch: MlpArchitecture, draws: int) -> int:
     return max(STACK_BYTES // (4 * max(draws, 1) * width), arch.input_dim + 1)
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers32(arch: MlpArchitecture, rows: int, blocks: int) -> int:
+    """Workers of ``_forward32`` over ``blocks`` blocks of ``rows`` rows:
+    min(available CPUs, ``MAX_WORKERS32``, blocks) where a block's largest
+    per-draw product, rows × (fan-in + 1) × fan-out, lies in
+    [``MIN_PRODUCT32``, ``BLAS_THREADED_PRODUCT``), else one."""
+    widths = arch.layer_widths
+    largest = rows * max((n_in + 1) * n_out for n_in, n_out in zip(widths[:-1], widths[1:]))
+    if not MIN_PRODUCT32 <= largest < BLAS_THREADED_PRODUCT:
+        return 1
+    return max(1, min(_available_cpus(), MAX_WORKERS32, blocks))
+
+
+def _claim_blocks32(starts, x, mats, acts, zeros, logits, failed: list):
+    """One worker of ``_forward32``: claim the next block's first row from
+    the shared iterator ``starts`` and run that block on this worker's own
+    stacks ``acts``, until no block is left or another worker has
+    ``failed``."""
+    rows, n = acts[0].shape[0], len(x)
+
+    def views(r):
+        # per layer: its input, its output's columns before the ones, its
+        # whole output, and ReLU's zeros, all r rows high
+        layers = [
+            (act[..., :r, :], out[:, :r, :-1], out[:, :r], zero[:r])
+            for act, out, zero in zip(acts, acts[1:], zeros)
+        ]
+        return acts[0][:r, :-1], layers, acts[-1][..., :r, :]
+
+    full = views(rows)
+    for start in starts:
+        if failed:
+            return
+        r = min(rows, n - start)
+        inputs, layers, last = full if r == rows else views(r)
+        inputs[...] = x[start : start + r]
+        for (act, cols, out, zero), mat in zip(layers, mats):
+            np.matmul(act, mat, out=cols)
+            np.maximum(out, zero, out=out)
+        np.matmul(last, mats[-1], out=logits[:, start : start + r])
+
+
+def _run_workers(work, worker_args: list):
+    """``work(*args, failed)`` for each ``args`` of ``worker_args``, the
+    first in the calling thread and the others in one thread each, all
+    joined before returning. An exception of any worker is appended to the
+    shared list ``failed``, which the others read to stop early, and the
+    first one is raised once every thread has ended."""
+    failed = []
+
+    def guarded(*args):
+        try:
+            work(*args, failed)
+        except BaseException as error:
+            failed.append(error)
+
+    started = []
+    try:
+        for args in worker_args[1:]:
+            thread = threading.Thread(target=guarded, args=args)
+            thread.start()
+            started.append(thread)
+        guarded(*worker_args[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if failed:
+        raise failed[0]
+
+
 def _forward32(arch: MlpArchitecture, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The float32 ``forward`` without its checks: the stacked pass of the
-    module docstring, whose ``x`` may be float64."""
+    module docstring, whose ``x`` may be float64, its blocks claimed by the
+    workers of ``_workers32``."""
     widths = arch.layer_widths
     D, n = len(w), len(x)
     mats, pos = [], 0
@@ -263,20 +371,22 @@ def _forward32(arch: MlpArchitecture, w: np.ndarray, x: np.ndarray) -> np.ndarra
         mats.append(w[:, pos : pos + (n_in + 1) * n_out].reshape(D, n_in + 1, n_out))
         pos += (n_in + 1) * n_out
     rows = min(_block_rows32(arch, D), max(n, 1))
-    # the input block, shared by the draws, then one stacked block per hidden
-    # layer; each ends in a ones column that ReLU keeps at 1
-    acts = [np.ones((rows, widths[0] + 1), np.float32)]
-    acts += [np.ones((D, rows, width + 1), np.float32) for width in widths[1:-1]]
-    # ReLU's zeros, one block-high layer broadcast over the draws
-    zeros = [np.zeros(act.shape[1:], np.float32) for act in acts[1:]]
+    workers = _workers32(arch, rows, -(-n // rows))
+    # per worker: the input block, shared by the draws, then one stacked
+    # block per hidden layer; each ends in a ones column that ReLU keeps at 1
+    stacks = [
+        [np.ones((rows, widths[0] + 1), np.float32)]
+        + [np.ones((D, rows, width + 1), np.float32) for width in widths[1:-1]]
+        for _ in range(workers)
+    ]
+    # ReLU's zeros, one block-high layer broadcast over the draws; read-only,
+    # so the workers share them
+    zeros = [np.zeros((rows, width + 1), np.float32) for width in widths[1:-1]]
     logits = np.empty((D, n, 1), np.float32)
-    for start in range(0, n, rows):
-        r = min(rows, n - start)
-        acts[0][:r, :-1] = x[start : start + r]
-        for act, mat, out, zero in zip(acts, mats, acts[1:], zeros):
-            np.matmul(act[..., :r, :], mat, out=out[:, :r, :-1])
-            np.maximum(out[:, :r], zero[:r], out=out[:, :r])
-        np.matmul(acts[-1][..., :r, :], mats[-1], out=logits[:, start : start + r])
+    # next() on a range iterator is atomic under the GIL, so each block's
+    # first row is claimed by exactly one worker
+    starts = iter(range(0, n, rows))
+    _run_workers(_claim_blocks32, [(starts, x, mats, acts, zeros, logits) for acts in stacks])
     return logits[:, :, 0]
 
 
@@ -294,7 +404,9 @@ def forward(arch: MlpArchitecture, w, x) -> np.ndarray:
     the only array with n rows is the result. The float64 logits equal a
     1-thread unblocked pass bit for bit, whatever the BLAS thread count; the
     float32 ones run all draws in one stacked pass and only lie within the
-    rounding bound of ``hard_labels``.
+    rounding bound of ``hard_labels``. The float32 blocks are claimed by up
+    to two workers, the caller and one thread that ends before the call
+    returns, with the same logit bits at any worker count.
     """
     w = np.asarray(w)
     w = w.astype(np.float32 if w.dtype == np.float32 else np.float64, copy=False)

@@ -136,19 +136,51 @@ REPORT_FIELD_FAULTS = {
 }
 
 
+# fields that parse but are refused: NaN in every float column, and a
+# param_json that is JSON but not an object
+MORE_REPORT_FIELD_FAULTS = {
+    "nan alpha": ("alpha", "nan"), "nan seen_fraction": ("seen_fraction", "nan"), "nan bound": ("bound_value", "nan"),
+    "nan delta_effective": ("delta_effective", "nan"), "nan gibbs_source_risk": ("gibbs_source_risk", "nan"),
+    "nan gibbs_weighted_risk": ("gibbs_weighted_risk", "nan"),
+    "nan disagreement_source": ("disagreement_source", "nan"),
+    "nan disagreement_target": ("disagreement_target", "nan"),
+    "nan joint_error_source": ("joint_error_source", "nan"), "nan kl": ("kl", "nan"), "nan mmd": ("mmd", "nan"),
+    "nan oracle_target_gibbs_risk": ("oracle_target_gibbs_risk", "nan"),
+    "param_json number": ("param_json", "3"), "param_json list": ("param_json", "[]"),
+}
+
+
 @pytest.mark.parametrize(
-    "column, text", [*REPORT_FIELD_FAULTS.items(), ("bound_value", "nan")], ids=[*REPORT_FIELD_FAULTS, "nan bound"]
+    "column, text",
+    [*REPORT_FIELD_FAULTS.items(), *MORE_REPORT_FIELD_FAULTS.values()],
+    ids=[*REPORT_FIELD_FAULTS, *MORE_REPORT_FIELD_FAULTS],
 )
 def test_parse_report_csv_refuses_a_bad_field_by_line_and_column(tmp_path, small_report, column, text):
-    path = tmp_path / "report.csv"
-    emit(small_report, "csv", path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows[3][CSV_COLUMNS.index(column)] = text
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    path = _report_with_fields(tmp_path, small_report, {column: text})
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:4: bad {column} value {text!r}')}$"):
         parse_report_csv(path)
+
+
+def _report_with_fields(tmp_path, report, edits):
+    """The CSV of ``report`` with the fields of its line 4 set from the
+    column-to-text dict ``edits``."""
+    path = tmp_path / "report.csv"
+    emit(report, "csv", path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for column, text in edits.items():
+        rows[3][CSV_COLUMNS.index(column)] = text
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
+def test_parse_report_csv_keeps_infinity_and_values_above_one(tmp_path, small_report):
+    edits = {"bound_value": "inf", "kl": "inf", "mmd": "1.5", "disagreement_target": "1.5", "param_json": "{}"}
+    record = parse_report_csv(_report_with_fields(tmp_path, small_report, edits))[2]
+    assert {column: record[column] for column in edits} == {
+        "bound_value": math.inf, "kl": math.inf, "mmd": 1.5, "disagreement_target": 1.5, "param_json": "{}",
+    }
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -203,16 +204,110 @@ def test_forward_holds_no_full_height_layer(peak_traced_bytes):
         assert peak_traced_bytes(forward, arch, w, X) < 8 * len(w) * n + 2 * 2**20
 
 
-@pytest.mark.parametrize("draws", [1, 10])
-def test_float32_forward_holds_no_full_height_layer(peak_traced_bytes, draws):
+@pytest.mark.parametrize(
+    "draws, cpus",
+    [(draws, cpus) for cpus in (1, 2, 8) for draws in (1, 10)],
+    # a 1-CPU case keeps the id of the single-worker pass
+    ids=[f"{draws}" if cpus == 1 else f"{draws} at {cpus} cpus" for cpus in (1, 2, 8) for draws in (1, 10)],
+)
+def test_float32_forward_holds_no_full_height_layer(peak_traced_bytes, float32_cpus, draws, cpus):
     """The float32 logits are the only array with a row per input row: the
     rows of ``x`` are cast one block at a time, so no float32 copy of ``x``
-    is made."""
+    is made, and at most two workers each hold their own block stacks."""
+    float32_cpus(cpus)
     arch = MlpArchitecture((2, 64, 64, 1))
     w = np.repeat(init_weights(arch, 0)[None], draws, axis=0).astype(np.float32)
     for n in (20000, 100000):
         X = np.random.default_rng(0).standard_normal((n, 2))
         assert peak_traced_bytes(forward, arch, w, X) < 4 * draws * n + 1.5 * 2**20
+
+
+def spy_workers(monkeypatch, fail_in=None):
+    """Lists of where each worker of the float32 pass runs, "caller" or
+    "thread", and of the first rows of the blocks the workers claim; the
+    worker running in ``fail_in`` raises instead of claiming blocks."""
+    where, claimed = [], []
+    claim = nn._claim_blocks32
+
+    def spy(starts, *args):
+        where.append("caller" if threading.current_thread() is threading.main_thread() else "thread")
+        if where[-1] == fail_in:
+            raise RuntimeError(f"worker in the {fail_in} failed")
+
+        def recorded():
+            for start in starts:
+                claimed.append(start)
+                yield start
+
+        claim(recorded(), *args)
+
+    monkeypatch.setattr(nn, "_claim_blocks32", spy)
+    return where, claimed
+
+
+@pytest.mark.parametrize("D", [1, 2, 10, 33])
+def test_float32_logits_have_the_same_bits_at_any_worker_count(monkeypatch, float32_cpus, D):
+    """The workers claim the blocks of one layout, so every row goes through
+    the same products whichever worker runs it: at block heights B - 1, B,
+    B + 1 and 2B + 1, over many blocks and over no rows, 1, 2 and 3 workers
+    give the same float32 bits, and each block is claimed once, also when
+    the threads switch as often as they can."""
+    arch = MlpArchitecture((2, 64, 64, 1))
+    rng = np.random.default_rng(D)
+    draws = (rng.standard_normal((D, arch.num_params)) / 4).astype(np.float32)
+    B = _block_rows32(arch, D)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (0, B - 1, B, B + 1, 2 * B + 1, 37 * B + 5):
+            x = rng.standard_normal((n, 2))
+            bits = []
+            for workers in (1, 2, 3):
+                float32_cpus(workers, rules=False)
+                where, claimed = spy_workers(monkeypatch)
+                bits.append(forward(arch, draws, x).view(np.uint32))
+                assert len(where) == max(1, min(workers, -(-n // B)))
+                assert sorted(claimed) == list(range(0, n, B))
+            assert bits[0].shape == (D, n)
+            assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[0], bits[2])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("fail_in", ["caller", "thread"])
+def test_a_failing_float32_worker_fails_forward_and_leaves_no_thread(monkeypatch, float32_cpus, fail_in):
+    """An exception of either worker reaches the caller once both have
+    ended; one swallowed in the thread would fail the test as a warning."""
+    float32_cpus(2)
+    arch = MlpArchitecture((2, 64, 64, 1))
+    draws = np.repeat(init_weights(arch, 0)[None], 10, axis=0).astype(np.float32)
+    x = np.random.default_rng(0).standard_normal((5000, 2))
+    where, _ = spy_workers(monkeypatch, fail_in)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^worker in the {fail_in} failed$"):
+        forward(arch, draws, x)
+    assert sorted(where) == ["caller", "thread"]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize(
+    "widths, D, workers",
+    [((784, 64, 64, 1), 10, 1), ((2, 64, 64, 1), 1, 1), ((2, 16, 1), 10, 1), ((2, 64, 64, 1), 10, 2),
+     ((2, 16, 1), 2, 2)],
+    ids=["wide input", "one draw", "narrow", "quick start", "cli round trip"],
+)
+def test_float32_pass_runs_a_second_worker_only_where_it_pays(monkeypatch, float32_cpus, widths, D, workers, cpus):
+    """One worker where a block's largest per-draw product reaches the
+    cutoff from which BLAS threads it itself (785 rows × 785 × 64 for 784
+    inputs, 1,008 rows × 65 × 64 for one draw), or lies below 2^16 (385 rows
+    × 3 × 16 for 10 draws of width 16); else one per CPU, at most two."""
+    float32_cpus(cpus)
+    arch = MlpArchitecture(widths)
+    draws = np.repeat(init_weights(arch, 0)[None], D, axis=0).astype(np.float32)
+    where, _ = spy_workers(monkeypatch)
+    forward(arch, draws, np.random.default_rng(0).standard_normal((3000, widths[0])))
+    assert sorted(where) == ["caller", "thread"][: min(workers, cpus)]
 
 
 def _bias_scaled(arch, draws, weights, biases):
