@@ -69,8 +69,8 @@ class MmdConfig:
         object.__setattr__(self, "bandwidths", bw)
         if not bw:
             raise ValueError("bandwidths must be non-empty")
-        if any(k <= 0 for k in bw):
-            raise ValueError("bandwidths must be positive")
+        if not all(0 < k < math.inf for k in bw):
+            raise ValueError("bandwidths must be finite and positive")
         if list(bw) != sorted(bw):
             raise ValueError("bandwidths must be sorted ascending")
         if self.shuffles < 1:

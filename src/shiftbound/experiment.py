@@ -161,9 +161,9 @@ class ExperimentConfig:
         """The prior's and the posterior's ``TrainConfig`` for ``seed`` and
         the alpha at index ``a_idx``."""
         prior = TrainConfig(
-            self.learning_rate, self.momentum, self.batch_size, self.prior_epochs, derive_seed(seed, 1, a_idx)
+            self.learning_rate, self.momentum, self.batch_size, self.prior_epochs, derive_seed(seed, "prior", a_idx)
         )
-        return prior, replace(prior, epochs=self.posterior_epochs, seed=derive_seed(seed, 2, a_idx))
+        return prior, replace(prior, epochs=self.posterior_epochs, seed=derive_seed(seed, "posterior", a_idx))
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: str = ".") -> "ExperimentConfig":
@@ -209,17 +209,17 @@ def run_experiment(cfg: ExperimentConfig, task: TaskInstance | None = None) -> l
 def _run_one(cfg: ExperimentConfig, task: TaskInstance, arch, seed: int, a_idx: int, alpha: float):
     cfg_prior, cfg_post = cfg._train_configs(seed, a_idx)
     pair = learn_prior_posterior(
-        task.source, alpha, arch, cfg_prior, cfg_post, cfg.sigma, derive_seed(seed, 0, a_idx)
+        task.source, alpha, arch, cfg_prior, cfg_post, cfg.sigma, derive_seed(seed, "split", a_idx)
     )
     eval_set = pair.eval_set
     target_x = task.target_x
     bandwidths = median_heuristic_bandwidths(eval_set.features, target_x.features)
-    mmd_cfg = MmdConfig(bandwidths, shuffles=cfg.mmd_shuffles, seed=derive_seed(seed, 3, a_idx))
+    mmd_cfg = MmdConfig(bandwidths, shuffles=cfg.mmd_shuffles, seed=derive_seed(seed, "mmd", a_idx))
     mmd_val = mmd_estimate(eval_set.features, target_x.features, mmd_cfg)
 
     rows = []
     for ck_idx, (frac, posterior) in enumerate(pair.posterior_checkpoints):
-        draws = sample_posterior(posterior, cfg.posterior_pairs, derive_seed(seed, 4, a_idx, ck_idx))
+        draws = sample_posterior(posterior, cfg.posterior_pairs, derive_seed(seed, "draws", a_idx, ck_idx))
         est = estimate_risks(arch, draws, eval_set, task.target_labeled_oracle, oracle=cfg.oracle_mode)
         kl = kl_isotropic(posterior, pair.prior)
         lam = lambda_rho_oracle(est) if cfg.oracle_mode else None

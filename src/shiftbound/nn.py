@@ -3,40 +3,41 @@ backprop, and deterministic SGD-momentum training with in-memory
 checkpoints.
 
 Weight vectors are plain 1-D float64 arrays laid out layer by layer,
-weight matrix (fan_in x fan_out, row-major) followed by bias. Every hidden
-layer applies ReLU; the output is one logit. ``forward`` and the gradient
-share one layer loop, ``_layers``.
+weight matrix (fan_in x fan_out, row-major) followed by bias, so each
+layer's slice is the (fan_in + 1, fan_out) matrix [W; b]. ``_layer_views``
+is the one reader of that layout: it views each layer as [W; b], or a
+(draws, num_params) stack as the (draws, fan_in + 1, fan_out) stacks of
+[W; b], without copies. Every hidden layer applies ReLU; the output is one
+logit. The float64 ``forward`` and the gradient share one layer loop,
+``_layers``.
 
 ``forward`` computes in the dtype of its weights: float64, or float32 when
 given float32 weights. The float64 pass, ``_forward``, runs every layer, the
-output logit included, over blocks of ``BLOCK_BYTES`` bytes per column (512
-rows), so no layer is held at full height; the output layer writes each
-block into its rows of the result. A block of rows goes through the same
-BLAS product as a 1-thread pass over all rows, which gives each row the same
-sums; the tests compare the two bit for bit. The width-1 output layer is a
-matrix-vector product, which BLAS rounds per row according to how it splits
-the rows across threads; over one block it rounds as the 1-thread pass does,
-so the logits do not depend on the BLAS thread count. A 1-row block would
-turn a hidden layer's matrix-matrix product into a matrix-vector product, so
-a 1-row tail joins the block before it. Each layer's bias is copied to block
-height once per draw, so adding it to a block adds two arrays of one shape
-rather than broadcasting a row over every block row; the sums are the same.
+output logit included, over blocks of ``BLOCK_ROWS`` = 512 rows, so no layer
+is held at full height; the output layer's block is written into its rows of
+the result. A block of rows goes through the same BLAS product as a 1-thread
+pass over all rows, which gives each row the same sums; the tests compare
+the two bit for bit. The width-1 output layer is a matrix-vector product,
+which BLAS rounds per row according to how it splits the rows across
+threads; over one block it rounds as the 1-thread pass does, so the logits
+do not depend on the BLAS thread count. A 1-row block would turn a hidden
+layer's matrix-matrix product into a matrix-vector product, so a 1-row tail
+joins the block before it.
 
 The float32 pass, ``_forward32``, only feeds ``hard_labels``, whose rounding
 bound below holds in any summation order, so it keeps none of those bit
 contracts: per-draw equality, thread-count independence and blocked ==
-unblocked are float64-only. It runs all draws at once. The flat layout
-stores each layer as W then b, so a slice of the weight stack reshapes,
-without a copy, to the (draws, fan_in + 1, fan_out) stack of [W; b]. Each
-activation block is a (draws, rows, width + 1) stack whose last column holds
-ones, set once and kept at 1 by ReLU; each layer of a block is then one
-``np.matmul`` that writes into the next stack's other columns, with the bias
-as the sum's last product 1·b̂, and ReLU runs against a block of zeros. A
-block's rows are sized so that the widest stacked hidden block holds
-``STACK_BYTES``, about 100 rows for 10 draws of width 64, but never fewer
-than the first layer's fan-in + 1: shorter blocks repack a wide first
-layer's [W; b] too often. The rows of ``x`` are cast to float32 one block at
-a time, so the pass holds no float32 copy of ``x``.
+unblocked are float64-only. It runs all draws at once, each layer as the
+stack of every draw's [W; b]. Each activation block is a (draws, rows,
+width + 1) stack whose last column holds ones, set once and kept at 1 by
+ReLU; each layer of a block is then one ``np.matmul`` that writes into the
+next stack's other columns, with the bias as the sum's last product 1·b̂,
+and ReLU runs against a block of zeros. A block's rows are sized so that
+the widest stacked hidden block holds ``STACK_BYTES``, about 100 rows for 10
+draws of width 64, but never fewer than the first layer's fan-in + 1:
+shorter blocks repack a wide first layer's [W; b] too often. The rows of
+``x`` are cast to float32 one block at a time, so the pass holds no float32
+copy of ``x``.
 
 The float32 blocks are claimed, not split in advance: each worker, the
 caller and at most one thread, takes the next block's first row from one
@@ -106,9 +107,10 @@ float32 ``forward`` call, in three steps:
    NaNs included, are gathered per draw and recomputed in float64.
 3. A gathered float64 logit and z64 both lie within e₆₄ of the exact logit,
    so they share a sign unless the gathered one lies within 2e₆₄ of 0. Such
-   a row's own ``forward`` block is run again, which gives the bits of the
-   full pass: the rows of a subset would go through differently shaped BLAS
-   products, which may round them differently.
+   a row's own ``forward`` block, row // ``BLOCK_ROWS`` or the last, is run
+   again, which gives the bits of the full pass: the rows of a subset would
+   go through differently shaped BLAS products, which may round them
+   differently.
 
 The rechecks run the float64 block loop ``_forward`` over the blocks
 ``_row_blocks`` lays out for it, so labelling makes one ``forward`` call,
@@ -128,9 +130,8 @@ from .seeding import stream_rng
 # evenly spaced snapshots over the first epoch, from zero seen samples;
 # ``train`` also saves every epoch end
 FIRST_EPOCH_CHECKPOINTS = 10
-# bytes per column of a block of every layer in the float64 ``forward``:
-# 512 rows
-BLOCK_BYTES = 4096
+# rows per block of every layer in the float64 ``forward``
+BLOCK_ROWS = 512
 # bytes of the widest stacked hidden block of the float32 ``forward``, ones
 # column included: 256 KiB, the fastest at 10 draws of width 64 and at 2
 # draws of width 16
@@ -196,20 +197,16 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-def _layer_views(arch: MlpArchitecture, w: np.ndarray):
-    """Views of the flat vector as per-layer (W, b) pairs; no copies. A
-    stack of vectors, shape (k, num_params), gives stacks of shape
-    (k, n_in, n_out) and (k, n_out)."""
+def _layer_views(arch: MlpArchitecture, w: np.ndarray) -> list:
+    """Views of the flat vector as the per-layer [W; b] matrices, shape
+    (n_in + 1, n_out), whose W is ``[..., :-1, :]`` and b ``[..., -1, :]``;
+    no copies. A stack of vectors, shape (k, num_params), gives stacks of
+    shape (k, n_in + 1, n_out)."""
     widths = arch.layer_widths
-    views = []
-    pos = 0
-    for i in range(len(widths) - 1):
-        n_in, n_out = widths[i], widths[i + 1]
-        W = w[..., pos : pos + n_in * n_out].reshape(*w.shape[:-1], n_in, n_out)
-        pos += n_in * n_out
-        b = w[..., pos : pos + n_out]
-        pos += n_out
-        views.append((W, b))
+    views, pos = [], 0
+    for n_in, n_out in zip(widths[:-1], widths[1:]):
+        views.append(w[..., pos : pos + (n_in + 1) * n_out].reshape(*w.shape[:-1], n_in + 1, n_out))
+        pos += (n_in + 1) * n_out
     return views
 
 
@@ -226,53 +223,44 @@ def init_weights(arch: MlpArchitecture, seed: int) -> np.ndarray:
     """Deterministic fan-in-scaled uniform init; biases zero."""
     rng = stream_rng(seed, "init")
     w = np.zeros(arch.num_params)
-    for (W, b) in _layer_views(arch, w):
+    for layer in _layer_views(arch, w):
+        W = layer[:-1]
         bound = 1.0 / math.sqrt(W.shape[0])
         W[...] = rng.uniform(-bound, bound, size=W.shape)
-        b[...] = 0.0
     return w
 
 
-def _layers(layers: list, a: np.ndarray, bufs: list) -> list:
-    """Apply ``layers``, the (W, b) pairs of one weight vector, to the rows
-    ``a``, writing each layer's output into its buffer of ``bufs``. Every
-    output goes through ReLU except the last, the logit. Returns ``bufs``."""
-    for i, ((W, b), buf) in enumerate(zip(layers, bufs)):
-        np.matmul(a, W, out=buf)
-        buf += b
+def _layers(layers: list, a: np.ndarray) -> list:
+    """The output of each of ``layers``, the [W; b] views of one weight
+    vector, at the rows ``a``: ``a @ W + b``, through ReLU except the last,
+    the logit."""
+    outs = []
+    for i, layer in enumerate(layers):
+        a = a @ layer[:-1]
+        a += layer[-1]
         if i < len(layers) - 1:
-            np.maximum(buf, 0.0, out=buf)
-        a = buf
-    return bufs
+            np.maximum(a, 0.0, out=a)
+        outs.append(a)
+    return outs
 
 
-def _row_blocks(x: np.ndarray) -> list:
-    """(start, stop) of ``forward``'s blocks of the rows ``x``, ``BLOCK_BYTES``
-    bytes per column in its dtype; a 1-row tail joins the block before it."""
-    starts = list(range(0, len(x), BLOCK_BYTES // x.itemsize))
-    if len(starts) > 1 and len(x) - starts[-1] == 1:
+def _row_blocks(n: int) -> list:
+    """(start, stop) of ``forward``'s blocks of ``n`` rows, ``BLOCK_ROWS``
+    each; a 1-row tail joins the block before it."""
+    starts = list(range(0, n, BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
-    return list(zip(starts, [*starts[1:], len(x)]))
+    return list(zip(starts, [*starts[1:], n]))
 
 
 def _forward(arch: MlpArchitecture, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The float64 ``forward`` without its checks."""
-    blocks = _row_blocks(x)
-    rows = max((stop - start for start, stop in blocks), default=0)
-    # reused by every draw: one block buffer per hidden layer and one bias
-    # tile per layer; the output layer writes into its rows of ``logits``
-    block_bufs = [np.empty((rows, width), x.dtype) for width in arch.layer_widths[1:-1]]
-    tiles = [np.empty((rows, width), x.dtype) for width in arch.layer_widths[1:]]
-    logits = np.empty((len(w), len(x), 1), x.dtype)
+    logits = np.empty((len(w), len(x)))
     for k, wk in enumerate(w):
         layers = _layer_views(arch, wk)
-        for tile, (_, b) in zip(tiles, layers):
-            tile[...] = b
-        for start, stop in blocks:
-            bufs = [buf[: stop - start] for buf in block_bufs] + [logits[k, start:stop]]
-            tiled = [(W, tile[: stop - start]) for (W, _), tile in zip(layers, tiles)]
-            _layers(tiled, x[start:stop], bufs)
-    return logits[:, :, 0]
+        for start, stop in _row_blocks(len(x)):
+            logits[k, start:stop] = _layers(layers, x[start:stop])[-1][:, 0]
+    return logits
 
 
 def _block_rows32(arch: MlpArchitecture, draws: int) -> int:
@@ -362,14 +350,11 @@ def _run_workers(work, worker_args: list):
 
 def _forward32(arch: MlpArchitecture, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The float32 ``forward`` without its checks: the stacked pass of the
-    module docstring, whose ``x`` may be float64, its blocks claimed by the
+    module docstring over the float64 rows ``x``, its blocks claimed by the
     workers of ``_workers32``."""
     widths = arch.layer_widths
     D, n = len(w), len(x)
-    mats, pos = [], 0
-    for n_in, n_out in zip(widths[:-1], widths[1:]):
-        mats.append(w[:, pos : pos + (n_in + 1) * n_out].reshape(D, n_in + 1, n_out))
-        pos += (n_in + 1) * n_out
+    mats = _layer_views(arch, w)
     rows = min(_block_rows32(arch, D), max(n, 1))
     workers = _workers32(arch, rows, -(-n // rows))
     # per worker: the input block, shared by the draws, then one stacked
@@ -393,7 +378,9 @@ def _forward32(arch: MlpArchitecture, w: np.ndarray, x: np.ndarray) -> np.ndarra
 def forward(arch: MlpArchitecture, w, x) -> np.ndarray:
     """(k, n) logits of the k weight vectors stacked in ``w``, shape
     (k, num_params), at the n rows of ``x``, shape (n, input_dim), computed
-    in float32 if ``w`` is a float32 array and in float64 otherwise.
+    in float32 if ``w`` is a float32 array and in float64 otherwise. ``x``
+    is cast to float64 in either case; the float32 pass casts it to float32
+    one block at a time.
 
     Pure. In float64, equal to stacking per-draw calls: each draw runs alone
     with the same matrix shapes. Batched rows agree with row-by-row calls
@@ -412,8 +399,7 @@ def forward(arch: MlpArchitecture, w, x) -> np.ndarray:
     w = w.astype(np.float32 if w.dtype == np.float32 else np.float64, copy=False)
     if w.ndim != 2 or w.shape[1] != arch.num_params:
         raise ValueError(f"weights have shape {w.shape}, architecture needs (draws, {arch.num_params})")
-    x = np.asarray(x)
-    x = x.astype(np.float32 if x.dtype == w.dtype == np.float32 else np.float64, copy=False)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ValueError(f"inputs have shape {x.shape}, architecture needs (rows, {arch.input_dim})")
     return (_forward32 if w.dtype == np.float32 else _forward)(arch, w, x)
@@ -437,7 +423,8 @@ def _logit_bounds(arch: MlpArchitecture, w: np.ndarray, X: float):
     abs_w = np.abs(w)
     # a weight beyond the float32 range rounds to inf
     fits = (A.max(axis=-1) < f32_max) & (abs_w.max(axis=-1) < f32_max)
-    for W, b in _layer_views(arch, abs_w):
+    for layer in _layer_views(arch, abs_w):
+        W, b = layer[..., :-1, :], layer[..., -1, :]
         K = W.shape[-2]
         g32, g64 = _gamma(K + 1, U32), _gamma(K + 1, U64)
         # (K + 1) products and additions, each off by at most half the
@@ -466,8 +453,7 @@ def hard_labels(arch: MlpArchitecture, w, x) -> np.ndarray:
         return labels
     x = np.asarray(x, dtype=np.float64)
     bound, e64 = _logit_bounds(arch, w, np.maximum(x.max(), -x.min()))
-    blocks = _row_blocks(x)
-    starts = [start for start, _ in blocks]
+    blocks = _row_blocks(len(x))
     # one draw at a time, so no temporary holds (k, n) floats
     for k, z32 in enumerate(logits32):
         rows = np.flatnonzero(~(np.abs(z32) > bound[k]))
@@ -476,7 +462,7 @@ def hard_labels(arch: MlpArchitecture, w, x) -> np.ndarray:
         z = _forward(arch, w[k : k + 1], x[rows])[0]
         labels[k, rows] = predict(z)
         near = rows[~(np.abs(z) > 2 * e64[k])]
-        for i in np.unique(np.searchsorted(starts, near, side="right") - 1):
+        for i in np.unique(np.minimum(near // BLOCK_ROWS, len(blocks) - 1)):
             start, stop = blocks[i]
             labels[k, start:stop] = predict(_forward(arch, w[k : k + 1], x[start:stop])[0])
     return labels
@@ -506,8 +492,7 @@ def _bce_gradient_arrays(arch: MlpArchitecture, w: np.ndarray, X: np.ndarray, y:
     """Gradient w.r.t. ``w`` of the mean binary cross-entropy of the 0/1
     labels ``y`` at the rows ``X``."""
     views = _layer_views(arch, w)
-    bufs = [np.empty((len(X), width)) for width in arch.layer_widths[1:]]
-    *hidden, out = _layers(views, X, bufs)
+    *hidden, out = _layers(views, X)
     acts = [X, *hidden]
     z = out[:, 0]
 
@@ -516,12 +501,10 @@ def _bce_gradient_arrays(arch: MlpArchitecture, w: np.ndarray, X: np.ndarray, y:
     # mean-BCE gradient in logit space: (sigmoid(z) - y) / n
     delta = ((_sigmoid(z) - y) / X.shape[0])[:, None]
     for i in range(len(views) - 1, -1, -1):
-        W, _ = views[i]
-        gW, gb = gviews[i]
-        gW[...] = acts[i].T @ delta
-        gb[...] = delta.sum(axis=0)
+        gviews[i][:-1] = acts[i].T @ delta
+        gviews[i][-1] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ W.T) * (acts[i] > 0)
+            delta = (delta @ views[i][:-1].T) * (acts[i] > 0)
     return grad
 
 

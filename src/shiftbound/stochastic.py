@@ -45,6 +45,8 @@ class PosteriorSampleSet:
         object.__setattr__(self, "draws", draws)
         if draws.ndim != 2 or draws.shape[0] < 2 or draws.shape[0] % 2:
             raise ValueError("draws must be a (2P, d) array with P >= 1")
+        if not np.all(np.isfinite(draws)):
+            raise ValueError("draws must be finite")
 
 
 def kl_isotropic(rho: IsotropicGaussian, pi: IsotropicGaussian) -> float:

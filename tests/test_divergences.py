@@ -377,6 +377,9 @@ def test_mmd_config_validation():
         MmdConfig(bandwidths=(1.0, 0.5))
     with pytest.raises(ValueError):
         MmdConfig(bandwidths=(-1.0,))
+    for bandwidths in ((math.nan,), (math.inf,), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="^bandwidths must be finite and positive$"):
+            MmdConfig(bandwidths=bandwidths)
     with pytest.raises(ValueError):
         MmdConfig(bandwidths=(1.0,), shuffles=0)
 

@@ -20,7 +20,7 @@ from shiftbound import (
     train,
 )
 from shiftbound import nn
-from shiftbound.nn import (BLOCK_BYTES, _bce_gradient_arrays, _block_rows32, _layer_views, _logit_bounds, _row_blocks,
+from shiftbound.nn import (BLOCK_ROWS, _bce_gradient_arrays, _block_rows32, _layer_views, _logit_bounds, _row_blocks,
                           hard_labels)
 from shiftbound.stochastic import IsotropicGaussian, sample_posterior
 from shiftbound.tasks import build_synthetic_task, default_synthetic_spec
@@ -84,6 +84,30 @@ def test_init_scale_and_zero_biases():
     b1 = w[9 * 4 : 9 * 4 + 4]
     assert np.all(np.abs(W1) <= 1.0 / 3.0)
     assert np.all(b1 == 0.0)
+
+
+@pytest.mark.parametrize("widths", [(3, 5, 4, 1), (2, 1)])
+def test_layer_views_read_the_flat_layout_in_order_without_copies(widths):
+    """The raveled [W; b] views of a vector, and of a (k, num_params) stack
+    draw by draw, concatenate back to it in order; each view of the stack
+    equals the view of its own vector; a write through a view changes the
+    vector."""
+    arch = MlpArchitecture(widths)
+    shapes = [(n_in + 1, n_out) for n_in, n_out in zip(widths[:-1], widths[1:])]
+    stack = np.random.default_rng(0).standard_normal((3, arch.num_params))
+    w = stack[1].copy()
+    views, stacked = _layer_views(arch, w), _layer_views(arch, stack)
+    assert [v.shape for v in views] == shapes
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]), w)
+    assert np.array_equal(np.concatenate([v.reshape(3, -1) for v in stacked], axis=1), stack)
+    for k in range(3):
+        for v, own in zip(stacked, _layer_views(arch, stack[k])):
+            assert np.array_equal(v[k], own)
+    for vector, layers in ((w, views), (stack, stacked)):
+        for i, layer in enumerate(layers):
+            layer[...] = i + 1
+        numbered = np.repeat(np.arange(1.0, len(shapes) + 1), [rows * cols for rows, cols in shapes])
+        assert np.array_equal(vector, np.broadcast_to(numbered, vector.shape))
 
 
 def test_forward_zero_network():
@@ -178,7 +202,7 @@ def test_blocked_forward_equals_the_unblocked_layer_loop(hidden, tmp_path):
     arch = MlpArchitecture((3, *hidden, 1))
     rng = np.random.default_rng(len(hidden))
     draws = rng.standard_normal((3, arch.num_params)) / 4
-    B = BLOCK_BYTES // 8
+    B = BLOCK_ROWS
     xs = [rng.standard_normal((n, 3)) for n in (0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 14001)]
     for X, want in zip(xs, in_one_thread(tmp_path, "unblocked_forward", arch, draws, xs)):
         assert np.array_equal(forward(arch, draws, X), want)
@@ -190,7 +214,7 @@ def test_forward_gives_the_same_bits_at_any_blas_thread_count(hidden, tmp_path):
     arch = MlpArchitecture((2, *hidden, 1))
     rng = np.random.default_rng(7)
     draws = rng.standard_normal((2, arch.num_params)) / 4
-    xs = [rng.standard_normal((n, 2)) for n in (BLOCK_BYTES // 8 + 1, 5000, 14001, 33333)]
+    xs = [rng.standard_normal((n, 2)) for n in (BLOCK_ROWS + 1, 5000, 14001, 33333)]
     for X, want in zip(xs, in_one_thread(tmp_path, "forward", arch, draws, xs)):
         assert np.array_equal(forward(arch, draws, X), want)
 
@@ -314,9 +338,9 @@ def _bias_scaled(arch, draws, weights, biases):
     """``draws`` with every weight matrix scaled by ``weights`` and every
     bias by ``biases``."""
     draws = draws.copy()
-    for W, b in _layer_views(arch, draws):
-        W *= weights
-        b *= biases
+    for layer in _layer_views(arch, draws):
+        layer[..., :-1, :] *= weights
+        layer[..., -1, :] *= biases
     return draws
 
 
@@ -419,7 +443,7 @@ def test_a_block_alone_gives_the_bits_of_the_full_pass(n):
     draws = rng.standard_normal((2, arch.num_params)) / 4
     x = rng.standard_normal((n, 2))
     full = forward(arch, draws, x)
-    blocks = _row_blocks(x)
+    blocks = _row_blocks(len(x))
     assert blocks[-1] == {1537: (1024, 1537), 1300: (1024, 1300)}[n]
     for start, stop in blocks:
         assert np.array_equal(forward(arch, draws, x[start:stop]), full[:, start:stop])

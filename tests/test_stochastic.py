@@ -16,7 +16,8 @@ from shiftbound import (
     sample_posterior,
     stochastic,
 )
-from shiftbound.seeding import stream_rng
+from shiftbound import seeding
+from shiftbound.seeding import derive_seed, stream_rng
 
 
 def mc_kl_estimate(rho, pi, n_draws, seed):
@@ -184,8 +185,24 @@ def test_stream_rng_refuses_an_unknown_stream():
         stream_rng(0, "prior")
 
 
+@pytest.mark.parametrize("table", [seeding._STREAMS, seeding._SEED_KEYS], ids=["streams", "seed keys"])
+def test_named_seed_tables_give_each_name_its_own_value(table):
+    assert len(set(table.values())) == len(table)
+
+
+def test_derive_seed_refuses_an_unknown_key():
+    with pytest.raises(ValueError, match="^unknown seed key 'init'$"):
+        derive_seed(0, "init")
+
+
 def test_posterior_sample_set_validation():
     # draws must be (2P, d) with P >= 1
     for shape in ((3, 3), (0, 3), (4,)):
         with pytest.raises(ValueError):
             PosteriorSampleSet(draws=np.zeros(shape))
+    # a non-finite weight in any draw
+    for bad in (np.nan, np.inf, -np.inf):
+        draws = np.zeros((2, 3))
+        draws[1, 2] = bad
+        with pytest.raises(ValueError, match="^draws must be finite$"):
+            PosteriorSampleSet(draws=draws)
