@@ -5,7 +5,10 @@ bytes hashed as bench/worker.py hashes them. The benchmark files are loaded
 from their paths, without editing them.
 
 Both workloads have 2 features, so a 9-feature run is pinned too: it takes
-the MMD's np.sum branch and runs forward over several row blocks."""
+the MMD's np.sum branch and runs forward over several row blocks. So are a
+run on a 16-feature mixture task and one on a one-sided task, the only
+reports whose weights are piecewise by (class, origin) or by pool, with the
+one-sided task's weight-0 rows."""
 
 import hashlib
 import importlib.util
@@ -60,6 +63,16 @@ def test_seed0_reports_match_golden(tmp_path, workload):
 WIDE_REPORT_SHA256 = "193bd4629561efc0e3419695817c8cfcf3536cb56e6e4b804e8e9d3a4e80221f"
 
 
+def _report_sha256(report, tmp_path):
+    """sha256 of ``report``'s CSV bytes then its JSON bytes, as emitted under ``tmp_path``."""
+    digest = hashlib.sha256()
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"report.{fmt}"
+        experiment.emit(report, fmt, path)
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _axis(dim, k, value):
     return tuple(value if i == k else 0.0 for i in range(dim))
 
@@ -76,12 +89,7 @@ def test_nine_feature_report_is_pinned(tmp_path):
         posterior_pairs=5, learning_rate=2e-2, seeds=(0,), posterior_epochs=1,
     )
     report = experiment.run_experiment(cfg, build_synthetic_task(spec))
-    digest = hashlib.sha256()
-    for fmt in ("csv", "json"):
-        path = tmp_path / f"report.{fmt}"
-        experiment.emit(report, fmt, path)
-        digest.update(path.read_bytes())
-    assert digest.hexdigest() == WIDE_REPORT_SHA256
+    assert _report_sha256(report, tmp_path) == WIDE_REPORT_SHA256
 
 
 # sha256 of the source.csv, target.csv, weights.csv and manifest.json bytes,
@@ -133,3 +141,20 @@ def test_saved_task_bytes_are_pinned(tmp_path, kind, build):
     for name in ("source.csv", "target.csv", "weights.csv", "manifest.json"):
         digest.update((tmp_path / name).read_bytes())
     assert digest.hexdigest() == TASK_SHA256[kind]
+
+
+# sha256 of the CSV then JSON bytes of a seed-0 run on each pooled task above
+POOLED_REPORT_SHA256 = {
+    "mixture": "af9511a0856bc2abb8596796a12b6c0073160c95cb8604a39057a8dba215e7ba",
+    "one_sided": "17d1a3d10a7eddfb2e7a5d65ab0e9f3a0ea164caa3dbf98d6a78955bba46ed64",
+}
+
+
+@pytest.mark.parametrize("kind, build", [("mixture", _mixture_task), ("one_sided", _one_sided_task)])
+def test_pooled_task_reports_are_pinned(tmp_path, kind, build):
+    cfg = experiment.ExperimentConfig(
+        task={"type": "manifest", "path": kind}, hidden=(16,), alphas=(0.0, 0.3),
+        bounds=("mcallester", "iw", "mmd", "mult", "add"), oracle_mode=True,
+        posterior_pairs=5, seeds=(0,), posterior_epochs=1,
+    )
+    assert _report_sha256(experiment.run_experiment(cfg, build()), tmp_path) == POOLED_REPORT_SHA256[kind]
