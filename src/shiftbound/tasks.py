@@ -8,6 +8,10 @@ density ratio is available in closed form. A construction that would leave
 target mass without source mass is refused with ``OverlapError``. The two
 pooled constructions' weights, and the mixture's worst-case weight
 beta_inf, are computed in exact ``Fraction`` arithmetic and rounded once.
+Both pooled constructions route their rows through ``_pooled_task`` by
+cell, where a weight is constant: a (class, origin) group of a mixture, or
+one pool of a one-sided task. Each cell sends a seeded share of its rows to
+the source with its weight and the rest to the target.
 
 A task persists as a directory (``save_task`` / ``load_task``): source.csv
 and target.csv (header f0..f{d-1},label[,origin]), weights.csv (header
@@ -408,45 +412,48 @@ def beta_infinity(spec: MixtureTaskSpec) -> float:
     return float(max(w for row in table for w in row))
 
 
+def _pooled_task(cells, spec) -> TaskInstance:
+    """The task whose rows come from ``cells``, each a ``(features, labels,
+    origin, rows, k, weight)``: the cell's ``rows``, in order, send their
+    first ``k`` to the source with ``weight`` and the rest to the target,
+    all with ``origin``. Both samples are the cells' rows in cell order, and
+    beta_inf is the largest cell weight."""
+    parts = ([], [])
+    for features, labels, origin, rows, k, weight in cells:
+        for part, idx in zip(parts, (rows[:k], rows[k:])):
+            part.append((features[idx], labels[idx], np.full(idx.size, origin, dtype=np.int64), np.full(idx.size, weight)))
+    source, target = ([np.concatenate(column) for column in zip(*part)] for part in parts)
+    source, target = LabeledSample(*source), LabeledSample(*target[:3])  # the target carries no weights
+    return TaskInstance(source=source, target_labeled_oracle=target, spec=spec, beta_inf=max(c[5] for c in cells))
+
+
 def build_mixture_task(
     pool0: LabeledSample, pool1: LabeledSample, spec: MixtureTaskSpec, seed: int
 ) -> TaskInstance:
     """Per class, route the spec's share of origin-1 rows (and the
     complementary share of origin-0 rows) to the source, the rest to the
     target; binarise labels and attach exact weights by (class, origin)."""
+    if pool1.dim != pool0.dim:
+        raise ValueError(f"pool1 has {pool1.dim} features, pool0 has {pool0.dim}")
+    pools = (pool0, pool1)
+    for o, pool in enumerate(pools):
+        outside = np.count_nonzero((pool.labels < 0) | (pool.labels >= spec.num_classes))
+        if outside:
+            raise ValueError(f"pool{o} has {outside} rows outside the spec's classes 0..{spec.num_classes - 1}")
+    binary = np.array([spec.binary_label(c) for c in range(spec.num_classes)], dtype=np.int64)
+    labels = [binary[pool.labels] for pool in pools]
     src_counts, _ = mixture_counts(spec)
     table = mixture_weights(spec)
-    src_parts, tgt_parts = [], []
+    cells = []
     for c in range(spec.num_classes):
-        for o, pool in enumerate((pool0, pool1)):
+        for o, pool in enumerate(pools):
             idx = np.nonzero(pool.labels == c)[0]
             want = spec.per_class_counts[c][o]
             if idx.size != want:
                 raise ValueError(f"pool{o} has {idx.size} rows of class {c}, spec declares {want}")
             idx = idx[stream_rng(seed, "task", c, o).permutation(idx.size)]
-            k = src_counts[c][o]
-            y = spec.binary_label(c)
-            w = float(table[c][o])
-            for rows, part in ((idx[:k], src_parts), (idx[k:], tgt_parts)):
-                part.append(
-                    (
-                        pool.features[rows],
-                        np.full(rows.size, y, dtype=np.int64),
-                        np.full(rows.size, o, dtype=np.int64),
-                        np.full(rows.size, w),
-                    )
-                )
-
-    def _assemble(parts, with_weights):
-        feats = np.vstack([p[0] for p in parts])
-        labels = np.concatenate([p[1] for p in parts])
-        origin = np.concatenate([p[2] for p in parts])
-        weights = np.concatenate([p[3] for p in parts]) if with_weights else None
-        return LabeledSample(features=feats, labels=labels, origin=origin, weights=weights)
-
-    source = _assemble(src_parts, with_weights=True)
-    oracle = _assemble(tgt_parts, with_weights=False)
-    return TaskInstance(source=source, target_labeled_oracle=oracle, spec=spec, beta_inf=beta_infinity(spec))
+            cells.append((pool.features, labels[o], o, idx, src_counts[c][o], float(table[c][o])))
+    return _pooled_task(cells, spec)
 
 
 @dataclass(frozen=True)
@@ -492,6 +499,8 @@ def build_one_sided_task(
     domain exactly.
     """
     spec = OneSidedSpec(move_fraction, seed)
+    if pool_shared.dim != pool_source_only.dim:
+        raise ValueError(f"pool_shared has {pool_shared.dim} features, pool_source_only has {pool_source_only.dim}")
     m1 = len(pool_shared)
     k = round(spec.move_fraction * m1)
     if k < 1 or k >= m1:
@@ -501,27 +510,13 @@ def build_one_sided_task(
     for pool in (pool_source_only, pool_shared):
         if not np.all((pool.labels == 0) | (pool.labels == 1)):
             raise ValueError("one-sided pools must carry binary labels")
-
-    order = stream_rng(spec.seed, "task").permutation(m1)
-    moved, kept = order[:k], order[k:]
-    n_source = len(pool_source_only) + k
-    n_target = m1 - k
-    weight = one_sided_weight(Fraction(k, m1), n_source, n_target)
-
-    feats = np.vstack([pool_source_only.features, pool_shared.features[moved]])
-    labels = np.concatenate([pool_source_only.labels, pool_shared.labels[moved]])
-    origin = np.concatenate(
-        [np.zeros(len(pool_source_only), dtype=np.int64), np.ones(k, dtype=np.int64)]
-    )
-    weights = np.concatenate([np.zeros(len(pool_source_only)), np.full(k, weight)])
-    source = LabeledSample(features=feats, labels=labels, origin=origin, weights=weights)
-
-    oracle = LabeledSample(
-        features=pool_shared.features[kept],
-        labels=pool_shared.labels[kept],
-        origin=np.ones(n_target, dtype=np.int64),
-    )
-    return TaskInstance(source=source, target_labeled_oracle=oracle, spec=spec, beta_inf=weight)
+    n0 = len(pool_source_only)
+    weight = one_sided_weight(Fraction(k, m1), n0 + k, m1 - k)
+    cells = [
+        (pool_source_only.features, pool_source_only.labels, 0, np.arange(n0), n0, 0.0),
+        (pool_shared.features, pool_shared.labels, 1, stream_rng(spec.seed, "task").permutation(m1), k, weight),
+    ]
+    return _pooled_task(cells, spec)
 
 
 # Rows formatted per write. A chunk's Python floats, their strings and its

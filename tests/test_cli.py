@@ -388,6 +388,15 @@ def test_make_task_mixture_refuses_fractional_count(tmp_path, capsys):
     assert not (tmp_path / "task").exists()
 
 
+def test_make_task_mixture_refuses_pools_of_unequal_feature_counts(tmp_path, capsys):
+    argv = write_mixture_inputs(tmp_path, MIXTURE_SPEC)
+    features = np.zeros((12, 3))
+    save_dataset(LabeledSample(features=features, labels=np.repeat([0, 1, 2, 3], 3)), tmp_path / "pool1.csv")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: pool1 has 3 features, pool0 has 2\n"
+    assert not (tmp_path / "task").exists()
+
+
 def make_small_task(tmp_path):
     spec = default_synthetic_spec(seed=4, n_source=40, n_target=30)
     spec_path = tmp_path / "spec.json"

@@ -124,6 +124,37 @@ def test_mixture_task_count_mismatch_rejected():
         build_mixture_task(pool0, pool1, spec, seed=0)
 
 
+TWO_CLASS_SPEC = MixtureTaskSpec(num_classes=2, source_share=["1/2", "1/2"], per_class_counts=[(20, 20)] * 2)
+
+
+def _zero_pool(labels, dim=2):
+    return LabeledSample(features=np.zeros((len(labels), dim)), labels=labels)
+
+
+@pytest.mark.parametrize("bad_pool, labels, outside", [
+    (1, np.repeat([0, 1, 2], 20), 20),
+    (0, np.append(np.repeat([0, 1], 20), -1), 1),
+], ids=["undeclared class", "negative label"])
+def test_mixture_task_refuses_labels_outside_the_classes(bad_pool, labels, outside):
+    pools = [_zero_pool(np.repeat([0, 1], 20)) for _ in range(2)]
+    pools[bad_pool] = _zero_pool(labels)
+    message = f"pool{bad_pool} has {outside} rows outside the spec's classes 0..1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_mixture_task(*pools, TWO_CLASS_SPEC, seed=0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda narrow, wide: build_mixture_task(narrow, wide, TWO_CLASS_SPEC, seed=0),
+     "pool1 has 3 features, pool0 has 2"),
+    (lambda narrow, wide: build_one_sided_task(narrow, wide, 0.5),
+     "pool_shared has 3 features, pool_source_only has 2"),
+], ids=["mixture", "one_sided"])
+def test_pooled_task_refuses_pools_of_unequal_feature_counts(build, message):
+    labels = np.repeat([0, 1], 20)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(_zero_pool(labels), _zero_pool(labels, dim=3))
+
+
 def test_mixture_weights_canonical_schedule():
     spec = canonical_spec(count=120)
     table = mixture_weights(spec)
